@@ -1,0 +1,36 @@
+package main
+
+import (
+	"fmt"
+	"syscall"
+)
+
+// childAttr kills a child process if the benchmark dies without stopping it.
+func childAttr() *syscall.SysProcAttr {
+	return &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
+}
+
+// fsType names the filesystem holding dir.
+func fsType(dir string) string {
+	var st syscall.Statfs_t
+	if err := syscall.Statfs(dir, &st); err != nil {
+		return "unknown"
+	}
+	switch uint32(st.Type) {
+	case 0xef53:
+		return "ext4"
+	case 0x58465342:
+		return "xfs"
+	case 0x9123683e:
+		return "btrfs"
+	case 0x01021994:
+		return "tmpfs"
+	case 0x794c7630:
+		return "overlayfs"
+	case 0x65735546:
+		return "fuse"
+	case 0x6969:
+		return "nfs"
+	}
+	return fmt.Sprintf("0x%x", uint32(st.Type))
+}

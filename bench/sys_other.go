@@ -1,0 +1,9 @@
+//go:build !linux
+
+package main
+
+import "syscall"
+
+func childAttr() *syscall.SysProcAttr { return nil }
+
+func fsType(string) string { return "unknown" }
