@@ -103,8 +103,7 @@ func (c *counter) Access(addr uint64, size int, store bool) {
 // instructions for each instance, and average the statistics".
 func Calibrate(iters int, seed uint64) (*Model, error) {
 	m := &Model{mixes: make(map[string]hw.BlockWork, len(kernels))}
-	for name, src := range kernels {
-		full := fmt.Sprintf(kernelHarness, iters) + src
+	for name, full := range Kernels(iters) {
 		prog, err := minilang.Parse("libmodel/"+name, full)
 		if err != nil {
 			return nil, fmt.Errorf("libmodel: kernel %s: %v", name, err)
@@ -135,6 +134,18 @@ func Calibrate(iters int, seed uint64) (*Model, error) {
 		m.mixes[name] = w
 	}
 	return m, nil
+}
+
+// Kernels returns the minilang program Calibrate runs for each library
+// function: the driving harness at iters iterations followed by the
+// function's micro-kernel. Run it with the global "enable" set to 1 for the
+// measured configuration, or left at 0 for the harness-only baseline.
+func Kernels(iters int) map[string]string {
+	out := make(map[string]string, len(kernels))
+	for name, src := range kernels {
+		out[name] = fmt.Sprintf(kernelHarness, iters) + src
+	}
+	return out
 }
 
 func pos(v float64) float64 {
