@@ -1,7 +1,8 @@
-// Package interp implements a tree-walking execution engine for minilang
-// programs, parameterized by an Observer that receives fine-grained dynamic
-// events: arithmetic operations, memory accesses with concrete addresses,
-// library calls, branch outcomes, and loop trip counts.
+// Package interp implements the execution engine for minilang programs,
+// parameterized by an Observer that receives fine-grained dynamic events:
+// arithmetic operations, memory accesses with concrete addresses, library
+// calls, branch outcomes, and loop trip counts. New lowers the checked
+// program once into resolved nodes (lower.go); Run executes only those.
 //
 // Two consumers plug into the engine:
 //
@@ -150,12 +151,14 @@ type Options struct {
 
 // Engine executes a checked minilang program.
 type Engine struct {
-	prog *minilang.Program
-	obs  Observer
+	src string // the program's source name, for error texts
+	obs Observer
 
-	// Globals holds scalar globals by name.
+	// Globals holds scalar globals by name: values set before Run are the
+	// program's inputs, and Run leaves the final values here.
 	Globals map[string]float64
-	// Arrays holds array globals by name.
+	// Arrays holds array globals by name. Run reads and writes these
+	// arrays' Data in place.
 	Arrays map[string]*Array
 
 	rng      uint64
@@ -163,27 +166,28 @@ type Engine struct {
 	maxSteps int64
 	ctx      context.Context
 
-	// stmtSeg maps simple statements to their segments, precomputed.
-	stmtSeg map[minilang.Stmt]*minilang.Segment
-	// loopVec caches the vectorization level of each counted loop.
-	loopVec map[*minilang.For]VecLevel
-	// curBlock is the current attribution block ID.
-	curBlock string
+	// The lowered program: main, the scalar global slots and their names,
+	// and the attribution block IDs that lowered nodes index.
+	main        *function
+	globals     []float64
+	globalNames []string
+	blockIDs    []string
+	// cur is the index of the current attribution block, or noBlock.
+	cur int
 }
 
 // New prepares an engine: evaluates global initializers in declaration
-// order, allocates arrays, and precomputes segment attribution. The program
-// must have passed minilang.Check.
+// order, allocates arrays, and lowers the program for execution. The
+// program must have passed minilang.Check.
 func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 	e := &Engine{
-		prog:     prog,
+		src:      prog.Source,
 		Globals:  make(map[string]float64),
 		Arrays:   make(map[string]*Array),
 		rng:      1,
 		maxSteps: 1 << 34,
 		ctx:      context.Background(),
-		stmtSeg:  make(map[minilang.Stmt]*minilang.Segment),
-		loopVec:  make(map[*minilang.For]VecLevel),
+		cur:      noBlock,
 	}
 	if opts != nil {
 		if opts.MaxSteps > 0 {
@@ -243,33 +247,10 @@ func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 		e.Arrays[g.Name] = arr
 	}
 
-	// Precompute statement -> segment mapping for attribution.
-	for _, f := range prog.Funcs {
-		e.indexSegments(f.Name, f.Body)
+	if err := e.lower(prog); err != nil {
+		return nil, err
 	}
 	return e, nil
-}
-
-func (e *Engine) indexSegments(fn string, b *minilang.Block) {
-	segs := minilang.SegmentsOf(fn, b)
-	for i := range segs {
-		for _, s := range segs[i].Stmts {
-			e.stmtSeg[s] = &segs[i]
-		}
-	}
-	for _, s := range b.Stmts {
-		switch t := s.(type) {
-		case *minilang.For:
-			e.indexSegments(fn, t.Body)
-		case *minilang.While:
-			e.indexSegments(fn, t.Body)
-		case *minilang.If:
-			e.indexSegments(fn, t.Then)
-			if t.Else != nil {
-				e.indexSegments(fn, t.Else)
-			}
-		}
-	}
 }
 
 // constEval evaluates global-declaration expressions (literals, previously
@@ -295,7 +276,7 @@ func (e *Engine) constEval(x minilang.Expr) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return applyBinary(t, l, r)
+		return applyBinary(t.Op, t.ResultType() == minilang.TypeInt, l, r)
 	case *minilang.Unary:
 		v, err := e.constEval(t.X)
 		if err != nil {
@@ -311,8 +292,13 @@ func (e *Engine) constEval(x minilang.Expr) (float64, error) {
 
 // Run executes main(). It may be called once per engine.
 func (e *Engine) Run() error {
-	main := e.prog.FuncByName["main"]
-	_, _, err := e.callFunc(main, nil)
+	for i, name := range e.globalNames {
+		e.globals[i] = e.Globals[name]
+	}
+	_, err := e.call(e.main, make([]float64, e.main.slots))
+	for i, name := range e.globalNames {
+		e.Globals[name] = e.globals[i]
+	}
 	return err
 }
 
@@ -329,17 +315,8 @@ const (
 	ctrlReturn
 )
 
-// frame is a function activation record.
-type frame struct {
-	fn     *minilang.FuncDecl
-	locals map[string]float64
-	// vec is the vectorization context of the innermost enclosing loop
-	// body while executing its directly nested simple statements.
-	vec VecLevel
-}
-
 func (e *Engine) errf(pos minilang.Pos, format string, args ...any) error {
-	return fmt.Errorf("%s:%s: runtime: %s", e.prog.Source, pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s:%s: runtime: %s", e.src, pos, fmt.Sprintf(format, args...))
 }
 
 // ctxCheckMask gates the cancellation check to every 1024th statement: fine
@@ -348,44 +325,52 @@ func (e *Engine) errf(pos minilang.Pos, format string, args ...any) error {
 const ctxCheckMask = 1<<10 - 1
 
 // budget charges one statement against the step budget and, periodically,
-// against the run's context deadline. The guard.Hit call is a
-// fault-injection point (no-op unless a test arms "interp.step").
+// against the run's context deadline.
 func (e *Engine) budget(pos minilang.Pos) error {
 	e.steps++
-	if e.steps > e.maxSteps {
-		return e.errf(pos, "step budget exceeded (%d); runaway loop?", e.maxSteps)
-	}
-	if e.steps&ctxCheckMask == 0 {
-		guard.Hit("interp.step", e.prog.Source)
-		if err := e.ctx.Err(); err != nil {
-			return fmt.Errorf("%s:%s: %w", e.prog.Source, pos, err)
-		}
+	if e.steps > e.maxSteps || e.steps&ctxCheckMask == 0 {
+		return e.checkpoint(pos)
 	}
 	return nil
 }
 
-func (e *Engine) callFunc(fn *minilang.FuncDecl, args []float64) (float64, control, error) {
-	fr := &frame{fn: fn, locals: make(map[string]float64, len(fn.Params)+8)}
-	for i, p := range fn.Params {
-		v := args[i]
-		if p.Base == minilang.TypeInt {
-			v = math.Trunc(v)
-		}
-		fr.locals[p.Name] = v
+// checkpoint is budget's slow path: the step limit, then the periodic
+// fault-injection point (no-op unless a test arms "interp.step") and
+// context check.
+func (e *Engine) checkpoint(pos minilang.Pos) error {
+	if e.steps > e.maxSteps {
+		return e.errf(pos, "step budget exceeded (%d); runaway loop?", e.maxSteps)
 	}
-	ret, ctrl, err := e.execBlock(fr, fn.Body)
-	if err != nil {
-		return 0, ctrlNone, err
+	guard.Hit("interp.step", e.src)
+	if err := e.ctx.Err(); err != nil {
+		return fmt.Errorf("%s:%s: %w", e.src, pos, err)
 	}
-	if ctrl == ctrlReturn {
-		return ret, ctrlNone, nil
-	}
-	return 0, ctrlNone, nil
+	return nil
 }
 
-func (e *Engine) execBlock(fr *frame, b *minilang.Block) (float64, control, error) {
-	for _, s := range b.Stmts {
-		ret, ctrl, err := e.execStmt(fr, s)
+// enter switches attribution to block b, if needed.
+func (e *Engine) enter(b int) {
+	if b != e.cur {
+		e.cur = b
+		e.obs.EnterBlock(e.blockIDs[b])
+	}
+}
+
+// call runs fn in frame fr, whose parameter slots are already set.
+func (e *Engine) call(fn *function, fr []float64) (float64, error) {
+	ret, ctrl, err := e.execBlock(fr, fn.body)
+	if err != nil {
+		return 0, err
+	}
+	if ctrl == ctrlReturn {
+		return ret, nil
+	}
+	return 0, nil
+}
+
+func (e *Engine) execBlock(fr []float64, body []*stmt) (float64, control, error) {
+	for _, s := range body {
+		ret, ctrl, err := e.exec(fr, s)
 		if err != nil || ctrl != ctrlNone {
 			return ret, ctrl, err
 		}
@@ -393,156 +378,154 @@ func (e *Engine) execBlock(fr *frame, b *minilang.Block) (float64, control, erro
 	return 0, ctrlNone, nil
 }
 
-// enterBlockFor switches attribution to the block owning s, if needed.
-func (e *Engine) enterBlockFor(id string) {
-	if id != e.curBlock {
-		e.curBlock = id
-		e.obs.EnterBlock(id)
-	}
-}
-
-func (e *Engine) execStmt(fr *frame, s minilang.Stmt) (float64, control, error) {
-	if err := e.budget(s.StmtPos()); err != nil {
+func (e *Engine) exec(fr []float64, s *stmt) (float64, control, error) {
+	if err := e.budget(s.pos); err != nil {
 		return 0, ctrlNone, err
 	}
-	if seg := e.stmtSeg[s]; seg != nil {
-		e.enterBlockFor(seg.BlockID())
+	if s.seg != noBlock {
+		e.enter(s.seg)
 	}
-	switch t := s.(type) {
-	case *minilang.VarDecl:
-		v := 0.0
-		if t.Init != nil {
-			var err error
-			v, err = e.eval(fr, t.Init)
-			if err != nil {
-				return 0, ctrlNone, err
-			}
-		}
-		if t.Base == minilang.TypeInt {
-			v = math.Trunc(v)
-		}
-		fr.locals[t.Name] = v
-		return 0, ctrlNone, nil
-
-	case *minilang.Assign:
-		v, err := e.eval(fr, t.RHS)
+	switch s.kind {
+	case stSetLocal, stSetGlobal:
+		v, err := e.eval(fr, s.x)
 		if err != nil {
 			return 0, ctrlNone, err
 		}
-		return 0, ctrlNone, e.assign(fr, t.LHS, v)
+		if s.isInt {
+			v = math.Trunc(v)
+		}
+		if s.kind == stSetLocal {
+			fr[s.slot] = v
+		} else {
+			e.globals[s.slot] = v
+		}
+		return 0, ctrlNone, nil
 
-	case *minilang.ExprStmt:
-		_, err := e.eval(fr, t.X)
+	case stSetIndex:
+		v, err := e.eval(fr, s.x)
+		if err != nil {
+			return 0, ctrlNone, err
+		}
+		x := s.elem
+		off, err := e.element(fr, x)
+		if err != nil {
+			return 0, ctrlNone, err
+		}
+		if x.isInt {
+			v = math.Trunc(v)
+		}
+		e.obs.Access(x.arr.Base+uint64(off)*uint64(x.arr.Elem), x.arr.Elem, true)
+		x.arr.Data[off] = v
+		return 0, ctrlNone, nil
+
+	case stExpr:
+		_, err := e.eval(fr, s.x)
 		return 0, ctrlNone, err
 
-	case *minilang.For:
-		return e.execFor(fr, t)
+	case stFor:
+		return e.execFor(fr, s)
 
-	case *minilang.While:
-		return e.execWhile(fr, t)
+	case stWhile:
+		return e.execWhile(fr, s)
 
-	case *minilang.If:
-		e.enterBlockFor(fmt.Sprintf("%s/if@L%d", fr.fn.Name, t.Pos.Line))
-		cond, err := e.eval(fr, t.Cond)
+	case stIf:
+		e.enter(s.block)
+		cond, err := e.eval(fr, s.x)
 		if err != nil {
 			return 0, ctrlNone, err
 		}
 		taken := cond != 0
-		e.obs.Branch(Site(fr.fn.Name, t.Pos), taken)
+		e.obs.Branch(s.site, taken)
 		if taken {
-			return e.execBlock(fr, t.Then)
+			return e.execBlock(fr, s.body)
 		}
-		if t.Else != nil {
-			return e.execBlock(fr, t.Else)
+		if s.els != nil {
+			return e.execBlock(fr, s.els)
 		}
 		return 0, ctrlNone, nil
 
-	case *minilang.Return:
-		if t.X != nil {
-			v, err := e.eval(fr, t.X)
+	case stReturn:
+		if s.x != nil {
+			v, err := e.eval(fr, s.x)
 			if err != nil {
 				return 0, ctrlNone, err
 			}
-			if fr.fn.Ret == minilang.TypeInt {
+			if s.isInt {
 				v = math.Trunc(v)
 			}
 			return v, ctrlReturn, nil
 		}
 		return 0, ctrlReturn, nil
 
-	case *minilang.Break:
+	case stBreak:
 		return 0, ctrlBreak, nil
 
-	case *minilang.Continue:
+	case stContinue:
 		return 0, ctrlContinue, nil
 	}
-	return 0, ctrlNone, e.errf(s.StmtPos(), "unhandled statement %T", s)
+	return 0, ctrlNone, e.errf(s.pos, "unhandled statement kind %d", s.kind)
 }
 
-func (e *Engine) execFor(fr *frame, t *minilang.For) (float64, control, error) {
-	blockID := fmt.Sprintf("%s/for@L%d", fr.fn.Name, t.Pos.Line)
-	e.enterBlockFor(blockID)
-	from, err := e.eval(fr, t.From)
+func (e *Engine) execFor(fr []float64, s *stmt) (float64, control, error) {
+	e.enter(s.block)
+	from, err := e.eval(fr, s.from)
 	if err != nil {
 		return 0, ctrlNone, err
 	}
-	to, err := e.eval(fr, t.To)
+	to, err := e.eval(fr, s.to)
 	if err != nil {
 		return 0, ctrlNone, err
 	}
 	step := 1.0
-	if t.Step != nil {
-		step, err = e.eval(fr, t.Step)
+	if s.step != nil {
+		step, err = e.eval(fr, s.step)
 		if err != nil {
 			return 0, ctrlNone, err
 		}
 	}
 	step = math.Trunc(step)
 	if step == 0 {
-		return 0, ctrlNone, e.errf(t.Pos, "for step is zero")
+		return 0, ctrlNone, e.errf(s.pos, "for step is zero")
+	}
+	if math.IsNaN(step) {
+		return 0, ctrlNone, e.errf(s.pos, "for step is %g", step)
 	}
 	i := math.Trunc(from)
 	to = math.Trunc(to)
-	// Vector context applies to this loop's own body only: a nested loop
-	// re-decides from its own annotation or shape.
-	saveVec := fr.vec
-	fr.vec = e.vecLevel(t)
-	defer func() { fr.vec = saveVec }()
 	var trips int64
 	for (step > 0 && i < to) || (step < 0 && i > to) {
 		// Loop bookkeeping: compare + increment.
-		e.enterBlockFor(blockID)
+		e.enter(s.block)
 		e.obs.Op(OpInt, VecNone)
 		e.obs.Op(OpInt, VecNone)
-		fr.locals[t.Var] = i
+		fr[s.slot] = i
 		trips++
-		ret, ctrl, err := e.execBlock(fr, t.Body)
+		ret, ctrl, err := e.execBlock(fr, s.body)
 		if err != nil {
 			return 0, ctrlNone, err
 		}
 		switch ctrl {
 		case ctrlBreak:
-			e.obs.LoopTrips(Site(fr.fn.Name, t.Pos), trips)
+			e.obs.LoopTrips(s.site, trips)
 			return 0, ctrlNone, nil
 		case ctrlReturn:
-			e.obs.LoopTrips(Site(fr.fn.Name, t.Pos), trips)
+			e.obs.LoopTrips(s.site, trips)
 			return ret, ctrlReturn, nil
 		}
 		i += step
-		if err := e.budget(t.Pos); err != nil {
+		if err := e.budget(s.pos); err != nil {
 			return 0, ctrlNone, err
 		}
 	}
-	e.obs.LoopTrips(Site(fr.fn.Name, t.Pos), trips)
+	e.obs.LoopTrips(s.site, trips)
 	return 0, ctrlNone, nil
 }
 
-func (e *Engine) execWhile(fr *frame, t *minilang.While) (float64, control, error) {
-	blockID := fmt.Sprintf("%s/while@L%d", fr.fn.Name, t.Pos.Line)
+func (e *Engine) execWhile(fr []float64, s *stmt) (float64, control, error) {
 	var trips int64
 	for {
-		e.enterBlockFor(blockID)
-		cond, err := e.eval(fr, t.Cond)
+		e.enter(s.block)
+		cond, err := e.eval(fr, s.x)
 		if err != nil {
 			return 0, ctrlNone, err
 		}
@@ -550,234 +533,182 @@ func (e *Engine) execWhile(fr *frame, t *minilang.While) (float64, control, erro
 			break
 		}
 		trips++
-		ret, ctrl, err := e.execBlock(fr, t.Body)
+		ret, ctrl, err := e.execBlock(fr, s.body)
 		if err != nil {
 			return 0, ctrlNone, err
 		}
 		switch ctrl {
 		case ctrlBreak:
-			e.obs.LoopTrips(Site(fr.fn.Name, t.Pos), trips)
+			e.obs.LoopTrips(s.site, trips)
 			return 0, ctrlNone, nil
 		case ctrlReturn:
-			e.obs.LoopTrips(Site(fr.fn.Name, t.Pos), trips)
+			e.obs.LoopTrips(s.site, trips)
 			return ret, ctrlReturn, nil
 		}
-		if err := e.budget(t.Pos); err != nil {
+		if err := e.budget(s.pos); err != nil {
 			return 0, ctrlNone, err
 		}
 	}
-	e.obs.LoopTrips(Site(fr.fn.Name, t.Pos), trips)
+	e.obs.LoopTrips(s.site, trips)
 	return 0, ctrlNone, nil
 }
 
-func (e *Engine) assign(fr *frame, lhs minilang.Expr, v float64) error {
-	switch t := lhs.(type) {
-	case *minilang.VarRef:
-		if t.ResultType() == minilang.TypeInt {
-			v = math.Trunc(v)
-		}
-		if t.Global {
-			e.Globals[t.Name] = v
-			return nil
-		}
-		fr.locals[t.Name] = v
-		return nil
-	case *minilang.Index:
-		arr, off, err := e.element(fr, t)
-		if err != nil {
-			return err
-		}
-		if t.ResultType() == minilang.TypeInt {
-			v = math.Trunc(v)
-		}
-		e.obs.Access(arr.Base+uint64(off)*uint64(arr.Elem), arr.Elem, true)
-		arr.Data[off] = v
-		return nil
-	}
-	return e.errf(lhs.ExprPos(), "not assignable")
-}
-
-// element resolves an Index expression to its array and flat offset,
-// evaluating and bounds-checking the index list.
-func (e *Engine) element(fr *frame, t *minilang.Index) (*Array, int64, error) {
-	arr := e.Arrays[t.Name]
-	if arr == nil {
-		return nil, 0, e.errf(t.Pos, "no storage for array %q", t.Name)
-	}
+// element evaluates and bounds-checks an exIndex node's index list and
+// returns the element's flat offset in x.arr.
+func (e *Engine) element(fr []float64, x *expr) (int64, error) {
 	var off int64
-	for d, ix := range t.Indices {
+	for d, ix := range x.index {
 		v, err := e.eval(fr, ix)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		// Address arithmetic: one int op per dimension.
-		e.obs.Op(OpInt, fr.vec)
-		i := int64(math.Trunc(v))
-		if i < 0 || i >= arr.Extents[d] {
-			return nil, 0, e.errf(t.Pos, "index %d out of range [0,%d) in dimension %d of %q",
-				i, arr.Extents[d], d, t.Name)
+		e.obs.Op(OpInt, x.vec)
+		// The index is v truncated toward zero. Check its range in
+		// floating point, which also rejects NaN and infinities: Go leaves
+		// their conversion to int64 implementation-defined.
+		n := x.arr.Extents[d]
+		if !(v > -1 && v < float64(n)) {
+			return 0, e.indexErr(x, d, v)
 		}
-		off = off*arr.Extents[d] + i
+		off = off*n + int64(v)
 	}
-	return arr, off, nil
+	return off, nil
 }
 
-func (e *Engine) eval(fr *frame, x minilang.Expr) (float64, error) {
-	switch t := x.(type) {
-	case *minilang.IntLit:
-		return float64(t.Val), nil
-	case *minilang.FloatLit:
-		return t.Val, nil
+// indexErr reports why v is not a valid index in dimension d of x.
+func (e *Engine) indexErr(x *expr, d int, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return e.errf(x.pos, "index %g is not finite in dimension %d of %q", v, d, x.name)
+	}
+	return e.errf(x.pos, "index %.0f out of range [0,%d) in dimension %d of %q",
+		math.Trunc(v), x.arr.Extents[d], d, x.name)
+}
 
-	case *minilang.VarRef:
-		if t.Global {
-			return e.Globals[t.Name], nil
+func (e *Engine) eval(fr []float64, x *expr) (float64, error) {
+	switch x.kind {
+	case exConst:
+		return x.val, nil
+
+	case exLocal:
+		return fr[x.slot], nil
+
+	case exGlobal:
+		return e.globals[x.slot], nil
+
+	case exIndex:
+		off, err := e.element(fr, x)
+		if err != nil {
+			return 0, err
 		}
-		v, ok := fr.locals[t.Name]
-		if !ok {
-			return 0, e.errf(t.Pos, "unbound local %q", t.Name)
+		e.obs.Access(x.arr.Base+uint64(off)*uint64(x.arr.Elem), x.arr.Elem, false)
+		return x.arr.Data[off], nil
+
+	case exBinary:
+		l, err := e.eval(fr, x.x)
+		if err != nil {
+			return 0, err
+		}
+		r, err := e.eval(fr, x.y)
+		if err != nil {
+			return 0, err
+		}
+		e.obs.Op(x.class, x.vec)
+		v, err := applyBinary(x.op, x.isInt, l, r)
+		if err != nil {
+			return 0, e.errf(x.pos, "%v", err)
 		}
 		return v, nil
 
-	case *minilang.Index:
-		arr, off, err := e.element(fr, t)
+	case exLogical:
+		l, err := e.eval(fr, x.x)
 		if err != nil {
 			return 0, err
 		}
-		e.obs.Access(arr.Base+uint64(off)*uint64(arr.Elem), arr.Elem, false)
-		return arr.Data[off], nil
+		e.obs.Op(OpInt, x.vec)
+		if x.op == minilang.OpAnd && l == 0 {
+			return 0, nil
+		}
+		if x.op == minilang.OpOr && l != 0 {
+			return 1, nil
+		}
+		r, err := e.eval(fr, x.y)
+		if err != nil {
+			return 0, err
+		}
+		return b2f(r != 0), nil
 
-	case *minilang.Binary:
-		// Short-circuit logical operators.
-		if t.Op == minilang.OpAnd || t.Op == minilang.OpOr {
-			l, err := e.eval(fr, t.L)
-			if err != nil {
-				return 0, err
-			}
-			e.obs.Op(OpInt, fr.vec)
-			if t.Op == minilang.OpAnd && l == 0 {
-				return 0, nil
-			}
-			if t.Op == minilang.OpOr && l != 0 {
-				return 1, nil
-			}
-			r, err := e.eval(fr, t.R)
-			if err != nil {
-				return 0, err
-			}
-			return b2f(r != 0), nil
-		}
-		l, err := e.eval(fr, t.L)
+	case exNot:
+		v, err := e.eval(fr, x.x)
 		if err != nil {
 			return 0, err
 		}
-		r, err := e.eval(fr, t.R)
-		if err != nil {
-			return 0, err
-		}
-		e.reportBinaryOp(t, fr.vec)
-		v, err := applyBinary(t, l, r)
-		if err != nil {
-			return 0, e.errf(t.Pos, "%v", err)
-		}
-		return v, nil
+		e.obs.Op(OpInt, x.vec)
+		return b2f(v == 0), nil
 
-	case *minilang.Unary:
-		v, err := e.eval(fr, t.X)
+	case exNeg:
+		v, err := e.eval(fr, x.x)
 		if err != nil {
 			return 0, err
 		}
-		if t.Op == "!" {
-			e.obs.Op(OpInt, fr.vec)
-			return b2f(v == 0), nil
-		}
-		if t.X.ResultType() == minilang.TypeFloat {
-			e.obs.Op(OpFloat, fr.vec)
-		} else {
-			e.obs.Op(OpInt, fr.vec)
-		}
+		e.obs.Op(x.class, x.vec)
 		return -v, nil
 
-	case *minilang.Call:
-		args := make([]float64, len(t.Args))
-		for i, a := range t.Args {
+	case exBuiltin:
+		var a, b float64
+		var err error
+		if x.x != nil {
+			if a, err = e.eval(fr, x.x); err != nil {
+				return 0, err
+			}
+		}
+		if x.y != nil {
+			if b, err = e.eval(fr, x.y); err != nil {
+				return 0, err
+			}
+		}
+		e.obs.LibCall(x.name, x.vec)
+		return e.callBuiltin(x, a, b)
+
+	case exExchange:
+		bytes, err := e.eval(fr, x.x)
+		if err != nil {
+			return 0, err
+		}
+		msgs, err := e.eval(fr, x.y)
+		if err != nil {
+			return 0, err
+		}
+		e.enter(x.block)
+		e.obs.Comm(bytes, msgs)
+		return 0, nil
+
+	case exCall:
+		// The callee's frame is its only allocation; arguments land in
+		// their parameter slots directly.
+		callee := x.fn
+		frame := make([]float64, callee.slots)
+		for i, a := range x.args {
 			v, err := e.eval(fr, a)
 			if err != nil {
 				return 0, err
 			}
-			args[i] = v
-		}
-		if t.Builtin {
-			if t.Name == "exchange" {
-				// Attribute the communication to its own block, matching
-				// the skeleton translator's comm statement.
-				e.enterBlockFor(fmt.Sprintf("%s/comm@L%d", fr.fn.Name, t.Pos.Line))
-				e.obs.Comm(args[0], args[1])
-				return 0, nil
+			p := callee.params[i]
+			if p.isInt {
+				v = math.Trunc(v)
 			}
-			e.obs.LibCall(t.Name, fr.vec)
-			return e.callBuiltin(t, args)
+			frame[p.slot] = v
 		}
-		// User call: attribution moves to the callee; restore afterwards.
-		saveVec := fr.vec
-		fr.vec = VecNone
-		v, _, err := e.callFunc(t.Decl, args)
-		fr.vec = saveVec
-		// Force re-attribution on return to the caller.
-		e.curBlock = ""
+		v, err := e.call(callee, frame)
+		// Attribution moved to the callee: force re-attribution on return.
+		e.cur = noBlock
 		return v, err
 	}
-	return 0, e.errf(x.ExprPos(), "unhandled expression %T", x)
+	return 0, e.errf(x.pos, "unhandled expression kind %d", x.kind)
 }
 
-// vecLevel classifies a counted loop: @vec annotations are honoured by
-// every machine; a clean body — a single straight-line segment with no
-// control flow or user calls — is auto-vectorizable by aggressive
-// compilers.
-func (e *Engine) vecLevel(t *minilang.For) VecLevel {
-	if lvl, ok := e.loopVec[t]; ok {
-		return lvl
-	}
-	lvl := VecNone
-	if t.Vec {
-		lvl = VecAnnotated
-	} else if simpleLoopBody(t.Body) {
-		lvl = VecAuto
-	}
-	e.loopVec[t] = lvl
-	return lvl
-}
-
-// simpleLoopBody reports whether every statement of the body is a simple
-// straight-line statement (auto-vectorization candidate).
-func simpleLoopBody(b *minilang.Block) bool {
-	if len(b.Stmts) == 0 {
-		return false
-	}
-	for _, s := range b.Stmts {
-		if !minilang.IsSimpleStmt(s) {
-			return false
-		}
-	}
-	return true
-}
-
-// reportBinaryOp classifies and reports one binary operation.
-func (e *Engine) reportBinaryOp(t *minilang.Binary, vec VecLevel) {
-	isFloat := t.L.ResultType() == minilang.TypeFloat || t.R.ResultType() == minilang.TypeFloat
-	switch {
-	case isFloat && t.Op == minilang.OpDiv:
-		e.obs.Op(OpFloatDiv, vec)
-	case isFloat:
-		e.obs.Op(OpFloat, vec)
-	default:
-		e.obs.Op(OpInt, vec)
-	}
-}
-
-func applyBinary(t *minilang.Binary, l, r float64) (float64, error) {
-	isInt := t.ResultType() == minilang.TypeInt
-	switch t.Op {
+func applyBinary(op minilang.BinOp, isInt bool, l, r float64) (float64, error) {
+	switch op {
 	case minilang.OpAdd:
 		return truncIf(l+r, isInt), nil
 	case minilang.OpSub:
@@ -810,7 +741,7 @@ func applyBinary(t *minilang.Binary, l, r float64) (float64, error) {
 	case minilang.OpNe:
 		return b2f(l != r), nil
 	}
-	return 0, fmt.Errorf("unhandled operator %s", t.Op)
+	return 0, fmt.Errorf("unhandled operator %s", op)
 }
 
 func truncIf(v float64, isInt bool) float64 {
@@ -827,43 +758,45 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-func (e *Engine) callBuiltin(t *minilang.Call, args []float64) (float64, error) {
-	switch t.Name {
-	case "exp":
-		return math.Exp(args[0]), nil
-	case "log":
-		if args[0] <= 0 {
-			return 0, e.errf(t.Pos, "log of non-positive value %g", args[0])
+// callBuiltin applies an exBuiltin node's function to its evaluated
+// arguments (a and b; unused ones are zero).
+func (e *Engine) callBuiltin(x *expr, a, b float64) (float64, error) {
+	switch x.lib {
+	case libExp:
+		return math.Exp(a), nil
+	case libLog:
+		if a <= 0 {
+			return 0, e.errf(x.pos, "log of non-positive value %g", a)
 		}
-		return math.Log(args[0]), nil
-	case "sqrt":
-		if args[0] < 0 {
-			return 0, e.errf(t.Pos, "sqrt of negative value %g", args[0])
+		return math.Log(a), nil
+	case libSqrt:
+		if a < 0 {
+			return 0, e.errf(x.pos, "sqrt of negative value %g", a)
 		}
-		return math.Sqrt(args[0]), nil
-	case "sin":
-		return math.Sin(args[0]), nil
-	case "cos":
-		return math.Cos(args[0]), nil
-	case "abs":
-		return math.Abs(args[0]), nil
-	case "floor":
-		return math.Floor(args[0]), nil
-	case "pow":
-		return math.Pow(args[0], args[1]), nil
-	case "min":
-		return math.Min(args[0], args[1]), nil
-	case "max":
-		return math.Max(args[0], args[1]), nil
-	case "mod":
-		if args[1] == 0 {
-			return 0, e.errf(t.Pos, "mod by zero")
+		return math.Sqrt(a), nil
+	case libSin:
+		return math.Sin(a), nil
+	case libCos:
+		return math.Cos(a), nil
+	case libAbs:
+		return math.Abs(a), nil
+	case libFloor:
+		return math.Floor(a), nil
+	case libPow:
+		return math.Pow(a, b), nil
+	case libMin:
+		return math.Min(a, b), nil
+	case libMax:
+		return math.Max(a, b), nil
+	case libMod:
+		if b == 0 {
+			return 0, e.errf(x.pos, "mod by zero")
 		}
-		return math.Mod(args[0], args[1]), nil
-	case "rand":
+		return math.Mod(a, b), nil
+	case libRand:
 		return e.nextRand(), nil
 	}
-	return 0, e.errf(t.Pos, "unknown builtin %q", t.Name)
+	return 0, e.errf(x.pos, "unknown builtin %q", x.name)
 }
 
 // nextRand is a deterministic xorshift64* stream in [0, 1).

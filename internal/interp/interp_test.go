@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -174,21 +175,67 @@ func main() {
 }
 
 func TestRuntimeErrors(t *testing.T) {
-	cases := map[string]string{
-		"oob":      "global a: [4]float; func main() { a[7] = 1.0; }",
-		"oob neg":  "global a: [4]float; func main() { var i: int = 0 - 1; a[i] = 1.0; }",
-		"int div0": "global k: int; func main() { var z: int = 0; k = 1 / z; }",
-		"rem0":     "global k: int; func main() { var z: int = 0; k = 1 % z; }",
-		"log0":     "global x: float; func main() { x = log(0.0); }",
-		"sqrtneg":  "global x: float; func main() { x = sqrt(0.0 - 1.0); }",
-		"mod0":     "global x: float; func main() { x = mod(1.0, 0.0); }",
-		"zerostep": "func main() { var s: int = 0; for i = 0 .. 4 step s { } }",
+	// Each case maps to a substring its error must contain.
+	cases := map[string]struct{ src, want string }{
+		"oob":       {"global a: [4]float; func main() { a[7] = 1.0; }", "index 7 out of range [0,4) in dimension 0"},
+		"oob neg":   {"global a: [4]float; func main() { var i: int = 0 - 1; a[i] = 1.0; }", "index -1 out of range"},
+		"oob huge":  {"global a: [4]float; func main() { var x: float = a[1.0e30]; }", "index 1000000000000000019884624838656 out of range"},
+		"nan index": {"global a: [4]float; func main() { var z: float = 0.0; var x: float = a[z / z]; }", "index NaN is not finite in dimension 0"},
+		"inf index": {"global a: [2][4]float; func main() { var z: float = 0.0; a[1][1.0 / z] = 1.0; }", "index +Inf is not finite in dimension 1"},
+		"int div0":  {"global k: int; func main() { var z: int = 0; k = 1 / z; }", "integer division by zero"},
+		"rem0":      {"global k: int; func main() { var z: int = 0; k = 1 % z; }", "remainder by zero"},
+		"log0":      {"global x: float; func main() { x = log(0.0); }", "log of non-positive value 0"},
+		"sqrtneg":   {"global x: float; func main() { x = sqrt(0.0 - 1.0); }", "sqrt of negative value -1"},
+		"mod0":      {"global x: float; func main() { x = mod(1.0, 0.0); }", "mod by zero"},
+		"zerostep":  {"func main() { var s: int = 0; for i = 0 .. 4 step s { } }", "for step is zero"},
+		"nanstep":   {"func main() { var z: float = 0.0; for i = 0 .. 4 step z / z { } }", "for step is NaN"},
 	}
-	for name, src := range cases {
-		e := prep(t, src, nil)
-		if err := e.Run(); err == nil {
+	for name, c := range cases {
+		e := prep(t, c.src, nil)
+		err := e.Run()
+		if err == nil {
 			t.Errorf("%s: Run succeeded, want error", name)
+			continue
 		}
+		if !strings.Contains(err.Error(), "runtime: "+c.want) {
+			t.Errorf("%s: error %q, want it to contain %q", name, err, c.want)
+		}
+	}
+}
+
+// TestLoopAllocsFlat checks that the engine allocates nothing per executed
+// statement: a loop without user calls allocates the same at 10^3 and 10^5
+// iterations, New and the profiler included.
+func TestLoopAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := func(n int) float64 {
+		prog := minilang.MustCheck(minilang.MustParse("t", fmt.Sprintf(`
+global n: int = %d;
+global a: [16]float;
+global s: float;
+func main() {
+  for i = 0 .. n {
+    if (i %% 3 == 0) {
+      s = s + a[i %% 16] * 2.0;
+    } else {
+      a[i %% 16] = sqrt(i) + s;
+    }
+  }
+}`, n)))
+		return testing.AllocsPerRun(3, func() {
+			e, err := New(prog, &Options{Observer: NewProfiler()})
+			if err == nil {
+				err = e.Run()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1e3), allocs(1e5); small != large {
+		t.Errorf("allocations grow with iterations: %v at 10^3, %v at 10^5", small, large)
 	}
 }
 
