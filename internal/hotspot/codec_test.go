@@ -186,3 +186,31 @@ func TestGraftRelinksNodes(t *testing.T) {
 		t.Fatal("grafting an analysis with unknown blocks should fail")
 	}
 }
+
+// TestFingerprintCached checks that the fingerprint NewLayout caches is the
+// digest a fresh computation gives, after the layout has analyzed,
+// assembled and grafted, and that it still tells layouts apart.
+func TestFingerprintCached(t *testing.T) {
+	a, l := codecAnalysis(t)
+	data, err := EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeAnalysis(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Graft(dec); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.Fingerprint(), l.fingerprint(); got != want || len(got) != 16 {
+		t.Errorf("cached fingerprint %q, fresh computation %q", got, want)
+	}
+	other, err := NewLayout(a.BET, stubLibs{"sort": {FLOPs: 4, IOPs: 10, Loads: 2, Stores: 1, DSizeB: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Fingerprint() == l.Fingerprint() {
+		t.Error("layouts with different library work share a fingerprint")
+	}
+}

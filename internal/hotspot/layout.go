@@ -65,6 +65,9 @@ type Layout struct {
 	// replays into a strict one).
 	confidence float64
 	betDiags   []guard.Diagnostic
+	// fp is the Fingerprint, computed once: a Layout never changes after
+	// NewLayout.
+	fp string
 }
 
 // NewLayout resolves the machine-independent half of the analysis: block
@@ -128,6 +131,7 @@ func NewLayout(bet *core.BET, libs LibModeler) (*Layout, error) {
 		lb.proto.Work.Add(perInv.Scale(n.ENR))
 		lb.leaves = append(lb.leaves, layoutLeaf{perInv: perInv, enr: n.ENR})
 	}
+	l.fp = l.fingerprint()
 	return l, nil
 }
 
@@ -143,7 +147,10 @@ func (l *Layout) NumComm() int { return len(l.comm) }
 // identical results for any machine — which makes the digest the right
 // binding between a sweep journal and the workload that wrote it: replay
 // is refused the moment the source, profile, or translation changed.
-func (l *Layout) Fingerprint() string {
+func (l *Layout) Fingerprint() string { return l.fp }
+
+// fingerprint computes the digest Fingerprint returns.
+func (l *Layout) fingerprint() string {
 	h := fnv.New64a()
 	buf := make([]byte, 8)
 	f := func(v float64) {
