@@ -44,7 +44,8 @@ const (
 )
 
 // expr is a lowered expression. Each kind uses the fields noted; the
-// fields every evaluation reads come first, within one cache line.
+// fields the evaluation of the common kinds reads come first, in the
+// struct's first 64 bytes.
 type expr struct {
 	kind exprKind
 	// isInt truncates an exBinary result, or an int element stored through
@@ -155,9 +156,11 @@ type lowerer struct {
 	funcs   map[*minilang.FuncDecl]*function
 	blocks  map[string]int // interned block IDs
 
-	// The function being lowered: its name, its local slots by name, and
-	// the vectorization context of the code being lowered.
+	// The function being lowered: its name, whether it returns int, its
+	// local slots by name, and the vectorization context of the code being
+	// lowered.
 	fname  string
+	retInt bool
 	locals map[string]int
 	vec    VecLevel
 }
@@ -198,13 +201,13 @@ func (e *Engine) lower(prog *minilang.Program) error {
 
 func (l *lowerer) function(f *minilang.FuncDecl) error {
 	fn := l.funcs[f]
-	l.fname = f.Name
+	l.fname, l.retInt = f.Name, f.Ret == minilang.TypeInt
 	l.locals = make(map[string]int)
 	l.vec = VecNone
 	for _, p := range f.Params {
 		fn.params = append(fn.params, param{slot: l.local(p.Name), isInt: p.Base == minilang.TypeInt})
 	}
-	body, err := l.block(f.Body, f.Ret == minilang.TypeInt)
+	body, err := l.block(f.Body)
 	if err != nil {
 		return err
 	}
@@ -238,9 +241,8 @@ func (l *lowerer) intern(id string) int {
 	return b
 }
 
-// block lowers a statement list; retInt says whether the enclosing
-// function returns int.
-func (l *lowerer) block(b *minilang.Block, retInt bool) ([]*stmt, error) {
+// block lowers a statement list.
+func (l *lowerer) block(b *minilang.Block) ([]*stmt, error) {
 	seg := make(map[minilang.Stmt]int)
 	segs := minilang.SegmentsOf(l.fname, b)
 	for i := range segs {
@@ -251,7 +253,7 @@ func (l *lowerer) block(b *minilang.Block, retInt bool) ([]*stmt, error) {
 	}
 	out := make([]*stmt, len(b.Stmts))
 	for i, s := range b.Stmts {
-		st, err := l.stmt(s, retInt)
+		st, err := l.stmt(s)
 		if err != nil {
 			return nil, err
 		}
@@ -264,7 +266,7 @@ func (l *lowerer) block(b *minilang.Block, retInt bool) ([]*stmt, error) {
 	return out, nil
 }
 
-func (l *lowerer) stmt(s minilang.Stmt, retInt bool) (*stmt, error) {
+func (l *lowerer) stmt(s minilang.Stmt) (*stmt, error) {
 	st := &stmt{pos: s.StmtPos()}
 	var err error
 	switch t := s.(type) {
@@ -286,14 +288,10 @@ func (l *lowerer) stmt(s minilang.Stmt, retInt bool) (*stmt, error) {
 		switch lhs := t.LHS.(type) {
 		case *minilang.VarRef:
 			st.isInt = lhs.ResultType() == minilang.TypeInt
-			st.kind = stSetLocal
 			if lhs.Global {
-				st.kind = stSetGlobal
-				if st.slot, err = l.global(lhs.Name); err != nil {
-					return nil, err
-				}
+				st.kind, st.slot = stSetGlobal, l.globals[lhs.Name]
 			} else {
-				st.slot = l.local(lhs.Name)
+				st.kind, st.slot = stSetLocal, l.local(lhs.Name)
 			}
 		case *minilang.Index:
 			st.kind = stSetIndex
@@ -330,7 +328,7 @@ func (l *lowerer) stmt(s minilang.Stmt, retInt bool) (*stmt, error) {
 		// nested loop re-decides from its own annotation or shape.
 		outer := l.vec
 		l.vec = loopVec(t)
-		st.body, err = l.block(t.Body, retInt)
+		st.body, err = l.block(t.Body)
 		l.vec = outer
 		if err != nil {
 			return nil, err
@@ -343,7 +341,7 @@ func (l *lowerer) stmt(s minilang.Stmt, retInt bool) (*stmt, error) {
 		if st.x, err = l.expr(t.Cond); err != nil {
 			return nil, err
 		}
-		if st.body, err = l.block(t.Body, retInt); err != nil {
+		if st.body, err = l.block(t.Body); err != nil {
 			return nil, err
 		}
 
@@ -354,18 +352,18 @@ func (l *lowerer) stmt(s minilang.Stmt, retInt bool) (*stmt, error) {
 		if st.x, err = l.expr(t.Cond); err != nil {
 			return nil, err
 		}
-		if st.body, err = l.block(t.Then, retInt); err != nil {
+		if st.body, err = l.block(t.Then); err != nil {
 			return nil, err
 		}
 		if t.Else != nil {
-			if st.els, err = l.block(t.Else, retInt); err != nil {
+			if st.els, err = l.block(t.Else); err != nil {
 				return nil, err
 			}
 		}
 
 	case *minilang.Return:
 		st.kind = stReturn
-		st.isInt = retInt
+		st.isInt = l.retInt
 		if t.X != nil {
 			if st.x, err = l.expr(t.X); err != nil {
 				return nil, err
@@ -403,14 +401,6 @@ func loopVec(t *minilang.For) VecLevel {
 	return VecAuto
 }
 
-func (l *lowerer) global(name string) (int, error) {
-	s, ok := l.globals[name]
-	if !ok {
-		return 0, fmt.Errorf("no scalar global %q", name)
-	}
-	return s, nil
-}
-
 func (l *lowerer) index(t *minilang.Index) (*expr, error) {
 	arr := l.e.Arrays[t.Name]
 	if arr == nil {
@@ -438,8 +428,7 @@ func (l *lowerer) expr(x minilang.Expr) (*expr, error) {
 
 	case *minilang.VarRef:
 		if t.Global {
-			s, err := l.global(t.Name)
-			return &expr{kind: exGlobal, slot: s}, err
+			return &expr{kind: exGlobal, slot: l.globals[t.Name]}, nil
 		}
 		return &expr{kind: exLocal, slot: l.local(t.Name)}, nil
 
@@ -492,21 +481,17 @@ func (l *lowerer) expr(x minilang.Expr) (*expr, error) {
 			args[i] = la
 		}
 		if !t.Builtin {
-			fn := l.funcs[t.Decl]
-			if fn == nil {
-				return nil, fmt.Errorf("%s: call to undeclared function %q", t.Pos, t.Name)
-			}
-			return &expr{kind: exCall, fn: fn, args: args}, nil
+			return &expr{kind: exCall, fn: l.funcs[t.Decl], args: args}, nil
 		}
-		if t.Name == "exchange" && len(args) == 2 {
+		if t.Name == "exchange" {
 			// Communication is attributed to its own block, matching the
 			// skeleton translator's comm statement.
 			return &expr{kind: exExchange, x: args[0], y: args[1],
 				block: l.intern(fmt.Sprintf("%s/comm@L%d", l.fname, t.Pos.Line))}, nil
 		}
 		lib, ok := builtins[t.Name]
-		if !ok || len(args) != minilang.Builtins[t.Name] {
-			return nil, fmt.Errorf("%s: unknown builtin %s/%d", t.Pos, t.Name, len(args))
+		if !ok {
+			return nil, fmt.Errorf("%s: unknown builtin %q", t.Pos, t.Name)
 		}
 		b := &expr{kind: exBuiltin, lib: lib, name: t.Name, pos: t.Pos, vec: l.vec}
 		if len(args) > 0 {
