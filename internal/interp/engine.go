@@ -490,6 +490,14 @@ func (e *Engine) execFor(fr []float64, s *stmt) (float64, control, error) {
 	if math.IsNaN(step) {
 		return 0, ctrlNone, e.errf(s.pos, "for step is %g", step)
 	}
+	// A NaN bound fails every comparison, so the loop would silently run
+	// zero trips.
+	if math.IsNaN(from) {
+		return 0, ctrlNone, e.errf(s.pos, "for start is %g", from)
+	}
+	if math.IsNaN(to) {
+		return 0, ctrlNone, e.errf(s.pos, "for bound is %g", to)
+	}
 	i := math.Trunc(from)
 	to = math.Trunc(to)
 	var trips int64

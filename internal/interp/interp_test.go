@@ -189,6 +189,8 @@ func TestRuntimeErrors(t *testing.T) {
 		"mod0":      {"global x: float; func main() { x = mod(1.0, 0.0); }", "mod by zero"},
 		"zerostep":  {"func main() { var s: int = 0; for i = 0 .. 4 step s { } }", "for step is zero"},
 		"nanstep":   {"func main() { var z: float = 0.0; for i = 0 .. 4 step z / z { } }", "for step is NaN"},
+		"nan start": {"func main() { var z: float = 0.0; for i = z / z .. 4 { } }", "for start is NaN"},
+		"nan bound": {"func main() { var z: float = 0.0; for i = 0 .. z / z { } }", "for bound is NaN"},
 	}
 	for name, c := range cases {
 		e := prep(t, c.src, nil)
