@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,13 +74,7 @@ func TestQuickBETMatchesMonteCarlo(t *testing.T) {
 		}
 		return true
 	}
-	// The inputs are drawn from a fixed stream so the test is
-	// reproducible: about one generated skeleton in 300 lands just past
-	// the tolerance (input 2430554204: helper/blk3 ENR 1.0093 vs MC
-	// 0.8728), which made a freshly seeded run fail about one time in
-	// eight.
-	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}
-	if err := quick.Check(f, cfg); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
