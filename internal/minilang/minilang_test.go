@@ -1,8 +1,12 @@
 package minilang
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"skope/internal/guard"
 )
 
 const sample = `
@@ -137,24 +141,61 @@ func TestSemaTypes(t *testing.T) {
 	}
 }
 
+// failure is one diagnostic reduced to what the failure table pins.
+type failure struct {
+	sev       guard.Severity
+	code, msg string
+}
+
+// TestParseErrors pins, for each input, the strict parser's error text,
+// whether it wraps guard.ErrLimit, and every diagnostic ParseLenient
+// reports. limits is a guard.ParseLimits spec ("" for the defaults).
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"no funcs":       "global n: int = 1;",
-		"local array":    "func main() { var a: [3]float; }",
-		"bad top":        "int x;",
-		"unclosed block": "func main() {",
-		"bad for":        "func main() { for { } }",
-		"missing semi":   "func main() { var x: int = 1 }",
-		"bad assign":     "func main() { 3 = x; }",
-		"array init":     "global a: [4]float = 3; func main() {}",
-		"dup func":       "func f() {} func f() {} func main() {}",
-		"dup global":     "global n: int; global n: int; func main() {}",
-		"bad annotation": "func main() { for i = 0 .. 3 @simd { } }",
-		"else dangling":  "func main() { else {} }",
+	cases := []struct {
+		name, src, limits, err string
+		limit                  bool
+		diags                  []failure
+	}{
+		{"no funcs", "global n: int = 1;", "", "no funcs: no functions", false, []failure{{guard.SevError, "no-functions", "no funcs: no functions"}}},
+		{"local array", "func main() { var a: [3]float; }", "", "local array:1:15: arrays must be declared global (local \"a\")", false, []failure{{guard.SevError, "syntax", "local array:1:15: arrays must be declared global (local \"a\")"}}},
+		{"bad top", "int x;", "", "bad top:1:1: expected global or func at top level, found \"int\"", false, []failure{{guard.SevError, "syntax", "bad top:1:1: expected global or func at top level, found \"int\""}, {guard.SevError, "no-functions", "bad top: no functions"}}},
+		{"unclosed block", "func main() {", "", "unclosed block:1:13: unterminated block", false, []failure{{guard.SevWarn, "unclosed-block", "unclosed block:1:13: unterminated block (implicitly closed)"}}},
+		{"bad for", "func main() { for { } }", "", "bad for:1:19: expected identifier, found \"{\"", false, []failure{{guard.SevError, "syntax", "bad for:1:19: expected identifier, found \"{\""}}},
+		{"missing semi", "func main() { var x: int = 1 }", "", "missing semi:1:30: expected \";\", found \"}\"", false, []failure{{guard.SevError, "syntax", "missing semi:1:30: expected \";\", found \"}\""}}},
+		{"bad assign", "func main() { 3 = x; }", "", "bad assign:1:15: left side of assignment is not assignable", false, []failure{{guard.SevError, "syntax", "bad assign:1:15: left side of assignment is not assignable"}}},
+		{"array init", "global a: [4]float = 3; func main() {}", "", "array init:1:8: array global \"a\" cannot have an initializer", false, []failure{{guard.SevError, "syntax", "array init:1:8: array global \"a\" cannot have an initializer"}}},
+		{"dup func", "func f() {} func f() {} func main() {}", "", "dup func:1:25: duplicate function \"f\"", false, []failure{{guard.SevError, "duplicate", "dup func:1:25: duplicate function \"f\""}}},
+		{"dup global", "global n: int; global n: int; func main() {}", "", "dup global:1:31: duplicate global \"n\"", false, []failure{{guard.SevError, "duplicate", "dup global:1:31: duplicate global \"n\""}}},
+		{"bad annotation", "func main() { for i = 0 .. 3 @simd { } }", "", "bad annotation:1:31: unknown loop annotation @simd (only @vec)", false, []failure{{guard.SevError, "syntax", "bad annotation:1:31: unknown loop annotation @simd (only @vec)"}}},
+		{"else dangling", "func main() { else {} }", "", "else dangling:1:15: unexpected token \"else\" in expression", false, []failure{{guard.SevError, "syntax", "else dangling:1:15: unexpected token \"else\" in expression"}}},
+		{"lex error", "func main() { $ }", "", "lex error:1:15: unexpected character \"$\"", false, []failure{{guard.SevError, "lex", "lex error:1:15: unexpected character \"$\""}}},
+		{"source limit", "func main() {}", "source-bytes=8", "source limit: guard: source bytes 14 exceeds limit 8", true, []failure{{guard.SevError, "limit", "source limit: guard: source bytes 14 exceeds limit 8"}}},
+		{"token limit", "func main() {}", "tokens=4", "token limit: guard: lexical tokens 7 exceeds limit 4", true, []failure{{guard.SevError, "limit", "token limit: guard: lexical tokens 7 exceeds limit 4"}}},
+		{"nest limit", "func main() { for i = 0 .. 2 { } }", "nest-depth=1", "nest limit:1:30: guard: nesting depth 2 exceeds limit 1", true, []failure{{guard.SevError, "syntax", "nest limit:1:30: guard: nesting depth 2 exceeds limit 1"}}},
+		{"expr limit", "func main() { var x: int = ((1)); }", "expr-depth=2", "expr limit:1:30: guard: expression depth 3 exceeds limit 2", true, []failure{{guard.SevError, "syntax", "expr limit:1:30: guard: expression depth 3 exceeds limit 2"}}},
 	}
-	for name, src := range cases {
-		if _, err := Parse(name, src); err == nil {
-			t.Errorf("%s: Parse succeeded, want error", name)
+	for _, tc := range cases {
+		lim, err := guard.ParseLimits(tc.limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ParseWithLimits(tc.name, tc.src, lim)
+		if err == nil || err.Error() != tc.err {
+			t.Errorf("%s: strict error %v, want %q", tc.name, err, tc.err)
+		}
+		if errors.Is(err, guard.ErrLimit) != tc.limit {
+			t.Errorf("%s: errors.Is(%v, guard.ErrLimit) = %v, want %v", tc.name, err, !tc.limit, tc.limit)
+		}
+		prog, diags := ParseLenient(tc.name, tc.src, lim)
+		if prog == nil {
+			t.Errorf("%s: ParseLenient returned a nil program", tc.name)
+		}
+		var got []failure
+		for _, d := range diags {
+			got = append(got, failure{d.Severity, d.Code, d.Message})
+		}
+		if !reflect.DeepEqual(got, tc.diags) {
+			t.Errorf("%s: lenient diagnostics\n got %+v\nwant %+v", tc.name, got, tc.diags)
 		}
 	}
 }
