@@ -58,46 +58,72 @@ func checkDegradedGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestGoldenDegradedSkeleton pins the lenient pipeline's behavior on a
-// truncated skeleton: the first 60%% of sord's generated skeleton lines,
-// cut mid-block, parsed leniently, modeled with fallback priors, and
-// projected on BGQ. The fixture pins the diagnostics text, the bit-exact
-// confidence score, and the surviving blocks' projections.
+// truncated skeleton: a prefix of sord's generated skeleton, parsed
+// leniently, modeled with fallback priors, and projected on BGQ. Each
+// fixture pins the diagnostics text, the bit-exact confidence score, and
+// the surviving blocks' projections.
+//
+// The 60% cut lands right after the "end" that closes a function, so the
+// parser recovers nothing: the functions past the cut disappear and their
+// call sites degrade to assumed empty calls. The 55% cut severs a line
+// inside def > for > for, so the parser must recover: the severed line
+// becomes a hole and the three open blocks are closed implicitly. codes
+// lists the diagnostic codes a case must record, so a change in the
+// generated skeleton cannot make it vacuous.
 func TestGoldenDegradedSkeleton(t *testing.T) {
 	run := prepared(t, "sord")
-	// Cut at 60% of the bytes, mid-line: the severed line becomes a hole
-	// node, every block below it is implicitly closed, and the functions
-	// past the cut disappear entirely (their call sites degrade to
-	// assumed empty calls).
-	truncated := run.Skeleton.Text[:len(run.Skeleton.Text)*60/100]
+	for _, tc := range []struct {
+		percent int
+		golden  string
+		source  string
+		codes   []string
+	}{
+		{60, "degraded-skeleton", "sord-truncated", nil},
+		{55, "degraded-skeleton-55", "sord-truncated-55", []string{"skeleton/syntax", "skeleton/unclosed-block"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			truncated := run.Skeleton.Text[:len(run.Skeleton.Text)*tc.percent/100]
 
-	lim := guard.Default()
-	prog, diags := skeleton.ParseLenient("sord-truncated", truncated, lim)
-	// No separate ValidateLenient pass: the lenient core.Build runs it and
-	// folds the findings into the BET diagnostics, which flow into
-	// a.Diagnostics — a second pass here would double every finding.
-	tree, err := bst.Build(prog)
-	if err != nil {
-		t.Fatalf("bst: %v", err)
+			lim := guard.Default()
+			prog, diags := skeleton.ParseLenient(tc.source, truncated, lim)
+			for _, code := range tc.codes {
+				found := false
+				for _, d := range diags {
+					found = found || d.Stage+"/"+d.Code == code
+				}
+				if !found {
+					t.Errorf("%d%% cut recorded no %s diagnostic: %v", tc.percent, code, diags)
+				}
+			}
+			// No separate ValidateLenient pass: the lenient core.Build runs
+			// it and folds the findings into the BET diagnostics, which flow
+			// into a.Diagnostics — a second pass here would double every
+			// finding.
+			tree, err := bst.Build(prog)
+			if err != nil {
+				t.Fatalf("bst: %v", err)
+			}
+			bet, err := core.Build(context.Background(), tree, run.Skeleton.Input, &core.Options{
+				MaxContexts: lim.MaxContexts, MaxNodes: lim.MaxBETNodes, Lenient: true,
+			})
+			if err != nil {
+				t.Fatalf("bet: %v", err)
+			}
+			a, err := hotspot.Analyze(context.Background(), bet, hw.NewModel(hw.BGQ()), run.Libs)
+			if err != nil {
+				t.Fatalf("analyze: %v", err)
+			}
+			if a.Confidence >= 1 {
+				t.Errorf("truncated skeleton produced confidence %v, want < 1", a.Confidence)
+			}
+			if !a.Degraded() {
+				t.Error("truncated skeleton analysis not flagged as degraded")
+			}
+			all := append(append([]guard.Diagnostic{}, diags...), a.Diagnostics...)
+			guard.SortDiagnostics(all)
+			checkDegradedGolden(t, tc.golden, renderDegraded(tc.source, a.Confidence, all, a))
+		})
 	}
-	bet, err := core.Build(context.Background(), tree, run.Skeleton.Input, &core.Options{
-		MaxContexts: lim.MaxContexts, MaxNodes: lim.MaxBETNodes, Lenient: true,
-	})
-	if err != nil {
-		t.Fatalf("bet: %v", err)
-	}
-	a, err := hotspot.Analyze(context.Background(), bet, hw.NewModel(hw.BGQ()), run.Libs)
-	if err != nil {
-		t.Fatalf("analyze: %v", err)
-	}
-	if a.Confidence >= 1 {
-		t.Errorf("truncated skeleton produced confidence %v, want < 1", a.Confidence)
-	}
-	if !a.Degraded() {
-		t.Error("truncated skeleton analysis not flagged as degraded")
-	}
-	all := append(append([]guard.Diagnostic{}, diags...), a.Diagnostics...)
-	guard.SortDiagnostics(all)
-	checkDegradedGolden(t, "degraded-skeleton", renderDegraded("sord-truncated", a.Confidence, all, a))
 }
 
 // TestGoldenMissingBranchProfile pins the pipeline's prior fallback when
