@@ -235,22 +235,3 @@ func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result,
 		Provenance:  prov,
 	}
 }
-
-// SweepAnalyses is the pre-unification Sweep: bare analyses, no selection,
-// diagnostics, confidence, or provenance.
-//
-// Deprecated: use Sweep, which returns the unified *Eval (carrying the
-// same Analysis plus selection, degradation state, and provenance), or
-// Explorer for direct engine access. SweepAnalyses remains only as a
-// migration shim and will be removed.
-func SweepAnalyses(ctx context.Context, run *Run, variants []*hw.Machine, opts ...Option) ([]*hotspot.Analysis, error) {
-	eng, err := Explorer(run, opts...)
-	if err != nil {
-		return nil, err
-	}
-	out, err := eng.Sweep(ctx, variants)
-	if err != nil {
-		return out, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, err)
-	}
-	return out, nil
-}
