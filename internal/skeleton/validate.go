@@ -18,17 +18,14 @@ func Validate(p *Program) error {
 	return ValidateEntry(p, "main")
 }
 
-// ValidateEntry is Validate with a configurable entry function name.
+// ValidateEntry is Validate with a configurable entry function name. It
+// runs the same checks as ValidateLenient and returns the first failure.
 func ValidateEntry(p *Program, entry string) error {
-	if _, err := p.Func(entry); err != nil {
-		return err
+	findings, err := validate(p, entry)
+	if len(findings) > 0 {
+		return findings[0]
 	}
-	for _, f := range p.Funcs {
-		if err := checkBody(p, f, f.Body, 0); err != nil {
-			return err
-		}
-	}
-	return checkRecursion(p, entry)
+	return err
 }
 
 // ValidateLenient runs the same checks as ValidateEntry but demotes
@@ -39,26 +36,31 @@ func ValidateEntry(p *Program, entry string) error {
 // recursion (BET construction inlines callees, so recursion would not
 // terminate; it is a resource guard, not a degradation).
 func ValidateLenient(p *Program, entry string) ([]guard.Diagnostic, error) {
+	findings, err := validate(p, entry)
+	var diags []guard.Diagnostic
+	for _, f := range findings {
+		diags = append(diags, guard.Diagnostic{
+			Severity: guard.SevWarn, Stage: "validate", Code: "semantic",
+			Message: f.Error(),
+		})
+	}
+	return diags, err
+}
+
+// validate is the one validation pass: it checks the entry function,
+// collects every recoverable finding in source order, then checks for
+// recursion. err is a missing entry (with no findings) or recursion.
+func validate(p *Program, entry string) (findings []error, err error) {
 	if _, err := p.Func(entry); err != nil {
 		return nil, err
 	}
-	var diags []guard.Diagnostic
 	for _, f := range p.Funcs {
-		for _, err := range bodyFindings(p, f.Body, 0, nil) {
-			diags = append(diags, guard.Diagnostic{
-				Severity: guard.SevWarn, Stage: "validate", Code: "semantic",
-				Message: err.Error(),
-			})
-		}
+		findings = bodyFindings(p, f.Body, 0, findings)
 	}
-	if err := checkRecursion(p, entry); err != nil {
-		return diags, err
-	}
-	return diags, nil
+	return findings, checkRecursion(p, entry)
 }
 
-// bodyFindings is checkBody's accumulating twin: it records every semantic
-// finding in a body instead of stopping at the first.
+// bodyFindings appends every recoverable finding in body to acc.
 func bodyFindings(p *Program, body []Stmt, loopDepth int, acc []error) []error {
 	for _, s := range body {
 		switch t := s.(type) {
@@ -90,48 +92,6 @@ func bodyFindings(p *Program, body []Stmt, loopDepth int, acc []error) []error {
 		}
 	}
 	return acc
-}
-
-func checkBody(p *Program, f *FuncDef, body []Stmt, loopDepth int) error {
-	for _, s := range body {
-		switch t := s.(type) {
-		case *Call:
-			callee, ok := p.ByName[t.Func]
-			if !ok {
-				return fmt.Errorf("%s:%d: call to undefined function %q", p.Source, t.Pos(), t.Func)
-			}
-			if len(t.Args) != len(callee.Params) {
-				return fmt.Errorf("%s:%d: call to %q with %d args, want %d",
-					p.Source, t.Pos(), t.Func, len(t.Args), len(callee.Params))
-			}
-		case *Break:
-			if loopDepth == 0 {
-				return fmt.Errorf("%s:%d: break outside loop", p.Source, t.Pos())
-			}
-		case *Continue:
-			if loopDepth == 0 {
-				return fmt.Errorf("%s:%d: continue outside loop", p.Source, t.Pos())
-			}
-		case *Loop:
-			if err := checkBody(p, f, t.Body, loopDepth+1); err != nil {
-				return err
-			}
-		case *While:
-			if err := checkBody(p, f, t.Body, loopDepth+1); err != nil {
-				return err
-			}
-		case *If:
-			for _, c := range t.Cases {
-				if err := checkBody(p, f, c.Body, loopDepth); err != nil {
-					return err
-				}
-			}
-			if err := checkBody(p, f, t.Else, loopDepth); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // checkRecursion DFS-colors the call graph from entry and reports a cycle.
