@@ -1,10 +1,6 @@
 package minilang
 
-import (
-	"fmt"
-
-	"skope/internal/guard"
-)
+import "skope/internal/guard"
 
 // ParseLenient parses minilang source in error-recovering mode. Instead of
 // aborting at the first syntax error it drops the offending statement or
@@ -14,101 +10,23 @@ import (
 // always non-nil; an input with no salvageable content yields an empty
 // program plus diagnostics.
 //
-// On input that the strict parser accepts, ParseLenient returns a
-// structurally identical program and zero diagnostics.
+// ParseWithLimits runs the same pass, so on input it accepts ParseLenient
+// returns a structurally identical program and zero diagnostics.
 //
 // Each "parse/syntax" diagnostic corresponds to exactly one dropped
 // statement or declaration, which is how the pipeline derives its parse
 // confidence (kept / (kept + dropped)).
 func ParseLenient(name, src string, lim *guard.Limits) (*Program, []guard.Diagnostic) {
-	empty := func(d guard.Diagnostic) (*Program, []guard.Diagnostic) {
-		return &Program{
-			Source:       name,
-			GlobalByName: make(map[string]*GlobalDecl),
-			FuncByName:   make(map[string]*FuncDecl),
-		}, []guard.Diagnostic{d}
-	}
-	if err := lim.CheckSource(len(src)); err != nil {
-		return empty(guard.Diagnostic{
-			Severity: guard.SevError, Stage: "parse", Code: "limit",
-			Message: fmt.Sprintf("%s: %v", name, err),
-		})
-	}
-	toks, err := Lex(name, src)
-	if err != nil {
-		// The lexer fails only on malformed characters/literals; without a
-		// token stream there is nothing to recover from.
-		return empty(guard.Diagnostic{
-			Severity: guard.SevError, Stage: "parse", Code: "lex",
-			Message: err.Error(),
-		})
-	}
-	if err := lim.CheckTokens(len(toks)); err != nil {
-		return empty(guard.Diagnostic{
-			Severity: guard.SevError, Stage: "parse", Code: "limit",
-			Message: fmt.Sprintf("%s: %v", name, err),
-		})
-	}
-	p := &mparser{name: name, toks: toks, lim: lim.Or(), lenient: true}
-	prog := p.parseProgramLenient()
+	p := &mparser{name: name, lim: lim.Or()}
+	prog := p.parse(src)
 	return prog, p.diags
-}
-
-func (p *mparser) diag(sev guard.Severity, code, msg string) {
-	p.diags = append(p.diags, guard.Diagnostic{
-		Severity: sev, Stage: "parse", Code: code, Message: msg,
-	})
-}
-
-// parseProgramLenient mirrors parseProgram with per-declaration recovery.
-func (p *mparser) parseProgramLenient() *Program {
-	prog := &Program{
-		Source:       p.name,
-		GlobalByName: make(map[string]*GlobalDecl),
-		FuncByName:   make(map[string]*FuncDecl),
-	}
-	for p.cur().Kind != TokEOF {
-		switch {
-		case p.atKw("global"):
-			g, err := p.parseGlobal()
-			if err != nil {
-				p.recoverTop(err)
-				continue
-			}
-			if _, dup := prog.GlobalByName[g.Name]; dup {
-				p.diag(guard.SevError, "duplicate", p.errf(p.cur(), "duplicate global %q", g.Name).Error())
-				continue
-			}
-			prog.Globals = append(prog.Globals, g)
-			prog.GlobalByName[g.Name] = g
-		case p.atKw("func"):
-			f, err := p.parseFunc()
-			if err != nil {
-				p.recoverTop(err)
-				continue
-			}
-			if _, dup := prog.FuncByName[f.Name]; dup {
-				p.diag(guard.SevError, "duplicate", p.errf(p.cur(), "duplicate function %q", f.Name).Error())
-				continue
-			}
-			prog.Funcs = append(prog.Funcs, f)
-			prog.FuncByName[f.Name] = f
-		default:
-			p.recoverTop(p.errf(p.cur(), "expected global or func at top level, found %q", p.cur().Text))
-		}
-	}
-	if len(prog.Funcs) == 0 {
-		p.diag(guard.SevError, "no-functions", fmt.Sprintf("%s: no functions", p.name))
-	}
-	return prog
 }
 
 // recoverTop records a dropped top-level declaration and skips ahead to
 // the next top-level keyword (brace-aware, so a keyword inside a stray
 // block does not resynchronize too early).
 func (p *mparser) recoverTop(err error) {
-	p.diag(guard.SevError, "syntax", err.Error())
-	p.dropped++
+	p.fail(guard.SevError, "syntax", err, "")
 	depth := 0
 	// Always make progress, even when already positioned at a keyword.
 	if p.cur().Kind == TokEOF {

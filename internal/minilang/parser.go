@@ -17,19 +17,17 @@ func Parse(name, src string) (*Program, error) {
 // guard.Default): source size, token count, expression nesting, and
 // statement-block nesting are all capped, returning guard.ErrLimit errors
 // instead of unbounded recursion or allocation.
+//
+// It runs the same recovering pass as ParseLenient and returns that
+// pass's first failure, so it rejects every input for which ParseLenient
+// reports a diagnostic, warnings included.
 func ParseWithLimits(name, src string, lim *guard.Limits) (*Program, error) {
-	if err := lim.CheckSource(len(src)); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+	p := &mparser{name: name, lim: lim.Or()}
+	prog := p.parse(src)
+	if p.err != nil {
+		return nil, p.err
 	}
-	toks, err := Lex(name, src)
-	if err != nil {
-		return nil, err
-	}
-	if err := lim.CheckTokens(len(toks)); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	p := &mparser{name: name, toks: toks, lim: lim.Or()}
-	return p.parseProgram()
+	return prog, nil
 }
 
 // MustParse parses src and panics on error; for embedded workloads.
@@ -49,11 +47,20 @@ type mparser struct {
 	// exprDepth and nestDepth track live parser recursion against the
 	// guard limits (anchored at parseExpr/parseUnary and parseBlock).
 	exprDepth, nestDepth int
-	// lenient switches statement-level error recovery on inside
-	// parseBlock (see lenient.go). Strict parsing never sets it.
-	lenient bool
-	diags   []guard.Diagnostic
-	dropped int // statements/declarations lost to recovery
+	diags                []guard.Diagnostic
+	err                  error // the first failure, which strict parsing returns
+}
+
+// fail records one failure. The diagnostic carries the error text plus
+// note, which says how the pass recovered; the error itself, kept for the
+// first failure only, is what strict parsing returns.
+func (p *mparser) fail(sev guard.Severity, code string, err error, note string) {
+	if p.err == nil {
+		p.err = err
+	}
+	p.diags = append(p.diags, guard.Diagnostic{
+		Severity: sev, Stage: "parse", Code: code, Message: err.Error() + note,
+	})
 }
 
 func (p *mparser) enterExpr() error {
@@ -108,42 +115,65 @@ func (p *mparser) expectIdent() (Token, error) {
 	return p.next(), nil
 }
 
-func (p *mparser) parseProgram() (*Program, error) {
+// parse is the one parse pass behind ParseWithLimits and ParseLenient.
+// It records every failure through fail, drops the failed statement or
+// declaration and resynchronizes, so it always returns a program.
+func (p *mparser) parse(src string) *Program {
 	prog := &Program{
 		Source:       p.name,
 		GlobalByName: make(map[string]*GlobalDecl),
 		FuncByName:   make(map[string]*FuncDecl),
 	}
+	if err := p.lim.CheckSource(len(src)); err != nil {
+		p.fail(guard.SevError, "limit", fmt.Errorf("%s: %w", p.name, err), "")
+		return prog
+	}
+	toks, err := Lex(p.name, src)
+	if err != nil {
+		// The lexer fails only on malformed characters/literals; without a
+		// token stream there is nothing to recover from.
+		p.fail(guard.SevError, "lex", err, "")
+		return prog
+	}
+	if err := p.lim.CheckTokens(len(toks)); err != nil {
+		p.fail(guard.SevError, "limit", fmt.Errorf("%s: %w", p.name, err), "")
+		return prog
+	}
+	p.toks = toks
 	for p.cur().Kind != TokEOF {
 		switch {
 		case p.atKw("global"):
 			g, err := p.parseGlobal()
 			if err != nil {
-				return nil, err
+				p.recoverTop(err)
+				continue
 			}
 			if _, dup := prog.GlobalByName[g.Name]; dup {
-				return nil, p.errf(p.cur(), "duplicate global %q", g.Name)
+				p.fail(guard.SevError, "duplicate", p.errf(p.cur(), "duplicate global %q", g.Name), "")
+				continue
 			}
 			prog.Globals = append(prog.Globals, g)
 			prog.GlobalByName[g.Name] = g
 		case p.atKw("func"):
 			f, err := p.parseFunc()
 			if err != nil {
-				return nil, err
+				p.recoverTop(err)
+				continue
 			}
 			if _, dup := prog.FuncByName[f.Name]; dup {
-				return nil, p.errf(p.cur(), "duplicate function %q", f.Name)
+				p.fail(guard.SevError, "duplicate", p.errf(p.cur(), "duplicate function %q", f.Name), "")
+				continue
 			}
 			prog.Funcs = append(prog.Funcs, f)
 			prog.FuncByName[f.Name] = f
 		default:
-			return nil, p.errf(p.cur(), "expected global or func at top level, found %q", p.cur().Text)
+			p.recoverTop(p.errf(p.cur(), "expected global or func at top level, found %q", p.cur().Text))
 		}
 	}
 	if len(prog.Funcs) == 0 {
-		return nil, fmt.Errorf("%s: no functions", p.name)
+		p.fail(guard.SevError, "no-functions", fmt.Errorf("%s: no functions", p.name), "")
 	}
-	return prog, nil
+	return prog
 }
 
 func (p *mparser) parseGlobal() (*GlobalDecl, error) {
@@ -262,24 +292,16 @@ func (p *mparser) parseBlock() (*Block, error) {
 	b := &Block{Pos: open.Pos}
 	for !p.atPunct("}") {
 		if p.cur().Kind == TokEOF {
-			if p.lenient {
-				p.diag(guard.SevWarn, "unclosed-block",
-					p.errf(open, "unterminated block (implicitly closed)").Error())
-				return b, nil
-			}
-			return nil, p.errf(open, "unterminated block")
+			p.fail(guard.SevWarn, "unclosed-block", p.errf(open, "unterminated block"), " (implicitly closed)")
+			return b, nil
 		}
 		s, err := p.parseStmt()
 		if err != nil {
-			if p.lenient {
-				// Drop the statement, resynchronize at the next ';' or
-				// the block's closing '}', and keep parsing.
-				p.diag(guard.SevError, "syntax", err.Error())
-				p.dropped++
-				p.resyncStmt()
-				continue
-			}
-			return nil, err
+			// Drop the statement, resynchronize at the next ';' or the
+			// block's closing '}', and keep parsing.
+			p.fail(guard.SevError, "syntax", err, "")
+			p.resyncStmt()
+			continue
 		}
 		b.Stmts = append(b.Stmts, s)
 	}
