@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-store bench-shard bench-adaptive bench-smoke chaos chaos-disk chaos-net fuzz-short check
+.PHONY: all build vet fmt-check test race bench bench-store bench-shard bench-adaptive bench-smoke chaos chaos-disk chaos-net fuzz-short loc check
 
 all: check
 
@@ -89,5 +89,14 @@ fuzz-short:
 	$(GO) test ./internal/skeleton -run FuzzSkeletonParse -fuzz FuzzSkeletonParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/minilang -run FuzzMinilangParse -fuzz FuzzMinilangParse -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/explore -run '^$$' -fuzz FuzzAdaptivePlannerAxes -fuzztime $(FUZZTIME)
+
+# Non-test Go lines per package of the root module, then the total
+# (bench/ is a module of its own and is not counted). CHANGES.md records
+# these figures before and after every deletion.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 check: build vet fmt-check test
