@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"skope/internal/cliflags"
 	"skope/internal/guard"
 	"skope/internal/hw"
+	"skope/internal/journal"
 )
 
 func TestRunList(t *testing.T) {
@@ -102,6 +105,71 @@ func TestRunSweep(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("sweep output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// tableOf strips the run header and trailing stats line, leaving the
+// rendered sweep (table, frontier, best variant) for comparison.
+func tableOf(t *testing.T, out string) string {
+	t.Helper()
+	i := strings.Index(out, "design-space sweep")
+	j := strings.Index(out, "sweep stats:")
+	if i < 0 || j < 0 || j < i {
+		t.Fatalf("output missing sweep table or stats:\n%s", out)
+	}
+	return out[i:j]
+}
+
+// TestRunSweepJournal pins the plain (engine, no -store) sweep's journal
+// contract: a cold -journal run records every variant, a rerun without
+// -resume is refused rather than clobbering the journal, a -resume rerun
+// replays every variant and renders the identical sweep, and another
+// workload's journal is refused as a meta mismatch.
+func TestRunSweepJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	cfg := config{
+		bench: "sord", scale: 1,
+		mach: cliflags.Machine{Preset: "bgq"},
+		crit: cliflags.Criteria{Coverage: 0.9, Leanness: 0.5, MaxSpots: 10},
+		sw: cliflags.Sweep{
+			Journal: path,
+			Axes:    cliflags.AxisList{"mem-bandwidth=16,32", "net-latency-us=1,2"},
+		},
+	}
+	var cold bytes.Buffer
+	if _, err := run(context.Background(), &cold, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(cold.String(), "replayed from journal") {
+		t.Errorf("cold run replayed:\n%s", cold.String())
+	}
+
+	if _, err := run(context.Background(), &bytes.Buffer{}, cfg); err == nil ||
+		!strings.Contains(err.Error(), "-resume") {
+		t.Errorf("rerun without -resume: err = %v, want a -resume hint", err)
+	}
+
+	cfg.sw.Resume = true
+	var resumed bytes.Buffer
+	if _, err := run(context.Background(), &resumed, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tableOf(t, resumed.String()), tableOf(t, cold.String()); got != want {
+		t.Errorf("resumed sweep rendered differently:\n--- resumed ---\n%s\n--- cold ---\n%s", got, want)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("journal %s: 4 completed variants to replay", path),
+		", 4 replayed from journal",
+	} {
+		if !strings.Contains(resumed.String(), want) {
+			t.Errorf("resumed output missing %q:\n%s", want, resumed.String())
+		}
+	}
+
+	other := cfg
+	other.bench = "srad"
+	if _, err := run(context.Background(), &bytes.Buffer{}, other); !errors.Is(err, journal.ErrMetaMismatch) {
+		t.Errorf("another workload's journal: err = %v, want journal.ErrMetaMismatch", err)
 	}
 }
 

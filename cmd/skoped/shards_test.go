@@ -6,6 +6,7 @@ package main
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -96,14 +97,39 @@ func TestShardJobLifecycle(t *testing.T) {
 
 	// The store is now warm for sessions: the same sweep is served from
 	// the sharded job's results with zero recomputation.
-	id := submit(t, ts.URL, sessionRequest{Bench: "sord", Sweep: []string{"mem-bandwidth=16,32"}})
+	req := sessionRequest{Bench: "sord", Sweep: []string{"mem-bandwidth=16,32"}}
+	id := submit(t, ts.URL, req)
 	info := waitState(t, ts.URL, id)
 	if info["state"] != stateDone {
 		t.Fatalf("session ended %v (%v)", info["state"], info["error"])
 	}
-	_, summary := streamLines(t, ts.URL, id, "")
+	harvested, summary := streamLines(t, ts.URL, id, "")
 	if int(summary["from_store"].(float64)) < 2 {
 		t.Errorf("session not served from harvested store: %v", summary)
+	}
+
+	// Sharded == single-process: a daemon with an empty store computes the
+	// same sweep itself and must rank the same variants with bit-identical
+	// projected times.
+	_, fresh := testServer(t, t.TempDir(), filepath.Join(t.TempDir(), "cas"), 2)
+	fid := submit(t, fresh.URL, req)
+	if info := waitState(t, fresh.URL, fid); info["state"] != stateDone {
+		t.Fatalf("fresh session ended %v (%v)", info["state"], info["error"])
+	}
+	computed, fsummary := streamLines(t, fresh.URL, fid, "")
+	if fsummary["from_store"].(float64) != 0 || fsummary["from_journal"].(float64) != 0 {
+		t.Errorf("fresh daemon did not compute the sweep: %v", fsummary)
+	}
+	if len(harvested) != len(computed) {
+		t.Fatalf("harvested session ranked %d variants, fresh one %d", len(harvested), len(computed))
+	}
+	for i := range computed {
+		h, c := harvested[i], computed[i]
+		if h["rank"] != c["rank"] || h["variant"] != c["variant"] ||
+			math.Float64bits(h["total_time_s"].(float64)) != math.Float64bits(c["total_time_s"].(float64)) {
+			t.Errorf("rank %d: harvested %v %v %v, fresh %v %v %v", i+1,
+				h["rank"], h["variant"], h["total_time_s"], c["rank"], c["variant"], c["total_time_s"])
+		}
 	}
 }
 
