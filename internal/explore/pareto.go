@@ -52,9 +52,7 @@ type Point struct {
 }
 
 // Pareto returns the non-dominated variants of a sweep over (projected
-// time, cost): a variant is kept iff no other variant is at least as good
-// on both axes and strictly better on one. The frontier is sorted by
-// ascending cost (hence descending time). variants and analyses must be
+// time, cost), as ParetoPoints defines them. variants and analyses must be
 // index-aligned, as returned by Engine.Sweep; nil analyses are skipped.
 func Pareto(variants []*hw.Machine, analyses []*hotspot.Analysis, cost CostFunc) []Point {
 	pts := make([]Point, 0, len(analyses))
@@ -64,11 +62,24 @@ func Pareto(variants []*hw.Machine, analyses []*hotspot.Analysis, cost CostFunc)
 		}
 		pts = append(pts, Point{Index: i, Machine: variants[i], Time: a.TotalTime, Cost: cost(variants[i])})
 	}
+	return ParetoPoints(pts)
+}
+
+// ParetoPoints returns the non-dominated points: a point is kept iff no
+// other point is at least as good on both axes and strictly better on
+// one. Of points tied exactly on (cost, time) only the one with the lowest
+// Index is kept, so the result never depends on input order. The frontier
+// is sorted by ascending cost (hence descending time). pts is sorted in
+// place.
+func ParetoPoints(pts []Point) []Point {
 	sort.Slice(pts, func(i, j int) bool {
 		if pts[i].Cost != pts[j].Cost {
 			return pts[i].Cost < pts[j].Cost
 		}
-		return pts[i].Time < pts[j].Time
+		if pts[i].Time != pts[j].Time {
+			return pts[i].Time < pts[j].Time
+		}
+		return pts[i].Index < pts[j].Index
 	})
 	var frontier []Point
 	for _, p := range pts {

@@ -191,7 +191,7 @@ func TestWorkersCompleteJobOverHTTP(t *testing.T) {
 	if st.Merged != 6 || st.Failed != 0 || len(st.Workers) != 2 {
 		t.Fatalf("status = %+v", st)
 	}
-	if coord.Frontier().Len() == 0 {
+	if st.FrontierSize == 0 {
 		t.Fatal("frontier empty")
 	}
 	assertMergedMatchesDirect(t, coord, run, spec, dir+"/merged.journal")
