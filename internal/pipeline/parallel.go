@@ -12,7 +12,6 @@ import (
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/resilience"
 )
 
 // EvaluateMany projects a prepared workload onto several machines through
@@ -25,10 +24,10 @@ import (
 // Machine failures are isolated: a machine that fails validation, modeling,
 // simulation — or panics — leaves a nil at its index, and the failures come
 // back joined into one error naming each machine, alongside the healthy
-// evaluations. Transient failures (recovered panics, per-machine timeouts
-// under WithVariantTimeout) are retried per WithRetry before counting as
-// failed; validation rejections are deterministic and never retried. Only
-// canceling ctx discards results, returning ctx's error wrapped.
+// evaluations. Each machine is evaluated once: retries and per-attempt
+// deadlines (WithRetry, WithVariantTimeout) belong to the exploration
+// engine behind Sweep. Only canceling ctx discards results, returning
+// ctx's error wrapped.
 func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ...Option) ([]*Eval, error) {
 	o := buildOptions(opts)
 	workers := o.workers
@@ -51,17 +50,13 @@ func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ..
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				ev, attempts, err := evaluateResilient(ctx, run, machines[i], o, opts)
+				ev, err := Evaluate(ctx, run, machines[i], opts...)
 				if err != nil {
 					if ctx.Err() != nil && errors.Is(err, context.Canceled) {
 						// Sweep-level cancellation, not a machine failure.
 						return
 					}
-					if attempts > 1 {
-						errs[i] = fmt.Errorf("pipeline: machine %s (%d attempts): %w", machines[i].Name, attempts, err)
-					} else {
-						errs[i] = fmt.Errorf("pipeline: machine %s: %w", machines[i].Name, err)
-					}
+					errs[i] = fmt.Errorf("pipeline: machine %s: %w", machines[i].Name, err)
 					continue
 				}
 				evals[i] = ev
@@ -82,38 +77,6 @@ feed:
 		return nil, fmt.Errorf("pipeline: evaluate many %s: %w", run.Workload.Name, err)
 	}
 	return evals, errors.Join(errs...)
-}
-
-// evaluateResilient is one machine's evaluation under the retry policy
-// and per-attempt deadline of EvaluateMany. Validation is checked once up
-// front and marked permanent — re-evaluating a machine that cannot exist
-// is pure waste. A per-attempt deadline is enforced with a child context
-// (every pipeline stage honors cancellation); its expiry is rewrapped as
-// resilience.ErrAttemptTimeout so the classifier can tell a slow attempt
-// (transient, retry) from a canceled sweep (permanent, stop).
-func evaluateResilient(ctx context.Context, run *Run, m *hw.Machine, o options, opts []Option) (*Eval, int, error) {
-	if err := m.Validate(); err != nil {
-		return nil, 1, resilience.Permanent(err)
-	}
-	var ev *Eval
-	attempts, err := o.retry.Do(ctx, func(int) error {
-		actx := ctx
-		cancel := context.CancelFunc(func() {})
-		if o.timeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, o.timeout)
-		}
-		defer cancel()
-		var aerr error
-		ev, aerr = Evaluate(actx, run, m, opts...)
-		if aerr != nil && errors.Is(aerr, context.DeadlineExceeded) && ctx.Err() == nil {
-			aerr = fmt.Errorf("%w (limit %v): %w", resilience.ErrAttemptTimeout, o.timeout, aerr)
-		}
-		return aerr
-	})
-	if err != nil {
-		return nil, attempts, err
-	}
-	return ev, attempts, nil
 }
 
 // Explorer builds a design-space exploration engine over the prepared

@@ -199,18 +199,19 @@ func WithLimits(l *guard.Limits) Option {
 	return func(o *options) { o.lim = l }
 }
 
-// WithRetry installs a retry policy for transient per-machine failures in
-// EvaluateMany, Sweep, and Explorer-built engines (recovered panics,
-// per-variant timeouts — never cancellation or validation rejections).
-// The default is no retry.
+// WithRetry installs a retry policy for transient per-variant failures in
+// Sweep, SweepCached, SweepAdaptive and Explorer-built engines (recovered
+// panics, per-variant timeouts — never cancellation or validation
+// rejections). The default is no retry. Evaluate and EvaluateMany ignore
+// it: each machine is evaluated once.
 func WithRetry(p resilience.Policy) Option {
 	return func(o *options) { o.retry = p }
 }
 
-// WithVariantTimeout bounds each per-machine evaluation attempt in
-// EvaluateMany, Sweep, and Explorer-built engines. Timed-out attempts
-// classify as transient and are retried under WithRetry. d <= 0 (the
-// default) enforces no deadline.
+// WithVariantTimeout bounds each per-variant evaluation attempt in Sweep,
+// SweepCached, SweepAdaptive and Explorer-built engines. Timed-out
+// attempts classify as transient and are retried under WithRetry. d <= 0
+// (the default) enforces no deadline. Evaluate and EvaluateMany ignore it.
 func WithVariantTimeout(d time.Duration) Option {
 	return func(o *options) { o.timeout = d }
 }

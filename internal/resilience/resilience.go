@@ -5,8 +5,9 @@
 //
 // The package is deliberately mechanism-only: it does not know about
 // machines, sweeps, or journals. Package explore composes these primitives
-// around its per-variant evaluation, and pipeline.EvaluateMany around its
-// per-machine evaluation.
+// around its per-variant evaluation — the one evaluation retry loop — and
+// package shard reuses the policy for worker RPCs and the breaker for
+// worker quarantine.
 package resilience
 
 import (
