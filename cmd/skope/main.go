@@ -39,16 +39,10 @@
 //	skope -bench sord -sweep mem-bandwidth=16,32,64 -store results.cas
 //	skope -bench sord -sweep mem-bandwidth=16,32,64 -store results.cas   # zero recomputation
 //
-// -shard-workers distributes a sweep across N coordinated worker
-// processes: the parent hosts a shard coordinator on a loopback listener,
-// re-executes itself N times as workers, and merges their crash-safe
-// per-shard journals into one result, bit-identical to a single-process
-// sweep. Expired leases (a killed or hung worker) are stolen by the
-// survivors, and re-running with the same -shard-dir replays everything
-// already journaled instead of recomputing it:
-//
-//	skope -bench sord -sweep mem-bandwidth=16,32,64 -sweep freq-ghz=1.6,2.0 \
-//	      -shard-workers 4 -shard-dir sweep.shards
+// A sweep runs in this one process. To distribute a grid across machines,
+// submit it to the skoped daemon as a shard job and run `skoped -worker`
+// on each machine (see cmd/skoped); harvesting the job fills the result
+// store a -store sweep then reads.
 //
 // -adaptive switches the sweep from exhaustive to surrogate-guided
 // search: a deterministic seed sample bootstraps an online least-squares
@@ -108,12 +102,6 @@ import (
 )
 
 func main() {
-	if os.Getenv(shardWorkerURLEnv) != "" {
-		// Child role of -shard-workers: this process was re-executed by a
-		// sharded sweep's parent and must join its coordinator instead of
-		// parsing a command line.
-		os.Exit(runShardWorker())
-	}
 	var cfg config
 	cfg.register(flag.CommandLine)
 	flag.Parse()
@@ -222,17 +210,6 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 	}
 	fmt.Fprintf(out, "# %s\n\n", w.Description)
 
-	if cfg.sw.ShardWorkers > 0 {
-		if len(cfg.sw.Axes) == 0 {
-			return false, fmt.Errorf("-shard-workers needs -sweep axes to distribute")
-		}
-		if cfg.sw.Store != "" {
-			return false, fmt.Errorf("-shard-workers and -store cannot be combined; merge the sharded journal into a store with skopec instead")
-		}
-		if cfg.sw.Adaptive {
-			return false, fmt.Errorf("-adaptive and -shard-workers cannot be combined; distributed adaptive rounds run through the skoped coordinator (shard.RoundPlanner)")
-		}
-	}
 	if cfg.sw.Adaptive && len(cfg.sw.Axes) == 0 {
 		return false, fmt.Errorf("-adaptive needs -sweep axes to search over")
 	}
@@ -257,13 +234,10 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 	}
 
 	if len(cfg.sw.Axes) > 0 {
-		if cfg.sw.ShardWorkers > 0 {
-			return sweepSharded(ctx, out, cfg, run, m)
-		}
 		if cfg.sw.Adaptive {
-			return sweepAdaptive(ctx, out, cfg, run, m)
+			return sweepAdaptive(ctx, out, cfg, run, m, lim)
 		}
-		return sweep(ctx, out, cfg, run, m)
+		return sweep(ctx, out, cfg, run, m, lim)
 	}
 
 	sections := map[string]bool{}
@@ -339,7 +313,7 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 	return degraded, nil
 }
 
-// sweepOptions assembles the pipeline options shared by both sweep paths.
+// sweepOptions assembles the pipeline options shared by the sweep paths.
 func sweepOptions(cfg config, lim *guard.Limits) []pipeline.Option {
 	return []pipeline.Option{
 		pipeline.WithLimits(lim),
@@ -350,6 +324,45 @@ func sweepOptions(cfg config, lim *guard.Limits) []pipeline.Option {
 		pipeline.WithVariantTimeout(cfg.sw.VariantTimeout),
 		pipeline.WithMinConfidence(cfg.sw.MinConfidence),
 	}
+}
+
+// openJournal opens the -journal file of a sweep (nil without -journal).
+// An existing non-empty journal is refused without -resume before it is
+// opened, because opening truncates a torn tail.
+func openJournal(cfg config) (*journal.Journal, error) {
+	if cfg.sw.Journal == "" {
+		if cfg.sw.Resume {
+			return nil, fmt.Errorf("-resume needs -journal to resume from")
+		}
+		return nil, nil
+	}
+	if !cfg.sw.Resume {
+		if fi, err := os.Stat(cfg.sw.Journal); err == nil && fi.Size() > 0 {
+			return nil, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
+		}
+	}
+	return journal.Open(cfg.sw.Journal)
+}
+
+// tolerable reports whether a failed sweep still left usable results —
+// poisoned variants, or a journal or store that stopped accepting writes —
+// and warns about what was lost. Any other error voids the sweep.
+func tolerable(err error) bool {
+	ok := false
+	var sweepErr *explore.SweepError
+	if errors.As(err, &sweepErr) {
+		// Degraded sweep: report the poisoned variants and continue with
+		// the healthy ones rather than discarding the whole grid.
+		ok = true
+		for _, v := range sweepErr.Variants {
+			fmt.Fprintln(os.Stderr, "skope: warning:", v)
+		}
+	}
+	if errors.Is(err, explore.ErrJournalDegraded) || errors.Is(err, store.ErrDegraded) {
+		ok = true
+		fmt.Fprintln(os.Stderr, "skope: warning:", err)
+	}
+	return ok
 }
 
 // sweepStore runs the sweep through the content-addressed result store:
@@ -370,37 +383,20 @@ func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Wor
 	defer st.Close()
 
 	opts := sweepOptions(cfg, lim)
-	if cfg.sw.Journal != "" {
-		j, jerr := journal.Open(cfg.sw.Journal)
-		if jerr != nil {
-			return false, jerr
-		}
+	j, err := openJournal(cfg)
+	if err != nil {
+		return false, err
+	}
+	if j != nil {
 		defer j.Close()
-		if n, _ := j.Recovered(); n > 0 && !cfg.sw.Resume {
-			return false, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-		}
 		opts = append(opts, pipeline.WithJournal(j))
-	} else if cfg.sw.Resume {
-		return false, fmt.Errorf("-resume needs -journal to resume from")
 	}
 
 	all := append(append([]*hw.Machine{}, variants...), base)
 	start := time.Now()
 	evals, sum, err := pipeline.SweepCached(ctx, w, all, st, opts...)
 	if err != nil {
-		tolerable := false
-		var sweepErr *explore.SweepError
-		if errors.As(err, &sweepErr) {
-			tolerable = true
-			for _, v := range sweepErr.Variants {
-				fmt.Fprintln(os.Stderr, "skope: warning:", v)
-			}
-		}
-		if errors.Is(err, explore.ErrJournalDegraded) || errors.Is(err, store.ErrDegraded) {
-			tolerable = true
-			fmt.Fprintln(os.Stderr, "skope: warning:", err)
-		}
-		if !tolerable || evals == nil {
+		if !tolerable(err) || evals == nil {
 			return false, err
 		}
 		degraded = true
@@ -415,14 +411,7 @@ func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Wor
 	if baseEval == nil {
 		return degraded, fmt.Errorf("baseline %s failed to evaluate", base.Name)
 	}
-
-	analyses := make([]*hotspot.Analysis, len(variants))
-	for i, ev := range evals {
-		if ev != nil {
-			analyses[i] = ev.Analysis
-		}
-	}
-	renderSweep(out, cfg, variants, analyses, baseEval.Analysis, w.Name, base.Name)
+	renderSweep(out, cfg, variants, evals, baseEval.Analysis, w.Name, base.Name)
 
 	stats := st.Stats()
 	fmt.Fprintf(out, "sweep stats: %d variants in %s, store %s, %.1f%% served from store (%d hits / %d misses)",
@@ -441,77 +430,57 @@ func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Wor
 	return degraded, nil
 }
 
-// sweep runs the design-space exploration mode on the engine directly: a
-// grid of machine variants around the base machine, evaluated analytically
-// (no simulation), reported as a ranked table plus the time/cost Pareto
+// sweep runs the design-space exploration mode: a grid of machine variants
+// around the base machine, evaluated analytically (no simulation) by
+// pipeline.Sweep, reported as a ranked table plus the time/cost Pareto
 // frontier. (With -store, sweepStore handles the run instead.)
-func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine) (degraded bool, err error) {
+func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
 	variants, err := cfg.sw.Variants(base)
 	if err != nil {
 		return false, err
 	}
 
 	var last explore.Progress
-	lim, _ := cfg.grd.Resolve()
 	opts := append(sweepOptions(cfg, lim),
 		pipeline.WithProgress(func(p explore.Progress) { last = p }))
-	eng, err := pipeline.Explorer(run, opts...)
+	j, err := openJournal(cfg)
 	if err != nil {
 		return false, err
 	}
-	if cfg.sw.Journal != "" {
-		if !cfg.sw.Resume {
-			if fi, statErr := os.Stat(cfg.sw.Journal); statErr == nil && fi.Size() > 0 {
-				return false, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-			}
-		}
-		j, jerr := eng.UseJournal(cfg.sw.Journal)
-		if jerr != nil {
-			return false, jerr
-		}
+	replayable := 0
+	if j != nil {
 		defer j.Close()
-		if n, torn := j.Recovered(); n > 0 || torn {
-			fmt.Fprintf(out, "journal %s: %d completed variants to replay", cfg.sw.Journal, eng.Replayable())
-			if torn {
-				fmt.Fprint(out, " (torn tail from an interrupted run discarded)")
-			}
-			fmt.Fprintln(out)
-		}
-	} else if cfg.sw.Resume {
-		return false, fmt.Errorf("-resume needs -journal to resume from")
+		// Every record found at open is a variant the sweep can replay.
+		replayable = j.Len()
+		opts = append(opts, pipeline.WithJournal(j))
 	}
 	start := time.Now()
-	analyses, err := eng.Sweep(ctx, variants)
+	evals, err := pipeline.Sweep(ctx, run, variants, opts...)
 	if err != nil {
-		var sweepErr *explore.SweepError
-		tolerable := false
-		if errors.As(err, &sweepErr) {
-			// Degraded sweep: report the poisoned variants and continue
-			// with the healthy ones rather than discarding the whole grid.
-			tolerable = true
-			for _, v := range sweepErr.Variants {
-				fmt.Fprintln(os.Stderr, "skope: warning:", v)
-			}
-		}
-		if errors.Is(err, explore.ErrJournalDegraded) {
-			tolerable = true
-			fmt.Fprintln(os.Stderr, "skope: warning:", err)
-		}
-		if !tolerable {
+		if !tolerable(err) || evals == nil {
 			return false, err
 		}
 		degraded = true
 	}
 	wall := time.Since(start)
+	if j != nil {
+		if n, torn := j.Recovered(); n > 0 || torn {
+			fmt.Fprintf(out, "journal %s: %d completed variants to replay", cfg.sw.Journal, replayable)
+			if torn {
+				fmt.Fprint(out, " (torn tail from an interrupted run discarded)")
+			}
+			fmt.Fprintln(out)
+		}
+	}
 
 	baseline, err := hotspot.Analyze(ctx, run.BET, hw.NewModel(base), run.Libs)
 	if err != nil {
 		return degraded, err
 	}
 
-	renderSweep(out, cfg, variants, analyses, baseline, run.Workload.Name, base.Name)
+	renderSweep(out, cfg, variants, evals, baseline, run.Workload.Name, base.Name)
 
-	stats := eng.CacheStats()
+	stats := last.Cache
 	fmt.Fprintf(out, "sweep stats: %d variants in %s, cache hit rate %.1f%% (%d hits / %d misses)",
 		len(variants), wall.Round(time.Microsecond), 100*stats.HitRate(), stats.Hits, stats.Misses)
 	if last.Replayed > 0 {
@@ -534,7 +503,7 @@ func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, ba
 // sweep (every evaluation is an exact engine evaluation); the ranked
 // table at the end covers only the evaluated slice of the grid, with the
 // eval-count savings reported against the exhaustive count.
-func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine) (degraded bool, err error) {
+func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
 	axes, err := cfg.sw.Axes.Axes()
 	if err != nil {
 		return false, err
@@ -545,7 +514,6 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 		return false, err
 	}
 
-	lim, _ := cfg.grd.Resolve()
 	opts := sweepOptions(cfg, lim)
 	if cfg.sw.Store != "" {
 		st, serr := store.Open(cfg.sw.Store)
@@ -555,18 +523,13 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 		defer st.Close()
 		opts = append(opts, pipeline.WithStore(st))
 	}
-	if cfg.sw.Journal != "" {
-		j, jerr := journal.Open(cfg.sw.Journal)
-		if jerr != nil {
-			return false, jerr
-		}
+	j, err := openJournal(cfg)
+	if err != nil {
+		return false, err
+	}
+	if j != nil {
 		defer j.Close()
-		if n, _ := j.Recovered(); n > 0 && !cfg.sw.Resume {
-			return false, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-		}
 		opts = append(opts, pipeline.WithJournal(j))
-	} else if cfg.sw.Resume {
-		return false, fmt.Errorf("-resume needs -journal to resume from")
 	}
 
 	aopt := explore.AdaptiveOptions{
@@ -584,19 +547,7 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 	start := time.Now()
 	evals, ares, err := pipeline.SweepAdaptive(ctx, run, variants, axes, aopt, opts...)
 	if err != nil {
-		tolerable := false
-		var sweepErr *explore.SweepError
-		if errors.As(err, &sweepErr) {
-			tolerable = true
-			for _, v := range sweepErr.Variants {
-				fmt.Fprintln(os.Stderr, "skope: warning:", v)
-			}
-		}
-		if errors.Is(err, explore.ErrJournalDegraded) || errors.Is(err, store.ErrDegraded) {
-			tolerable = true
-			fmt.Fprintln(os.Stderr, "skope: warning:", err)
-		}
-		if !tolerable || evals == nil {
+		if !tolerable(err) || evals == nil {
 			return false, err
 		}
 		degraded = true
@@ -608,13 +559,7 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 	if err != nil {
 		return degraded, err
 	}
-	analyses := make([]*hotspot.Analysis, len(variants))
-	for i, ev := range evals {
-		if ev != nil {
-			analyses[i] = ev.Analysis
-		}
-	}
-	renderSweep(out, cfg, variants, analyses, baseline, run.Workload.Name, base.Name)
+	renderSweep(out, cfg, variants, evals, baseline, run.Workload.Name, base.Name)
 
 	mode := "budget exhausted"
 	if ares.Converged {
@@ -632,8 +577,15 @@ func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline
 }
 
 // renderSweep prints the ranked variant table, the Pareto frontier, and
-// the best variant — shared by the engine and store sweep paths.
-func renderSweep(out io.Writer, cfg config, variants []*hw.Machine, analyses []*hotspot.Analysis, baseline *hotspot.Analysis, workload, baseName string) {
+// the best variant — shared by the sweep paths. evals are index-aligned
+// with variants; failed variants are nil and skipped.
+func renderSweep(out io.Writer, cfg config, variants []*hw.Machine, evals []*pipeline.Eval, baseline *hotspot.Analysis, workload, baseName string) {
+	analyses := make([]*hotspot.Analysis, len(variants))
+	for i, ev := range evals {
+		if ev != nil {
+			analyses[i] = ev.Analysis
+		}
+	}
 	var order []int
 	for i, a := range analyses {
 		if a != nil {

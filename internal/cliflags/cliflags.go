@@ -126,8 +126,6 @@ type Sweep struct {
 	Retries        int
 	VariantTimeout time.Duration
 	MinConfidence  float64
-	ShardWorkers   int
-	ShardDir       string
 	Adaptive       bool
 	AdaptiveBudget int
 	AdaptiveSeed   uint64
@@ -144,8 +142,6 @@ func (s *Sweep) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Retries, "retries", 0, "sweep mode: retries per variant for transient failures (exponential backoff with jitter)")
 	fs.DurationVar(&s.VariantTimeout, "variant-timeout", 0, "sweep mode: deadline per evaluation attempt, e.g. 30s (0 = none)")
 	fs.Float64Var(&s.MinConfidence, "min-confidence", 0, "sweep mode: flag variants whose analysis confidence falls below this floor instead of ranking them (0 = off)")
-	fs.IntVar(&s.ShardWorkers, "shard-workers", 0, "sweep mode: distribute the grid across N coordinated worker processes with crash-safe per-shard journals and work stealing (0 = in-process)")
-	fs.StringVar(&s.ShardDir, "shard-dir", "", "sweep mode: directory for the sharded sweep's per-shard journals (default: a temporary directory; reuse a directory to resume)")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "sweep mode: surrogate-guided search — evaluate a seed sample, fit an online least-squares surrogate, and spend evaluations only on the top-ranked candidates per round instead of the full grid (exhaustive mode stays the golden reference)")
 	fs.IntVar(&s.AdaptiveBudget, "adaptive-budget", 0, "adaptive mode: hard cap on evaluations spent, seed sample included (0 = converge on patience alone)")
 	fs.Uint64Var(&s.AdaptiveSeed, "adaptive-seed", 0, "adaptive mode: seed for the deterministic fingerprint-keyed bootstrap sample; a fixed seed reproduces the round trace exactly")

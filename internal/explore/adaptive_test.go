@@ -171,15 +171,8 @@ func TestAdaptiveDeterministicTrace(t *testing.T) {
 	variants := adaptiveVariants(t)
 
 	runOnce := func(dir string) ([]byte, []byte) {
-		eng, err := explore.New(run.BET, run.Libs, explore.Workers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
 		path := filepath.Join(dir, "adaptive.journal")
-		jnl, err := eng.UseJournal(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, jnl := journaledEngine(t, run, path, explore.Workers(1))
 		res, err := eng.Adaptive(context.Background(), variants, adaptiveAxes(),
 			explore.AdaptiveOptions{Seed: 7})
 		if err != nil {

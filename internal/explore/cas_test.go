@@ -157,14 +157,7 @@ func TestCASJournalWriteThrough(t *testing.T) {
 	variants := casGrid(t)[:3]
 
 	// Sweep 1: journal only.
-	eng1, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jnl, err := eng1.UseJournal(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng1, jnl := journaledEngine(t, run, filepath.Join(dir, "sweep.journal"))
 	if _, err := eng1.Sweep(context.Background(), variants); err != nil {
 		t.Fatal(err)
 	}
@@ -177,18 +170,11 @@ func TestCASJournalWriteThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	eng2, err := explore.New(run.BET, run.Libs,
+	eng2, jnl2 := journaledEngine(t, run, filepath.Join(dir, "sweep.journal"),
 		explore.CAS(s, store.ModeDigest(hotspot.DefaultCriteria(), false, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jnl2, err := eng2.UseJournal(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer jnl2.Close()
-	if eng2.Replayable() != len(variants) {
-		t.Fatalf("Replayable = %d, want %d", eng2.Replayable(), len(variants))
+	if jnl2.Len() != len(variants) {
+		t.Fatalf("journal holds %d records, want %d", jnl2.Len(), len(variants))
 	}
 	if _, err := eng2.Sweep(context.Background(), variants); err != nil {
 		t.Fatal(err)

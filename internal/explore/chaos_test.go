@@ -28,6 +28,7 @@ import (
 	"skope/internal/hotspot"
 	"skope/internal/hw"
 	"skope/internal/journal"
+	"skope/internal/pipeline"
 	"skope/internal/resilience"
 )
 
@@ -85,6 +86,23 @@ func assertBitIdentical(t *testing.T, got, want []*hotspot.Analysis) {
 			}
 		}
 	}
+}
+
+// journaledEngine opens (creating or recovering) the sweep journal at path
+// and builds an engine over run attached to it through the Journal option,
+// the attach path pipeline uses. The caller closes the journal.
+func journaledEngine(t *testing.T, run *pipeline.Run, path string, opts ...explore.Option) (*explore.Engine, *journal.Journal) {
+	t.Helper()
+	j, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := explore.New(run.BET, run.Libs, append(opts, explore.Journal(j))...)
+	if err != nil {
+		j.Close()
+		t.Fatal(err)
+	}
+	return eng, j
 }
 
 // cleanSweep evaluates the variants with no faults, journal, or retries —
@@ -256,15 +274,8 @@ func TestChaosKillAndResume(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	eng1, err := explore.New(prepared(t, "srad").BET, run.Libs, explore.Workers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := eng1.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eng1.Sweep(ctx, variants)
+	eng1, j1 := journaledEngine(t, run, path, explore.Workers(2))
+	_, err := eng1.Sweep(ctx, variants)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed sweep err = %v, want wrapped context.Canceled", err)
 	}
@@ -293,18 +304,8 @@ func TestChaosKillAndResume(t *testing.T) {
 		mu.Unlock()
 	})
 	t.Cleanup(disarm2)
-	eng2, err := explore.New(run.BET, run.Libs, explore.Workers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := eng2.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng2, j2 := journaledEngine(t, run, path, explore.Workers(2))
 	defer j2.Close()
-	if eng2.Replayable() != len(journaled) {
-		t.Errorf("Replayable = %d, want %d", eng2.Replayable(), len(journaled))
-	}
 
 	results, wait := eng2.Stream(context.Background(), variants)
 	got := make([]*hotspot.Analysis, len(variants))
@@ -345,14 +346,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	mu.Lock()
 	evaluated = nil
 	mu.Unlock()
-	eng3, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j3, err := eng3.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng3, j3 := journaledEngine(t, run, path)
 	defer j3.Close()
 	got3, err := eng3.Sweep(context.Background(), variants)
 	if err != nil {
@@ -415,14 +409,7 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	eng1, err := explore.New(run.BET, run.Libs, explore.Workers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := eng1.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng1, j1 := journaledEngine(t, run, path, explore.Workers(2))
 	res1, err := eng1.Adaptive(ctx, variants, axes, opt)
 	if res1 != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed search returned (%v, %v), want (nil, context.Canceled)", res1, err)
@@ -452,14 +439,7 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		mu.Unlock()
 	})
 	t.Cleanup(disarm2)
-	eng2, err := explore.New(run.BET, run.Libs, explore.Workers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := eng2.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng2, j2 := journaledEngine(t, run, path, explore.Workers(2))
 	defer j2.Close()
 	got, err := eng2.Adaptive(context.Background(), variants, axes, opt)
 	if err != nil {
@@ -520,14 +500,7 @@ func TestChaosResumeSurvivesTornTail(t *testing.T) {
 	want := cleanSweep(t, "sord", variants)
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
-	eng1, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := eng1.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng1, j1 := journaledEngine(t, run, path)
 	if _, err := eng1.Sweep(context.Background(), variants); err != nil {
 		t.Fatal(err)
 	}
@@ -543,20 +516,10 @@ func TestChaosResumeSurvivesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	eng2, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := eng2.UseJournal(path)
-	if err != nil {
-		t.Fatalf("torn journal not recovered: %v", err)
-	}
+	eng2, j2 := journaledEngine(t, run, path)
 	defer j2.Close()
-	if _, torn := j2.Recovered(); !torn {
-		t.Error("torn tail not detected")
-	}
-	if eng2.Replayable() != len(variants) {
-		t.Errorf("Replayable = %d, want %d intact records", eng2.Replayable(), len(variants))
+	if n, torn := j2.Recovered(); !torn || n != len(variants) {
+		t.Errorf("recovered %d records (torn tail %v), want %d intact records and a torn tail", n, torn, len(variants))
 	}
 	got, err := eng2.Sweep(context.Background(), variants)
 	if err != nil {
@@ -612,29 +575,13 @@ func TestChaosBreakerStopsHammering(t *testing.T) {
 // sord must fail loudly instead of serving wrong numbers.
 func TestJournalRefusedForDifferentWorkload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	runA := prepared(t, "srad")
-	engA, err := explore.New(runA.BET, runA.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jA, err := engA.UseJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	engA, jA := journaledEngine(t, prepared(t, "srad"), path)
 	if _, err := engA.Sweep(context.Background(), chaosVariants(3)); err != nil {
 		t.Fatal(err)
 	}
 	jA.Close()
 
 	runB := prepared(t, "sord")
-	engB, err := explore.New(runB.BET, runB.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engB.UseJournal(path); !errors.Is(err, journal.ErrMetaMismatch) {
-		t.Fatalf("foreign journal accepted: %v", err)
-	}
-	// The Journal engine option enforces the same binding at New.
 	jB, err := journal.Open(path)
 	if err != nil {
 		t.Fatal(err)

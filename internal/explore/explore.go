@@ -159,8 +159,8 @@ type Engine struct {
 	// minConf is the confidence floor (see MinConfidence); 0 disables it.
 	minConf float64
 
-	// Journal state (see Journal and UseJournal): jnl receives completed
-	// variants; replay holds the decoded records found at bind time.
+	// Journal state (see Journal): jnl receives completed variants;
+	// replay holds the decoded records found at bind time.
 	jnl    *journal.Journal
 	replay map[string]replayEntry
 
@@ -245,12 +245,12 @@ func MinConfidence(c float64) Option {
 	return func(e *Engine) { e.minConf = c }
 }
 
-// Journal attaches a sweep journal to the engine. The journal must be
-// compatible with the engine's layout (New fails with ErrMetaMismatch
-// otherwise); variants whose machine fingerprint is already recorded are
-// replayed — bit-identically, with zero recomputation — and fresh
-// completions are durably appended. See also Engine.UseJournal for the
-// open-and-attach convenience path.
+// Journal attaches a sweep journal (see journal.Open) to the engine. The
+// journal must be compatible with the engine's layout (New fails with
+// journal.ErrMetaMismatch otherwise); variants whose machine fingerprint
+// is already recorded are replayed — bit-identically, with zero
+// recomputation — and fresh completions are durably appended. The journal
+// stays owned by the caller, who closes it after the engine's sweeps.
 func Journal(j *journal.Journal) Option {
 	return func(e *Engine) { e.jnl = j }
 }

@@ -27,7 +27,7 @@ import (
 // layout fingerprint of the workload that wrote it. Exported for tools
 // that handle sweep journals without an engine — the shard coordinator
 // merges worker journals under the same binding, so a merged journal is
-// directly resumable by UseJournal.
+// directly resumable through the Journal option.
 const MetaLayoutKey = "layout"
 
 // metaLayoutKey is the internal alias (predates the export).
@@ -106,28 +106,11 @@ func RecordConfidence(payload []byte) (float64, bool) {
 	return math.Float64frombits(*rec.Conf), true
 }
 
-// UseJournal opens (creating or recovering) the sweep journal at path and
-// attaches it to the engine: a fresh journal is bound to this engine's
+// bindJournal validates the journal against the layout and decodes its
+// records into the replay map: a fresh journal is bound to this engine's
 // layout fingerprint; a recovered one must match it (journal.ErrMetaMismatch
 // otherwise — the workload, profile, or translation changed since the
-// journal was written). Variants already recorded will be replayed instead
-// of recomputed by the next Stream or Sweep. The returned journal is owned
-// by the caller (Close it after the sweep); attach before starting a
-// sweep, never concurrently with one.
-func (e *Engine) UseJournal(path string) (*journal.Journal, error) {
-	j, err := journal.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := e.bindJournal(j); err != nil {
-		j.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// bindJournal validates the journal against the layout and decodes its
-// records into the replay map.
+// journal was written).
 func (e *Engine) bindJournal(j *journal.Journal) error {
 	if err := j.SetMeta(map[string]string{metaLayoutKey: e.layout.Fingerprint()}); err != nil {
 		return fmt.Errorf("explore: journal not resumable for this workload: %w", err)
@@ -153,9 +136,6 @@ func (e *Engine) bindJournal(j *journal.Journal) error {
 	e.replay = replay
 	return nil
 }
-
-// Replayable returns how many journaled variants the engine can replay.
-func (e *Engine) Replayable() int { return len(e.replay) }
 
 // replayEntry looks up the variant in the attached journal's records.
 func (e *Engine) replayEntry(m *hw.Machine) (replayEntry, bool) {

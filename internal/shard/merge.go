@@ -77,8 +77,8 @@ func MergeJournals(dst, layoutFP string, srcs ...string) (MergeStats, error) {
 
 // WriteMerged persists the coordinator's merged record set as a sweep
 // journal at path, bound to the job's layout fingerprint — directly
-// resumable by explore's UseJournal, so replaying it through an engine
-// (with a store attached) is how a finished job lands in the CAS.
+// resumable through pipeline.WithJournal, so replaying it through a sweep
+// with a store attached is how a finished job lands in the CAS.
 func (c *Coordinator) WriteMerged(path string) (int, error) {
 	records := c.MergedRecords()
 	if err := writeMerged(path, c.cfg.Spec.LayoutFP, records); err != nil {
