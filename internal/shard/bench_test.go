@@ -57,12 +57,12 @@ func benchmarkShardedSweep(b *testing.B, workers int) {
 		for w := 0; w < workers; w++ {
 			cmd := exec.Command(exe)
 			cmd.Env = append(os.Environ(),
-				"SKOPE_SHARD_WORKER=1",
-				"SKOPE_SHARD_URL="+srv.URL,
-				"SKOPE_SHARD_JOB=bench",
-				"SKOPE_SHARD_DIR="+dir,
-				fmt.Sprintf("SKOPE_SHARD_ID=w%d", w),
-				"SKOPE_SHARD_SLOW_MS="+strconv.Itoa(benchSlowMs),
+				"SHARD_TEST_WORKER=1",
+				"SHARD_TEST_URL="+srv.URL,
+				"SHARD_TEST_JOB=bench",
+				"SHARD_TEST_DIR="+dir,
+				fmt.Sprintf("SHARD_TEST_ID=w%d", w),
+				"SHARD_TEST_SLOW_MS="+strconv.Itoa(benchSlowMs),
 			)
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {

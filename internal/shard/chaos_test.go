@@ -7,7 +7,7 @@ package shard_test
 // that had already reached a shard journal when the workers died.
 //
 // The test binary doubles as the worker executable: TestMain checks
-// SKOPE_SHARD_WORKER and, when set, runs chaosWorkerMain instead of the
+// SHARD_TEST_WORKER and, when set, runs chaosWorkerMain instead of the
 // test suite (the standard helper-process pattern). The worker arms the
 // explore.evaluate fault point to (a) append one line per *evaluation* to
 // a shared log — replays from a journal never hit the point, which is
@@ -36,7 +36,7 @@ import (
 )
 
 func TestMain(m *testing.M) {
-	if os.Getenv("SKOPE_SHARD_WORKER") != "" {
+	if os.Getenv("SHARD_TEST_WORKER") != "" {
 		os.Exit(chaosWorkerMain())
 	}
 	os.Exit(m.Run())
@@ -45,13 +45,13 @@ func TestMain(m *testing.M) {
 // chaosWorkerMain is the subprocess entry point.
 func chaosWorkerMain() int {
 	var (
-		url   = os.Getenv("SKOPE_SHARD_URL")
-		job   = os.Getenv("SKOPE_SHARD_JOB")
-		dir   = os.Getenv("SKOPE_SHARD_DIR")
-		id    = os.Getenv("SKOPE_SHARD_ID")
-		evlog = os.Getenv("SKOPE_SHARD_EVLOG")
+		url   = os.Getenv("SHARD_TEST_URL")
+		job   = os.Getenv("SHARD_TEST_JOB")
+		dir   = os.Getenv("SHARD_TEST_DIR")
+		id    = os.Getenv("SHARD_TEST_ID")
+		evlog = os.Getenv("SHARD_TEST_EVLOG")
 	)
-	slowMs, _ := strconv.Atoi(os.Getenv("SKOPE_SHARD_SLOW_MS"))
+	slowMs, _ := strconv.Atoi(os.Getenv("SHARD_TEST_SLOW_MS"))
 	var (
 		logMu sync.Mutex
 		logF  *os.File
@@ -84,7 +84,7 @@ func chaosWorkerMain() int {
 		ID:         id,
 		DataDir:    dir,
 		Poll:       50 * time.Millisecond,
-		ReplayOnly: os.Getenv("SKOPE_SHARD_REPLAY_ONLY") != "",
+		ReplayOnly: os.Getenv("SHARD_TEST_REPLAY_ONLY") != "",
 	}
 	if _, err := w.Run(context.Background()); err != nil {
 		fmt.Fprintln(os.Stderr, "worker", id+":", err)
@@ -131,13 +131,13 @@ func spawnWorker(t *testing.T, url, job, dir, evlog, id string, slowMs int) *cha
 	w := &chaosWorker{id: id}
 	w.cmd = exec.Command(exe)
 	w.cmd.Env = append(os.Environ(),
-		"SKOPE_SHARD_WORKER=1",
-		"SKOPE_SHARD_URL="+url,
-		"SKOPE_SHARD_JOB="+job,
-		"SKOPE_SHARD_DIR="+dir,
-		"SKOPE_SHARD_ID="+id,
-		"SKOPE_SHARD_EVLOG="+evlog,
-		"SKOPE_SHARD_SLOW_MS="+strconv.Itoa(slowMs),
+		"SHARD_TEST_WORKER=1",
+		"SHARD_TEST_URL="+url,
+		"SHARD_TEST_JOB="+job,
+		"SHARD_TEST_DIR="+dir,
+		"SHARD_TEST_ID="+id,
+		"SHARD_TEST_EVLOG="+evlog,
+		"SHARD_TEST_SLOW_MS="+strconv.Itoa(slowMs),
 	)
 	w.cmd.Stdout = &w.out
 	w.cmd.Stderr = &w.out
