@@ -4,10 +4,10 @@ package main
 // coordinated job: the daemon prepares the workload (that pins the layout
 // fingerprint every worker must reproduce), partitions the grid, and
 // serves the worker protocol mounted from internal/shard. External
-// workers — `skoped -worker <url>` instances, or skope's own shard-worker
-// role — lease shards, journal every variant crash-safely on their side,
-// and report results; the coordinator merges them into a streaming Pareto
-// frontier and quarantines flapping workers behind a circuit breaker.
+// workers (`skoped -worker <url>` instances) lease shards, journal every
+// variant crash-safely on their side, and report results; the coordinator
+// merges them and quarantines flapping workers behind a circuit breaker.
+// This is the project's one way to run a distributed sweep.
 //
 // POST /v1/shards/{job}/harvest finalizes a completed job: the merged
 // journal is written under -data-dir and replayed through the pipeline
