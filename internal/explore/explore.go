@@ -29,6 +29,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"skope/internal/core"
@@ -76,6 +77,8 @@ func commKeyOf(m *hw.Machine) commKey {
 // CacheStats counts memoization outcomes. A lookup that finds per-block
 // times already characterized for the parameter subset is a hit; one that
 // has to run the roofline (or interconnect) characterization is a miss.
+// Each subset is characterized once however many workers look it up
+// together, so the counts do not depend on the worker count.
 type CacheStats struct {
 	Hits, Misses int
 }
@@ -170,11 +173,21 @@ type Engine struct {
 	casMode string
 
 	mu     sync.Mutex
-	comp   map[compKey][]hotspot.BlockTimes
-	comm   map[commKey][]hotspot.BlockTimes
-	stats  CacheStats
+	comp   map[compKey]*memoEntry
+	comm   map[commKey]*memoEntry
 	jnlErr error
 	casErr error
+
+	hits, misses atomic.Int64
+}
+
+// memoEntry is the memoized per-block times of one parameter subset. done
+// is closed once the worker characterizing the subset has finished; ok
+// reports whether it succeeded. A failed entry has already left its map.
+type memoEntry struct {
+	done chan struct{}
+	bt   []hotspot.BlockTimes
+	ok   bool
 }
 
 // Option configures an Engine.
@@ -267,8 +280,8 @@ func New(bet *core.BET, libs hotspot.LibModeler, opts ...Option) (*Engine, error
 		layout:   l,
 		newModel: hw.NewModel,
 		workers:  runtime.GOMAXPROCS(0),
-		comp:     make(map[compKey][]hotspot.BlockTimes),
-		comm:     make(map[commKey][]hotspot.BlockTimes),
+		comp:     make(map[compKey]*memoEntry),
+		comm:     make(map[commKey]*memoEntry),
 	}
 	for _, o := range opts {
 		o(e)
@@ -288,9 +301,7 @@ func New(bet *core.BET, libs hotspot.LibModeler, opts ...Option) (*Engine, error
 
 // CacheStats returns the cumulative memoization counters.
 func (e *Engine) CacheStats() CacheStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
+	return CacheStats{Hits: int(e.hits.Load()), Misses: int(e.misses.Load())}
 }
 
 // evaluate projects one variant, reusing cached per-block times when the
@@ -308,16 +319,12 @@ func (e *Engine) evaluate(m *hw.Machine) (a *hotspot.Analysis, comp, comm []hots
 	if verr := m.Validate(); verr != nil {
 		return nil, nil, nil, resilience.Permanent(verr)
 	}
-	comp, ok := e.lookupComp(m)
-	if !ok {
-		comp = e.layout.CompTimes(e.newModel(m))
-		e.storeComp(m, comp)
-	}
-	comm, ok = e.lookupComm(m)
-	if !ok {
-		comm = e.layout.CommTimes(m)
-		e.storeComm(m, comm)
-	}
+	comp = memoize(e, e.comp, compKeyOf(m), func() []hotspot.BlockTimes {
+		return e.layout.CompTimes(e.newModel(m))
+	})
+	comm = memoize(e, e.comm, commKeyOf(m), func() []hotspot.BlockTimes {
+		return e.layout.CommTimes(m)
+	})
 	a, err = e.layout.Assemble(m, comp, comm)
 	if err != nil {
 		return nil, nil, nil, err
@@ -398,40 +405,47 @@ func (e *Engine) evaluateVariant(ctx context.Context, m *hw.Machine) (a *hotspot
 	return a, comp, comm, attempts, nil
 }
 
-func (e *Engine) lookupComp(m *hw.Machine) ([]hotspot.BlockTimes, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	bt, ok := e.comp[compKeyOf(m)]
-	if ok {
-		e.stats.Hits++
-	} else {
-		e.stats.Misses++
+// memoize returns the memoized per-block times for key, running compute
+// only when no worker has characterized the subset yet. Lookups that find
+// the subset in flight wait for it and share the result, so each subset is
+// characterized exactly once. A compute that panics leaves nothing
+// memoized: its entry is withdrawn before the panic propagates, and the
+// lookups waiting on it characterize afresh instead of failing too.
+func memoize[K comparable](e *Engine, memo map[K]*memoEntry, key K, compute func() []hotspot.BlockTimes) []hotspot.BlockTimes {
+	for {
+		e.mu.Lock()
+		ent, found := memo[key]
+		if !found {
+			ent = &memoEntry{done: make(chan struct{})}
+			memo[key] = ent
+		}
+		e.mu.Unlock()
+		if !found {
+			e.misses.Add(1)
+			characterize(e, memo, key, ent, compute)
+			return ent.bt
+		}
+		<-ent.done
+		if ent.ok {
+			e.hits.Add(1)
+			return ent.bt
+		}
 	}
-	return bt, ok
 }
 
-func (e *Engine) storeComp(m *hw.Machine, bt []hotspot.BlockTimes) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.comp[compKeyOf(m)] = bt
-}
-
-func (e *Engine) lookupComm(m *hw.Machine) ([]hotspot.BlockTimes, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	bt, ok := e.comm[commKeyOf(m)]
-	if ok {
-		e.stats.Hits++
-	} else {
-		e.stats.Misses++
-	}
-	return bt, ok
-}
-
-func (e *Engine) storeComm(m *hw.Machine, bt []hotspot.BlockTimes) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.comm[commKeyOf(m)] = bt
+// characterize fills ent by running compute and publishes it by closing
+// ent.done; on a panic it first withdraws ent from memo.
+func characterize[K comparable](e *Engine, memo map[K]*memoEntry, key K, ent *memoEntry, compute func() []hotspot.BlockTimes) {
+	defer func() {
+		if !ent.ok {
+			e.mu.Lock()
+			delete(memo, key)
+			e.mu.Unlock()
+		}
+		close(ent.done)
+	}()
+	ent.bt = compute()
+	ent.ok = true
 }
 
 // Stream evaluates the variants through the bounded pool, sending each
@@ -445,20 +459,11 @@ func (e *Engine) storeComm(m *hw.Machine, bt []hotspot.BlockTimes) {
 // callers can errors.Is against context.Canceled and friends. Per-variant
 // errors travel on the Results, not through wait.
 func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Result, func() error) {
-	out := make(chan Result)
+	// Sized to its number of sends: no worker ever waits on the consumer,
+	// so a canceled sweep stops without draining and an abandoned channel
+	// strands no sender.
+	out := make(chan Result, len(variants))
 	sctx, cancel := context.WithCancel(ctx)
-
-	work := make(chan int)
-	go func() {
-		defer close(work)
-		for i := range variants {
-			select {
-			case work <- i:
-			case <-sctx.Done():
-				return
-			}
-		}
-	}()
 
 	start := time.Now()
 	var (
@@ -498,13 +503,16 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 	if workers < 1 {
 		workers = 1
 	}
+	// Each worker claims the next unclaimed variant index.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				if sctx.Err() != nil {
+			for sctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(variants) {
 					return
 				}
 				m := variants[i]
@@ -569,12 +577,8 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 						}
 					}
 				}
-				select {
-				case out <- r:
-					finish(r)
-				case <-sctx.Done():
-					return
-				}
+				out <- r
+				finish(r)
 			}
 		}()
 	}

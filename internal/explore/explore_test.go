@@ -1,12 +1,14 @@
 package explore_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,9 +211,9 @@ func TestSweepCacheReuseAcrossCommOnlyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One worker keeps the hit/miss accounting deterministic (concurrent
-	// workers can race to characterize the same signature).
-	eng, err := explore.New(run.BET, run.Libs, explore.Workers(1))
+	// Each signature is characterized once however many workers look it
+	// up together, so the counts are exact on the default pool too.
+	eng, err := explore.New(run.BET, run.Libs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,6 +295,66 @@ func TestSweepIsolatesFailures(t *testing.T) {
 		}
 	}
 	waitForGoroutines(t, before)
+}
+
+// TestMemoPanicFailsOnlyItsVariant: every variant shares one compute
+// subset, and the first characterization of it panics. Only the variant
+// that ran it fails, with guard.ErrPanic; variants that were waiting for
+// that characterization compute afresh, and every other analysis is
+// bit-identical to an uncached hotspot.Analyze. A memo that kept the
+// failed entry, or handed its waiters nothing, would fail them too.
+func TestMemoPanicFailsOnlyItsVariant(t *testing.T) {
+	run := prepared(t, "sord")
+	variants := streamVariants(64)
+	var calls atomic.Int64
+	model := func(m *hw.Machine) *hw.Model {
+		if calls.Add(1) == 1 {
+			// Give the other workers time to queue up behind this
+			// characterization before it fails.
+			time.Sleep(20 * time.Millisecond)
+			panic("injected model fault")
+		}
+		return hw.NewModel(m)
+	}
+	eng, err := explore.New(run.BET, run.Libs, explore.Workers(8), explore.ModelFunc(model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyses, err := eng.Sweep(context.Background(), variants)
+	var sweepErr *explore.SweepError
+	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 1 {
+		t.Fatalf("Sweep error = %v, want a *SweepError with one failed variant", err)
+	}
+	failed := sweepErr.Variants[0]
+	if !errors.Is(failed, guard.ErrPanic) {
+		t.Errorf("failed variant %d: %v, want a recovered panic", failed.Index, failed)
+	}
+	for i, a := range analyses {
+		if i == failed.Index {
+			if a != nil {
+				t.Errorf("variant %d failed but has an analysis", i)
+			}
+			continue
+		}
+		if a == nil {
+			t.Fatalf("variant %d: healthy variant missing", i)
+		}
+		fresh, err := hotspot.Analyze(context.Background(), run.BET, hw.NewModel(variants[i]), run.Libs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := hotspot.EncodeAnalysis(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := hotspot.EncodeAnalysis(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("variant %d: analysis differs from an uncached hotspot.Analyze", i)
+		}
+	}
 }
 
 // TestSweepCancellation: a canceled sweep must return promptly, report the
@@ -386,7 +448,7 @@ func TestBoundedPool1000Variants(t *testing.T) {
 			t.Fatalf("variant %d missing", i)
 		}
 	}
-	// 4 workers + feeder + closer + test overhead; anything near 1000
+	// 4 workers + closer + test overhead; anything near 1000
 	// means per-variant goroutines came back.
 	if peak > before+16 {
 		t.Errorf("goroutine peak %d (baseline %d): pool not bounded", peak, before)

@@ -25,10 +25,9 @@ func streamVariants(n int) []*hw.Machine {
 }
 
 // TestStreamCancellationAbandonedConsumer cancels a sweep and then walks
-// away without draining the results channel — the harshest consumer. The
-// workers block sending into the unread channel; cancellation must unblock
-// them, wait() must return the wrapped context error rather than hang, and
-// no goroutine may outlive the sweep.
+// away without draining the results channel — the harshest consumer.
+// Cancellation must stop the workers, wait() must return the wrapped
+// context error rather than hang, and no goroutine may outlive the sweep.
 func TestStreamCancellationAbandonedConsumer(t *testing.T) {
 	run := prepared(t, "sord")
 	eng, err := explore.New(run.BET, run.Libs, explore.Workers(4))

@@ -16,7 +16,7 @@ package guard
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -253,17 +253,16 @@ func (d Diagnostic) String() string {
 // SortDiagnostics orders diagnostics deterministically (stage, code,
 // block, message) for stable reports and goldens.
 func SortDiagnostics(ds []Diagnostic) {
-	sort.SliceStable(ds, func(i, j int) bool {
-		a, b := ds[i], ds[j]
-		if a.Stage != b.Stage {
-			return a.Stage < b.Stage
+	slices.SortStableFunc(ds, func(a, b Diagnostic) int {
+		if c := strings.Compare(a.Stage, b.Stage); c != 0 {
+			return c
 		}
-		if a.Code != b.Code {
-			return a.Code < b.Code
+		if c := strings.Compare(a.Code, b.Code); c != 0 {
+			return c
 		}
-		if a.BlockID != b.BlockID {
-			return a.BlockID < b.BlockID
+		if c := strings.Compare(a.BlockID, b.BlockID); c != 0 {
+			return c
 		}
-		return a.Message < b.Message
+		return strings.Compare(a.Message, b.Message)
 	})
 }

@@ -122,3 +122,14 @@ func TestDiagnosticString(t *testing.T) {
 		t.Errorf("sort order wrong: %v", ds)
 	}
 }
+
+// TestSortDiagnosticsNoAllocs: sorting allocates nothing, whether there is
+// nothing to sort or the diagnostics are already in order.
+func TestSortDiagnosticsNoAllocs(t *testing.T) {
+	sorted := []Diagnostic{{Stage: "a", Code: "y"}, {Stage: "a", Code: "z"}, {Stage: "b"}}
+	for name, ds := range map[string][]Diagnostic{"empty": nil, "sorted": sorted} {
+		if n := testing.AllocsPerRun(100, func() { SortDiagnostics(ds) }); n != 0 {
+			t.Errorf("SortDiagnostics on %s diagnostics: %v allocations, want 0", name, n)
+		}
+	}
+}

@@ -1,0 +1,123 @@
+package hotspot
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"skope/internal/bst"
+	"skope/internal/core"
+	"skope/internal/expr"
+	"skope/internal/hw"
+	"skope/internal/skeleton"
+)
+
+// blocksLayout builds the layout of a skeleton with n comp loops and one
+// comm block.
+func blocksLayout(t *testing.T, n int) *Layout {
+	t.Helper()
+	var src strings.Builder
+	src.WriteString("def main(n)\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&src, "  for i = 0 : n\n    comp flops=%d loads=10 name=\"b%d\"\n  end\n", 10*(i+1), i)
+	}
+	src.WriteString("  comm bytes=n*8 msgs=2 name=\"halo\"\nend\n")
+	bet := core.MustBuild(bst.MustBuild(skeleton.MustParse("blocks", src.String())), expr.Env{"n": 100}, nil)
+	l, err := NewLayout(bet, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// TestAssembleAllocsFlat checks that the per-variant cost of Assemble does
+// not grow with the block count: the blocks share the layout's BlockInfos,
+// so assembling 41 blocks allocates what assembling 4 does.
+func TestAssembleAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	allocs := func(n int) float64 {
+		l := blocksLayout(t, n)
+		model := hw.NewModel(hw.BGQ())
+		comp, comm := l.CompTimes(model), l.CommTimes(model.Machine())
+		return testing.AllocsPerRun(100, func() {
+			if _, err := l.Assemble(model.Machine(), comp, comm); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(3), allocs(40); small != large {
+		t.Errorf("Assemble allocations grow with the block count: %v at 4 blocks, %v at 41", small, large)
+	}
+}
+
+// TestSortByTimeNoAllocs: ranking blocks allocates nothing, whether there
+// is nothing to sort or the blocks are already in order.
+func TestSortByTimeNoAllocs(t *testing.T) {
+	a := analyze(t, threeBlocks, expr.Env{"n": 100}, nil)
+	for name, blocks := range map[string][]*Block{"empty": nil, "sorted": a.Blocks} {
+		if n := testing.AllocsPerRun(100, func() { SortByTime(blocks) }); n != 0 {
+			t.Errorf("SortByTime on %s blocks: %v allocations, want 0", name, n)
+		}
+	}
+}
+
+// TestSortByTimeMatchesSliceStable checks SortByTime against the
+// sort.SliceStable ranking it replaced, on random slices with tied, NaN
+// and infinite times: the order must be identical, NaNs included.
+func TestSortByTimeMatchesSliceStable(t *testing.T) {
+	reference := func(blocks []*Block) {
+		sort.SliceStable(blocks, func(i, j int) bool {
+			if blocks[i].T != blocks[j].T {
+				return blocks[i].T > blocks[j].T
+			}
+			return blocks[i].BlockID < blocks[j].BlockID
+		})
+	}
+	times := []float64{0, 1, 1, 2.5, math.NaN(), math.Inf(1), math.Inf(-1), -3}
+	r := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(60)
+		got := make([]*Block, n)
+		for i := range got {
+			got[i] = &Block{
+				BlockInfo: &BlockInfo{BlockID: fmt.Sprintf("f/b%d", r.Intn(8))},
+				T:         times[r.Intn(len(times))],
+			}
+		}
+		want := append([]*Block(nil), got...)
+		SortByTime(got)
+		reference(want)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: rank %d is %s (T=%v), sort.SliceStable puts %s (T=%v)",
+					trial, i, got[i].BlockID, got[i].T, want[i].BlockID, want[i].T)
+			}
+		}
+	}
+}
+
+// TestGraftNoAllocs: grafting a decoded analysis links Nodes and the BET
+// through the layout's block index without allocating.
+func TestGraftNoAllocs(t *testing.T) {
+	a, l := codecAnalysis(t)
+	data, err := EncodeAnalysis(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := DecodeAnalysis(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := l.Graft(dec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Graft: %v allocations, want 0", n)
+	}
+}

@@ -144,24 +144,27 @@ func DecodeAnalysis(data []byte) (*Analysis, error) {
 	f := math.Float64frombits
 	a := &Analysis{
 		Machine:          w.Machine.Machine(),
-		Blocks:           make([]*Block, 0, len(w.Blocks)),
-		ByID:             make(map[string]*Block, len(w.Blocks)),
+		Blocks:           make([]*Block, len(w.Blocks)),
 		TotalTime:        f(w.TotalTime),
 		TotalStaticInsts: w.TotalInsts,
 		Confidence:       f(w.Confidence),
 	}
+	// Each decoded block owns its BlockInfo, so the analysis stays
+	// self-contained and Graft writes to no layout's shared infos.
+	infos := make([]BlockInfo, len(w.Blocks))
 	backing := make([]Block, len(w.Blocks))
 	for i, wb := range w.Blocks {
-		b := &backing[i]
-		*b = Block{
+		infos[i] = BlockInfo{
 			BlockID: wb.ID, Label: wb.Label, FuncName: wb.Func, Line: wb.Line,
 			IsLib: wb.Lib, IsComm: wb.Comm, CommBytes: f(wb.CommBytes),
 			Invocations: f(wb.Invocations), Work: workFromWire(wb.Work),
-			Tc: f(wb.Tc), Tm: f(wb.Tm), To: f(wb.To), T: f(wb.T),
-			MemoryBound: wb.MemoryBound, StaticInsts: wb.StaticInsts,
+			StaticInsts: wb.StaticInsts,
 		}
-		a.Blocks = append(a.Blocks, b)
-		a.ByID[b.BlockID] = b
+		backing[i] = Block{
+			BlockInfo: &infos[i], MemoryBound: wb.MemoryBound,
+			Tc: f(wb.Tc), Tm: f(wb.Tm), To: f(wb.To), T: f(wb.T),
+		}
+		a.Blocks[i] = &backing[i]
 	}
 	for _, d := range w.Diagnostics {
 		a.Diagnostics = append(a.Diagnostics, guard.Diagnostic{
@@ -174,21 +177,18 @@ func DecodeAnalysis(data []byte) (*Analysis, error) {
 
 // Graft re-links a decoded analysis to the in-memory model it was
 // originally computed from: the layout's BET and the per-block Node lists,
-// which the canonical encoding deliberately drops. After a successful
-// graft the analysis supports hot-path extraction again. It fails if any
-// analysis block is unknown to the layout — the symptom of grafting onto a
-// different workload, which callers should treat as a cache miss.
+// which the canonical encoding deliberately drops. Every other field stays
+// the decoded record's. After a successful graft the analysis supports
+// hot-path extraction again. It fails if any analysis block is unknown to
+// the layout — the symptom of grafting onto a different workload, which
+// callers should treat as a cache miss.
 func (l *Layout) Graft(a *Analysis) error {
-	byID := make(map[string]*layoutBlock, len(l.blocks))
-	for _, lb := range l.blocks {
-		byID[lb.proto.BlockID] = lb
-	}
 	for _, b := range a.Blocks {
-		lb, ok := byID[b.BlockID]
+		lb, ok := l.byID[b.BlockID]
 		if !ok {
 			return fmt.Errorf("hotspot: graft: block %s not in layout (analysis from a different workload?)", b.BlockID)
 		}
-		b.Nodes = lb.proto.Nodes
+		b.Nodes = lb.info.Nodes
 	}
 	a.BET = l.bet
 	return nil

@@ -97,8 +97,8 @@ func TestCodecRoundTripExact(t *testing.T) {
 				t.Errorf("block %s: float differs bit-wise: %g vs %g", b.BlockID, pair[0], pair[1])
 			}
 		}
-		if got.ByID[b.BlockID] != g {
-			t.Errorf("ByID not rebuilt for %s", b.BlockID)
+		if got.Block(b.BlockID) != g {
+			t.Errorf("Block(%s) does not find the decoded block", b.BlockID)
 		}
 	}
 	if !reflect.DeepEqual(got.Diagnostics, a.Diagnostics) {
@@ -175,7 +175,7 @@ func TestGraftRelinksNodes(t *testing.T) {
 		t.Errorf("graft did not restore the BET")
 	}
 	for _, b := range dec.Blocks {
-		want := a.ByID[b.BlockID]
+		want := a.Block(b.BlockID)
 		if len(b.Nodes) != len(want.Nodes) {
 			t.Errorf("block %s: %d nodes after graft, want %d", b.BlockID, len(b.Nodes), len(want.Nodes))
 		}

@@ -78,8 +78,8 @@ func TestCommParseErrors(t *testing.T) {
 
 func TestCommBlockModeled(t *testing.T) {
 	a := commAnalysis(t, 8)
-	halo, ok := a.ByID["main/halo"]
-	if !ok {
+	halo := a.Block("main/halo")
+	if halo == nil {
 		t.Fatalf("halo block missing: %v", ids(a.Blocks))
 	}
 	if !halo.IsComm || !halo.MemoryBound {
@@ -104,7 +104,7 @@ func TestStrongScalingCrossover(t *testing.T) {
 	// multi-node extension exists to expose.
 	commShare := func(ranks float64) float64 {
 		a := commAnalysis(t, ranks)
-		return a.Coverage(a.ByID["main/halo"])
+		return a.Coverage(a.Block("main/halo"))
 	}
 	s1, s64 := commShare(1), commShare(64)
 	if s64 <= s1 {

@@ -22,10 +22,12 @@ type LibModeler interface {
 	LibWork(name string) (hw.BlockWork, error)
 }
 
-// Block aggregates the projected cost of one source code block (identified
-// by BlockID) over the whole modeled execution, possibly spanning several
-// BET nodes (different contexts or call sites).
-type Block struct {
+// BlockInfo is the machine-independent half of a Block: what the source
+// block is and how much work it does over the whole modeled execution.
+// The analyses a Layout assembles all share the layout's BlockInfo for a
+// block, so it must not be written through after NewLayout; a decoded
+// analysis carries BlockInfos of its own.
+type BlockInfo struct {
 	// BlockID is "<func>/<label>", stable across model and measurement.
 	BlockID string
 	// Label and FuncName identify the block for reporting.
@@ -44,16 +46,24 @@ type Block struct {
 	Invocations float64
 	// Work is the total workload over all invocations.
 	Work hw.BlockWork
-	// Tc, Tm, To, T are the aggregate projected times in seconds
-	// (per-invocation roofline estimate scaled by ENR, summed over nodes).
-	Tc, Tm, To, T float64
-	// MemoryBound is the roofline verdict for the block's dominant node.
-	MemoryBound bool
 	// StaticInsts is the static instruction footprint (leanness unit).
 	StaticInsts int
 
 	// Nodes are the BET nodes that contributed, for hot-path extraction.
 	Nodes []*core.Node
+}
+
+// Block aggregates the projected cost of one source code block (identified
+// by BlockID) over the whole modeled execution, possibly spanning several
+// BET nodes (different contexts or call sites): the shared BlockInfo plus
+// the times projected on one machine.
+type Block struct {
+	*BlockInfo
+	// Tc, Tm, To, T are the aggregate projected times in seconds
+	// (per-invocation roofline estimate scaled by ENR, summed over nodes).
+	Tc, Tm, To, T float64
+	// MemoryBound is the roofline verdict for the block's dominant node.
+	MemoryBound bool
 }
 
 // Analysis is the per-block performance projection of one workload on one
@@ -63,8 +73,6 @@ type Analysis struct {
 	Machine *hw.Machine
 	// Blocks is sorted by projected time, descending.
 	Blocks []*Block
-	// ByID indexes Blocks.
-	ByID map[string]*Block
 	// TotalTime is the projected total over all blocks, seconds.
 	TotalTime float64
 	// TotalStaticInsts is the program's static instruction footprint.

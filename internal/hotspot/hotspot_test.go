@@ -99,8 +99,8 @@ def work(k)
 end
 `
 	a := analyze(t, src, expr.Env{"n": 1}, nil)
-	b, ok := a.ByID["work/spot"]
-	if !ok {
+	b := a.Block("work/spot")
+	if b == nil {
 		t.Fatalf("spot missing, have %v", ids(a.Blocks))
 	}
 	// Two BET nodes (two contexts), combined invocations = 0.5*200 + 0.5*400.
@@ -114,10 +114,10 @@ end
 
 func TestAnalyzeMemoryBoundVerdicts(t *testing.T) {
 	a := analyze(t, threeBlocks, expr.Env{"n": 100}, nil)
-	if a.ByID["main/big"].MemoryBound {
+	if a.Block("main/big").MemoryBound {
 		t.Error("compute block classified memory-bound")
 	}
-	if !a.ByID["main/mem"].MemoryBound {
+	if !a.Block("main/mem").MemoryBound {
 		t.Error("memory block classified compute-bound")
 	}
 }
@@ -126,7 +126,7 @@ func TestAnalyzeLibBlocks(t *testing.T) {
 	src := "def main(n)\nlib exp count=n name=\"e\"\ncomp flops=1 name=\"c\"\nend\n"
 	libs := stubLibs{"exp": {FLOPs: 20, IOPs: 5, Loads: 2, DSizeB: 8}}
 	a := analyze(t, src, expr.Env{"n": 1000}, libs)
-	e := a.ByID["main/e"]
+	e := a.Block("main/e")
 	if e == nil || !e.IsLib {
 		t.Fatalf("lib block missing or not marked: %+v", e)
 	}

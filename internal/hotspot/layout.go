@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
 
 	"skope/internal/bst"
 	"skope/internal/core"
@@ -39,9 +38,9 @@ type layoutLeaf struct {
 
 // layoutBlock groups the leaves of one source block in leaf order.
 type layoutBlock struct {
-	// proto carries the static fields and machine-independent aggregates;
-	// its time fields are zero and filled per machine by Assemble.
-	proto  Block
+	// info is the block's machine-independent half, shared by every
+	// analysis the layout assembles.
+	info   BlockInfo
 	leaves []layoutLeaf
 }
 
@@ -59,6 +58,8 @@ type Layout struct {
 	blocks []*layoutBlock
 	comp   []*layoutBlock
 	comm   []*layoutBlock
+	// byID indexes blocks by BlockID, for Graft.
+	byID map[string]*layoutBlock
 	// confidence and betDiags carry the BET's measured-vs-assumed score
 	// and prior-substitution record into every assembled analysis (and
 	// into the fingerprint, so a journal written by a lenient run never
@@ -78,37 +79,37 @@ func NewLayout(bet *core.BET, libs LibModeler) (*Layout, error) {
 	l := &Layout{
 		bet: bet, totalStaticInsts: bet.Tree.TotalStaticInsts(),
 		confidence: bet.Confidence, betDiags: bet.Diagnostics,
+		byID: make(map[string]*layoutBlock),
 	}
-	byID := make(map[string]*layoutBlock)
 	for _, n := range bet.Leaves() {
 		id := n.BlockID()
-		lb := byID[id]
+		lb := l.byID[id]
 		if lb == nil {
-			lb = &layoutBlock{proto: Block{
+			lb = &layoutBlock{info: BlockInfo{
 				BlockID: id, Label: n.Label(), FuncName: n.BST.FuncName,
 				Line: n.BST.Line, IsLib: n.Kind() == bst.KindLib,
 			}}
 			switch n.Kind() {
 			case bst.KindComp:
-				lb.proto.StaticInsts = bst.StaticInsts(n.BST.Stmt.(*skeleton.Comp))
+				lb.info.StaticInsts = bst.StaticInsts(n.BST.Stmt.(*skeleton.Comp))
 			case bst.KindLib:
-				lb.proto.StaticInsts = bst.LibStaticInsts
+				lb.info.StaticInsts = bst.LibStaticInsts
 			case bst.KindComm:
-				lb.proto.IsComm = true
-				lb.proto.StaticInsts = bst.CommStaticInsts
+				lb.info.IsComm = true
+				lb.info.StaticInsts = bst.CommStaticInsts
 			}
-			byID[id] = lb
+			l.byID[id] = lb
 			l.blocks = append(l.blocks, lb)
-			if lb.proto.IsComm {
+			if lb.info.IsComm {
 				l.comm = append(l.comm, lb)
 			} else {
 				l.comp = append(l.comp, lb)
 			}
 		}
-		lb.proto.Invocations += n.ENR
-		lb.proto.Nodes = append(lb.proto.Nodes, n)
+		lb.info.Invocations += n.ENR
+		lb.info.Nodes = append(lb.info.Nodes, n)
 		if n.Kind() == bst.KindComm {
-			lb.proto.CommBytes += n.CommBytes * n.ENR
+			lb.info.CommBytes += n.CommBytes * n.ENR
 			lb.leaves = append(lb.leaves, layoutLeaf{
 				bytes: n.CommBytes, msgs: n.CommMsgs, enr: n.ENR,
 			})
@@ -128,7 +129,7 @@ func NewLayout(bet *core.BET, libs LibModeler) (*Layout, error) {
 			}
 			perInv = lw.Scale(n.LibCount)
 		}
-		lb.proto.Work.Add(perInv.Scale(n.ENR))
+		lb.info.Work.Add(perInv.Scale(n.ENR))
 		lb.leaves = append(lb.leaves, layoutLeaf{perInv: perInv, enr: n.ENR})
 	}
 	l.fp = l.fingerprint()
@@ -175,8 +176,8 @@ func (l *Layout) fingerprint() string {
 		s(d.String())
 	}
 	for _, lb := range l.blocks {
-		s(lb.proto.BlockID)
-		if lb.proto.IsComm {
+		s(lb.info.BlockID)
+		if lb.info.IsComm {
 			s("comm")
 		} else {
 			s("comp")
@@ -245,7 +246,9 @@ func (l *Layout) CommTimes(m *hw.Machine) []BlockTimes {
 // symptom of a cache keyed on a stale layout. Non-finite block times
 // (NaN/Inf from degenerate machine parameters) do not fail the assembly;
 // they are surfaced on Analysis.Diagnostics so callers can degrade
-// gracefully instead of silently ranking on garbage.
+// gracefully instead of silently ranking on garbage. The blocks share the
+// layout's BlockInfos, so a clean assembly allocates the Analysis and two
+// slices whatever the block count.
 func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, error) {
 	if len(comp) != len(l.comp) || len(comm) != len(l.comm) {
 		return nil, fmt.Errorf("hotspot: Assemble on %s with %d comp and %d comm times, layout has %d and %d (per-block cache built from a different layout?)",
@@ -253,26 +256,26 @@ func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, er
 	}
 	a := &Analysis{
 		Machine:          m,
-		ByID:             make(map[string]*Block, len(l.blocks)),
 		TotalStaticInsts: l.totalStaticInsts,
 		BET:              l.bet,
-		Blocks:           make([]*Block, 0, len(l.blocks)),
+		Blocks:           make([]*Block, len(l.blocks)),
 	}
 	backing := make([]Block, len(l.blocks))
 	ci, mi := 0, 0
 	for bi, lb := range l.blocks {
-		b := &backing[bi]
-		*b = lb.proto
 		var bt BlockTimes
-		if lb.proto.IsComm {
+		if lb.info.IsComm {
 			bt = comm[mi]
 			mi++
 		} else {
 			bt = comp[ci]
 			ci++
 		}
-		b.Tc, b.Tm, b.To, b.T = bt.Tc, bt.Tm, bt.To, bt.T
-		b.MemoryBound = bt.MemoryBound
+		b := &backing[bi]
+		*b = Block{
+			BlockInfo: &lb.info, MemoryBound: bt.MemoryBound,
+			Tc: bt.Tc, Tm: bt.Tm, To: bt.To, T: bt.T,
+		}
 		if !isFinite(bt.T) || !isFinite(bt.Tc) || !isFinite(bt.Tm) || !isFinite(bt.To) {
 			a.Diagnostics = append(a.Diagnostics, guard.Diagnostic{
 				Stage: "roofline", Code: "non-finite-time", BlockID: b.BlockID,
@@ -280,16 +283,10 @@ func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, er
 					m.Name, bt.Tc, bt.Tm, bt.To, bt.T),
 			})
 		}
-		a.ByID[b.BlockID] = b
-		a.Blocks = append(a.Blocks, b)
+		a.Blocks[bi] = b
 		a.TotalTime += bt.T
 	}
-	sort.SliceStable(a.Blocks, func(i, j int) bool {
-		if a.Blocks[i].T != a.Blocks[j].T {
-			return a.Blocks[i].T > a.Blocks[j].T
-		}
-		return a.Blocks[i].BlockID < a.Blocks[j].BlockID
-	})
+	SortByTime(a.Blocks)
 	// Confidence: the BET's measured-vs-assumed score, further reduced to
 	// the finite fraction of block projections when the machine produced
 	// NaN/Inf times (weakest-stage composition).

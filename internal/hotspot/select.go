@@ -1,6 +1,9 @@
 package hotspot
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // Criteria configures hot-spot selection (§V-B). The code-leanness
 // constraint takes precedence over the time-coverage goal: if no selection
@@ -105,13 +108,31 @@ func (a *Analysis) RankOf(blockID string) int {
 	return 0
 }
 
-// SortByTime sorts blocks by descending time (stable on BlockID). Exposed
-// for tests and report code that re-rank subsets.
+// Block returns the analysis block with the given ID, or nil if the block
+// is unknown.
+func (a *Analysis) Block(blockID string) *Block {
+	if r := a.RankOf(blockID); r > 0 {
+		return a.Blocks[r-1]
+	}
+	return nil
+}
+
+// SortByTime sorts blocks by descending time (stable on BlockID): the
+// ranking Assemble gives an analysis, exposed for tests and report code
+// that re-rank subsets.
 func SortByTime(blocks []*Block) {
-	sort.SliceStable(blocks, func(i, j int) bool {
-		if blocks[i].T != blocks[j].T {
-			return blocks[i].T > blocks[j].T
+	slices.SortStableFunc(blocks, byTime)
+}
+
+// byTime orders blocks by descending time, then by BlockID. It must not
+// compare times with cmp.Compare, which orders NaNs first: the ranking
+// never puts a NaN time ahead of another time (a.T > b.T is false).
+func byTime(a, b *Block) int {
+	if a.T != b.T {
+		if a.T > b.T {
+			return -1
 		}
-		return blocks[i].BlockID < blocks[j].BlockID
-	})
+		return 1
+	}
+	return strings.Compare(a.BlockID, b.BlockID)
 }

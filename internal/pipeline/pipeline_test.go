@@ -163,8 +163,8 @@ func TestAblationModels(t *testing.T) {
 	if velID == "" {
 		t.Fatalf("velocity block not found; blocks: %v", base.Modl.TopIDs(10))
 	}
-	baseT := base.Analysis.ByID[velID].T
-	divT := divAware.Analysis.ByID[velID].T
+	baseT := base.Analysis.Block(velID).T
+	divT := divAware.Analysis.Block(velID).T
 	if divT <= baseT {
 		t.Errorf("div-aware projection (%g) not > base (%g) for %s", divT, baseT, velID)
 	}
