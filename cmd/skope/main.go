@@ -7,7 +7,10 @@
 // the selection quality against the measured profile. With -sweep it
 // switches to design-space exploration: the flag (repeatable) spans a grid
 // of machine variants around the base machine, evaluated analytically
-// through the bounded, memoizing exploration engine.
+// through the bounded, memoizing exploration engine. An exhaustive sweep
+// evaluates the base machine as one more variant — journaled, cached and
+// held to the -min-confidence floor like the grid — and every speedup is
+// relative to it.
 //
 // Usage:
 //
@@ -64,7 +67,8 @@
 // missing branch probabilities and trip counts fall back to documented
 // priors, and every substitution is reported as a diagnostic alongside a
 // confidence score. -min-confidence sets a floor below which sweep
-// variants are flagged instead of ranked.
+// variants are flagged instead of ranked; an exhaustive sweep whose base
+// machine falls below it fails, since its speedups would have no baseline.
 //
 // Exit codes: 0 on a clean run, 1 on failure, 3 when the run completed
 // but degraded — some results rest on fallback priors, recovered parses,
@@ -214,11 +218,11 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 		return false, fmt.Errorf("-adaptive needs -sweep axes to search over")
 	}
 
-	if len(cfg.sw.Axes) > 0 && cfg.sw.Store != "" && !cfg.sw.Adaptive {
-		// Store-backed sweeps branch before preparation on purpose: a
+	if len(cfg.sw.Axes) > 0 && !cfg.sw.Adaptive {
+		// The exhaustive sweep prepares inside pipeline.SweepCached: a
 		// fully warm store serves the whole sweep — preparation included —
 		// with zero recomputation.
-		return sweepStore(ctx, out, cfg, w, m, lim)
+		return sweep(ctx, out, cfg, w, m, lim)
 	}
 
 	run, err := pipeline.Prepare(ctx, w,
@@ -226,18 +230,10 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 	if err != nil {
 		return false, err
 	}
-	if tbl := report.Diagnostics("preparation diagnostics", run.Diagnostics); tbl != "" {
-		fmt.Fprintln(out, tbl)
-	}
-	if run.Degraded() {
-		fmt.Fprintf(out, "preparation %s\n\n", report.Confidence(run.Confidence, run.Diagnostics))
-	}
+	reportPreparation(out, run.Confidence, run.Diagnostics)
 
-	if len(cfg.sw.Axes) > 0 {
-		if cfg.sw.Adaptive {
-			return sweepAdaptive(ctx, out, cfg, run, m, lim)
-		}
-		return sweep(ctx, out, cfg, run, m, lim)
+	if cfg.sw.Adaptive {
+		return sweepAdaptive(ctx, out, cfg, run, m, lim)
 	}
 
 	sections := map[string]bool{}
@@ -365,79 +361,37 @@ func tolerable(err error) bool {
 	return ok
 }
 
-// sweepStore runs the sweep through the content-addressed result store:
-// warm (workload, variant, settings) triples are served bit-identically
-// from earlier runs — a fully warm grid skips even the preparation — and
-// fresh results are written through for the next run. The base machine
-// rides along as an extra variant so the baseline analysis is cached under
-// the same contract.
-func sweepStore(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
-	variants, err := cfg.sw.Variants(base)
-	if err != nil {
-		return false, err
-	}
-	st, err := store.Open(cfg.sw.Store)
-	if err != nil {
-		return false, err
-	}
-	defer st.Close()
-
-	opts := sweepOptions(cfg, lim)
-	j, err := openJournal(cfg)
-	if err != nil {
-		return false, err
-	}
-	if j != nil {
-		defer j.Close()
-		opts = append(opts, pipeline.WithJournal(j))
-	}
-
-	all := append(append([]*hw.Machine{}, variants...), base)
-	start := time.Now()
-	evals, sum, err := pipeline.SweepCached(ctx, w, all, st, opts...)
-	if err != nil {
-		if !tolerable(err) || evals == nil {
-			return false, err
-		}
-		degraded = true
-	}
-	wall := time.Since(start)
-
-	if tbl := report.Diagnostics("preparation diagnostics", sum.Diagnostics); tbl != "" {
+// reportPreparation prints the preparation's diagnostics table and, when
+// the preparation is degraded, its confidence line.
+func reportPreparation(out io.Writer, conf float64, diags []guard.Diagnostic) {
+	if tbl := report.Diagnostics("preparation diagnostics", diags); tbl != "" {
 		fmt.Fprintln(out, tbl)
 	}
-	baseEval := evals[len(all)-1]
-	evals = evals[:len(variants)]
-	if baseEval == nil {
-		return degraded, fmt.Errorf("baseline %s failed to evaluate", base.Name)
+	if conf < 1 || len(diags) > 0 {
+		fmt.Fprintf(out, "preparation %s\n\n", report.Confidence(conf, diags))
 	}
-	renderSweep(out, cfg, variants, evals, baseEval.Analysis, w.Name, base.Name)
-
-	stats := st.Stats()
-	fmt.Fprintf(out, "sweep stats: %d variants in %s, store %s, %.1f%% served from store (%d hits / %d misses)",
-		len(variants), wall.Round(time.Microsecond), st.Path(), 100*stats.HitRate(), stats.Hits, stats.Misses)
-	if sum.SkippedPrepare {
-		fmt.Fprint(out, ", preparation skipped (fully warm)")
-	}
-	if sum.FromJournal > 0 {
-		fmt.Fprintf(out, ", %d replayed from journal", sum.FromJournal)
-	}
-	fmt.Fprintln(out)
-	if sum.Confidence < 1 || len(sum.Diagnostics) > 0 {
-		degraded = true
-		fmt.Fprintf(out, "sweep %s\n", report.Confidence(sum.Confidence, sum.Diagnostics))
-	}
-	return degraded, nil
 }
 
 // sweep runs the design-space exploration mode: a grid of machine variants
 // around the base machine, evaluated analytically (no simulation) by
-// pipeline.Sweep, reported as a ranked table plus the time/cost Pareto
-// frontier. (With -store, sweepStore handles the run instead.)
-func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
+// pipeline.SweepCached, reported as a ranked table plus the time/cost
+// Pareto frontier. The base machine rides along as the last variant, so
+// the baseline is evaluated, journaled, cached and held to the
+// -min-confidence floor exactly like the grid. With -store, warm
+// (workload, variant, settings) triples are served bit-identically from
+// earlier runs — a fully warm grid skips even the preparation — and fresh
+// results are written through for the next run.
+func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
 	variants, err := cfg.sw.Variants(base)
 	if err != nil {
 		return false, err
+	}
+	var st *store.Store
+	if cfg.sw.Store != "" {
+		if st, err = store.Open(cfg.sw.Store); err != nil {
+			return false, err
+		}
+		defer st.Close()
 	}
 
 	var last explore.Progress
@@ -454,8 +408,10 @@ func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, ba
 		replayable = j.Len()
 		opts = append(opts, pipeline.WithJournal(j))
 	}
+
+	all := append(append([]*hw.Machine{}, variants...), base)
 	start := time.Now()
-	evals, err := pipeline.Sweep(ctx, run, variants, opts...)
+	evals, sum, err := pipeline.SweepCached(ctx, w, all, st, opts...)
 	if err != nil {
 		if !tolerable(err) || evals == nil {
 			return false, err
@@ -463,6 +419,38 @@ func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, ba
 		degraded = true
 	}
 	wall := time.Since(start)
+
+	if st == nil {
+		reportPreparation(out, sum.Confidence, sum.Diagnostics)
+	} else if tbl := report.Diagnostics("preparation diagnostics", sum.Diagnostics); tbl != "" {
+		// A -store sweep reports a degraded preparation in its footer only.
+		fmt.Fprintln(out, tbl)
+	}
+	baseEval := evals[len(all)-1]
+	if baseEval == nil {
+		return degraded, fmt.Errorf("baseline %s failed to evaluate", base.Name)
+	}
+	renderSweep(out, cfg, variants, evals[:len(variants)], baseEval.Analysis, w.Name, base.Name)
+
+	fmt.Fprintf(out, "sweep stats: %d variants in %s", len(variants), wall.Round(time.Microsecond))
+	if st != nil {
+		stats := st.Stats()
+		fmt.Fprintf(out, ", store %s, %.1f%% served from store (%d hits / %d misses)",
+			st.Path(), 100*stats.HitRate(), stats.Hits, stats.Misses)
+	}
+	if sum.SkippedPrepare {
+		fmt.Fprint(out, ", preparation skipped (fully warm)")
+	} else {
+		stats := last.Cache
+		fmt.Fprintf(out, ", cache hit rate %.1f%% (%d hits / %d misses)", 100*stats.HitRate(), stats.Hits, stats.Misses)
+	}
+	if sum.FromJournal > 0 {
+		fmt.Fprintf(out, ", %d replayed from journal", sum.FromJournal)
+	}
+	if last.Retried > 0 {
+		fmt.Fprintf(out, ", %d retries", last.Retried)
+	}
+	fmt.Fprintln(out)
 	if j != nil {
 		if n, torn := j.Recovered(); n > 0 || torn {
 			fmt.Fprintf(out, "journal %s: %d completed variants to replay", cfg.sw.Journal, replayable)
@@ -472,27 +460,9 @@ func sweep(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, ba
 			fmt.Fprintln(out)
 		}
 	}
-
-	baseline, err := hotspot.Analyze(ctx, run.BET, hw.NewModel(base), run.Libs)
-	if err != nil {
-		return degraded, err
-	}
-
-	renderSweep(out, cfg, variants, evals, baseline, run.Workload.Name, base.Name)
-
-	stats := last.Cache
-	fmt.Fprintf(out, "sweep stats: %d variants in %s, cache hit rate %.1f%% (%d hits / %d misses)",
-		len(variants), wall.Round(time.Microsecond), 100*stats.HitRate(), stats.Hits, stats.Misses)
-	if last.Replayed > 0 {
-		fmt.Fprintf(out, ", %d replayed from journal", last.Replayed)
-	}
-	if last.Retried > 0 {
-		fmt.Fprintf(out, ", %d retries", last.Retried)
-	}
-	fmt.Fprintln(out)
-	if run.Degraded() {
+	if sum.Confidence < 1 || len(sum.Diagnostics) > 0 {
 		degraded = true
-		fmt.Fprintf(out, "sweep %s\n", report.Confidence(run.Confidence, run.Diagnostics))
+		fmt.Fprintf(out, "sweep %s\n", report.Confidence(sum.Confidence, sum.Diagnostics))
 	}
 	return degraded, nil
 }

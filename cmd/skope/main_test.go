@@ -120,10 +120,10 @@ func tableOf(t *testing.T, out string) string {
 	return out[i:j]
 }
 
-// TestRunSweepJournal pins the plain (engine, no -store) sweep's journal
-// contract: a cold -journal run records every variant, a rerun without
-// -resume is refused rather than clobbering the journal, a -resume rerun
-// replays every variant and renders the identical sweep, and another
+// TestRunSweepJournal pins the plain (no -store) sweep's journal contract:
+// a cold -journal run records every variant and the baseline, a rerun
+// without -resume is refused rather than clobbering the journal, a -resume
+// rerun replays all of them and renders the identical sweep, and another
 // workload's journal is refused as a meta mismatch.
 func TestRunSweepJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
@@ -158,8 +158,8 @@ func TestRunSweepJournal(t *testing.T) {
 		t.Errorf("resumed sweep rendered differently:\n--- resumed ---\n%s\n--- cold ---\n%s", got, want)
 	}
 	for _, want := range []string{
-		fmt.Sprintf("journal %s: 4 completed variants to replay", path),
-		", 4 replayed from journal",
+		fmt.Sprintf("journal %s: 5 completed variants to replay", path),
+		", 5 replayed from journal",
 	} {
 		if !strings.Contains(resumed.String(), want) {
 			t.Errorf("resumed output missing %q:\n%s", want, resumed.String())
@@ -170,6 +170,73 @@ func TestRunSweepJournal(t *testing.T) {
 	other.bench = "srad"
 	if _, err := run(context.Background(), &bytes.Buffer{}, other); !errors.Is(err, journal.ErrMetaMismatch) {
 		t.Errorf("another workload's journal: err = %v, want journal.ErrMetaMismatch", err)
+	}
+}
+
+// lenientSource profiles only up to a division by zero, so a -lenient
+// preparation of it has analysis confidence 0.9922.
+const lenientSource = `
+global n: int = 64;
+global z: int = 0;
+global a: [n]float;
+func main() {
+  for i = 0 .. n { a[i] = exp(a[i]) * 0.5; }
+  for k = 0 .. n / z { a[0] = a[0] * 2.0; }
+}
+`
+
+// lenientSweep runs a -lenient sweep of lenientSource, written to dir,
+// under the given confidence floor; storePath empty means no -store.
+func lenientSweep(t *testing.T, dir string, minConf float64, storePath string) (string, error) {
+	t.Helper()
+	path := filepath.Join(dir, "app.ml")
+	if err := os.WriteFile(path, []byte(lenientSource), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config{
+		source: path, scale: 1,
+		mach: cliflags.Machine{Preset: "bgq"},
+		grd:  cliflags.Guard{Lenient: true},
+		crit: cliflags.Criteria{Coverage: 0.9, Leanness: 0.5, MaxSpots: 10},
+		sw: cliflags.Sweep{
+			Axes:          cliflags.AxisList{"mem-latency=60,180"},
+			MinConfidence: minConf,
+			Store:         storePath,
+		},
+	}
+	var buf bytes.Buffer
+	_, err := run(context.Background(), &buf, cfg)
+	return buf.String(), err
+}
+
+// TestRunSweepBaselineBelowFloor: the base machine is a sweep variant held
+// to -min-confidence, so a floor above the analysis confidence fails plain
+// and -store sweeps alike rather than dividing speedups by a rejected
+// baseline.
+func TestRunSweepBaselineBelowFloor(t *testing.T) {
+	dir := t.TempDir()
+	for _, storePath := range []string{"", filepath.Join(dir, "results.cas")} {
+		out, err := lenientSweep(t, dir, 0.995, storePath)
+		if err == nil || err.Error() != "baseline BG/Q failed to evaluate" {
+			t.Errorf("store %q: err = %v, want the baseline failure\n%s", storePath, err, out)
+		}
+	}
+}
+
+// TestRunSweepPlainMatchesStore: above the floor, plain and -store sweeps
+// render the identical table, frontier and best variant.
+func TestRunSweepPlainMatchesStore(t *testing.T) {
+	dir := t.TempDir()
+	plain, err := lenientSweep(t, dir, 0.99, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := lenientSweep(t, dir, 0.99, filepath.Join(dir, "results.cas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tableOf(t, stored), tableOf(t, plain); got != want {
+		t.Errorf("-store sweep rendered differently:\n--- store ---\n%s\n--- plain ---\n%s", got, want)
 	}
 }
 

@@ -63,11 +63,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		analyses, err := eng.Sweep(ctx, variants)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i, a := range analyses {
+		for i, a := range sweep(ctx, eng, variants) {
 			reportTop(variants[i], a)
 		}
 		fmt.Println()
@@ -86,10 +82,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	analyses, err := eng.Sweep(ctx, variants)
-	if err != nil {
-		log.Fatal(err)
-	}
+	analyses := sweep(ctx, eng, variants)
 	base, err := hotspot.Analyze(context.Background(), run.BET, hw.NewModel(hw.BGQ()), run.Libs)
 	if err != nil {
 		log.Fatal(err)
@@ -113,6 +106,23 @@ func main() {
 	fmt.Println("computation takes over (compute-bound). A balanced design sits where")
 	fmt.Println("the top spot flips — found here in milliseconds of pure analysis,")
 	fmt.Println("with no simulation of any configuration.")
+}
+
+// sweep streams the variants through the study's one engine and returns
+// their analyses index-aligned with them.
+func sweep(ctx context.Context, eng *explore.Engine, variants []*hw.Machine) []*hotspot.Analysis {
+	analyses := make([]*hotspot.Analysis, len(variants))
+	results, wait := eng.Stream(ctx, variants)
+	for r := range results {
+		if r.Err != nil {
+			log.Fatal(r.Err)
+		}
+		analyses[r.Index] = r.Analysis
+	}
+	if err := wait(); err != nil {
+		log.Fatal(err)
+	}
+	return analyses
 }
 
 // reportTop prints a variant's top hot spot and its roofline verdict.

@@ -502,9 +502,9 @@ type AdaptiveResult struct {
 // recomputation for the rounds the journal already holds.
 //
 // Failed variants are consumed without training the surrogate and come
-// back aggregated in a *SweepError, like Sweep. Cancellation returns a
-// nil result and the wrapped context error. Journal/CAS degradation is
-// reported alongside the intact result, like Sweep.
+// back aggregated in a *SweepError, sorted by index. Cancellation returns
+// a nil result and the wrapped context error. Journal/CAS degradation is
+// reported alongside the intact result.
 func (e *Engine) Adaptive(ctx context.Context, variants []*hw.Machine, axes []Axis, opt AdaptiveOptions) (*AdaptiveResult, error) {
 	p, err := NewAdaptivePlanner(variants, axes, opt)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestAdaptiveParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			analyses, err := exact.Sweep(context.Background(), variants)
+			analyses, err := sweep(context.Background(), exact, variants)
 			if err != nil {
 				t.Fatal(err)
 			}

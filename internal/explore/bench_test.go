@@ -45,7 +45,7 @@ func BenchmarkExploreSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			analyses, err := eng.Sweep(context.Background(), variants)
+			analyses, err := sweep(context.Background(), eng, variants)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func parityBest(b *testing.B, variants []*hw.Machine) int {
 		if err != nil {
 			b.Fatal(err)
 		}
-		analyses, err := eng.Sweep(context.Background(), variants)
+		analyses, err := sweep(context.Background(), eng, variants)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			analyses, err := eng.Sweep(context.Background(), variants)
+			analyses, err := sweep(context.Background(), eng, variants)
 			if err != nil {
 				b.Fatal(err)
 			}

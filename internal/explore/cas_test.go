@@ -53,7 +53,7 @@ func TestCASWarmSweepSkipsEvaluation(t *testing.T) {
 	variants := casGrid(t)
 
 	cold := casEngine(t, s)
-	coldRes, err := cold.Sweep(context.Background(), variants)
+	coldRes, err := sweep(context.Background(), cold, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCASModeIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng1.Sweep(context.Background(), variants); err != nil {
+	if _, err := sweep(context.Background(), eng1, variants); err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,7 +158,7 @@ func TestCASJournalWriteThrough(t *testing.T) {
 
 	// Sweep 1: journal only.
 	eng1, jnl := journaledEngine(t, run, filepath.Join(dir, "sweep.journal"))
-	if _, err := eng1.Sweep(context.Background(), variants); err != nil {
+	if _, err := sweep(context.Background(), eng1, variants); err != nil {
 		t.Fatal(err)
 	}
 	jnl.Close()
@@ -176,7 +176,7 @@ func TestCASJournalWriteThrough(t *testing.T) {
 	if jnl2.Len() != len(variants) {
 		t.Fatalf("journal holds %d records, want %d", jnl2.Len(), len(variants))
 	}
-	if _, err := eng2.Sweep(context.Background(), variants); err != nil {
+	if _, err := sweep(context.Background(), eng2, variants); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Puts != len(variants) {

@@ -114,7 +114,7 @@ func cleanSweep(t *testing.T, workload string, variants []*hw.Machine) []*hotspo
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Sweep(context.Background(), variants)
+	out, err := sweep(context.Background(), eng, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestChaosTransientPanicsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Sweep(context.Background(), variants)
+	got, err := sweep(context.Background(), eng, variants)
 	if err != nil {
 		t.Fatalf("sweep with transient faults failed: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestChaosTransientFaultExceedsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyses, err := eng.Sweep(context.Background(), variants)
+	analyses, err := sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
 	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 1 {
 		t.Fatalf("err = %v, want one-variant SweepError", err)
@@ -275,7 +275,7 @@ func TestChaosKillAndResume(t *testing.T) {
 		mu.Unlock()
 	})
 	eng1, j1 := journaledEngine(t, run, path, explore.Workers(2))
-	_, err := eng1.Sweep(ctx, variants)
+	_, err := sweep(ctx, eng1, variants)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("killed sweep err = %v, want wrapped context.Canceled", err)
 	}
@@ -348,7 +348,7 @@ func TestChaosKillAndResume(t *testing.T) {
 	mu.Unlock()
 	eng3, j3 := journaledEngine(t, run, path)
 	defer j3.Close()
-	got3, err := eng3.Sweep(context.Background(), variants)
+	got3, err := sweep(context.Background(), eng3, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestChaosResumeSurvivesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 
 	eng1, j1 := journaledEngine(t, run, path)
-	if _, err := eng1.Sweep(context.Background(), variants); err != nil {
+	if _, err := sweep(context.Background(), eng1, variants); err != nil {
 		t.Fatal(err)
 	}
 	j1.Close()
@@ -521,7 +521,7 @@ func TestChaosResumeSurvivesTornTail(t *testing.T) {
 	if n, torn := j2.Recovered(); !torn || n != len(variants) {
 		t.Errorf("recovered %d records (torn tail %v), want %d intact records and a torn tail", n, torn, len(variants))
 	}
-	got, err := eng2.Sweep(context.Background(), variants)
+	got, err := sweep(context.Background(), eng2, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +553,7 @@ func TestChaosBreakerStopsHammering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.Sweep(context.Background(), variants)
+	_, err = sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
 	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 4 {
 		t.Fatalf("err = %v, want 4-variant SweepError", err)
@@ -576,7 +576,7 @@ func TestChaosBreakerStopsHammering(t *testing.T) {
 func TestJournalRefusedForDifferentWorkload(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	engA, jA := journaledEngine(t, prepared(t, "srad"), path)
-	if _, err := engA.Sweep(context.Background(), chaosVariants(3)); err != nil {
+	if _, err := sweep(context.Background(), engA, chaosVariants(3)); err != nil {
 		t.Fatal(err)
 	}
 	jA.Close()
@@ -612,7 +612,7 @@ func TestChaosValidationNotRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eng.Sweep(context.Background(), variants)
+	_, err = sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
 	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 1 {
 		t.Fatalf("err = %v, want one-variant SweepError", err)

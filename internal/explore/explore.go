@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -626,43 +625,4 @@ func (e *Engine) variantError(i int, m *hw.Machine, attempts int, err error) *Va
 		MachineName: m.Name, Fingerprint: m.Fingerprint(),
 		Attempts: attempts, Err: err,
 	}
-}
-
-// Sweep evaluates every variant and returns the analyses index-aligned
-// with the input. Failed variants leave a nil at their index, and the
-// failures come back aggregated in a *SweepError alongside the healthy
-// results — a sweep with errors is degraded, not void. Cancellation (the
-// only way to lose healthy results) returns nil analyses and the wrapped
-// context error.
-func (e *Engine) Sweep(ctx context.Context, variants []*hw.Machine) ([]*hotspot.Analysis, error) {
-	out := make([]*hotspot.Analysis, len(variants))
-	var failures []*VariantError
-	results, wait := e.Stream(ctx, variants)
-	for r := range results {
-		if r.Err != nil {
-			var ve *VariantError
-			if !errors.As(r.Err, &ve) {
-				ve = &VariantError{Index: r.Index, Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
-			}
-			failures = append(failures, ve)
-			continue
-		}
-		out[r.Index] = r.Analysis
-	}
-	werr := wait()
-	if werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
-		// Cancellation is the only way to lose healthy results.
-		return nil, werr
-	}
-	var errs []error
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		errs = append(errs, &SweepError{Variants: failures})
-	}
-	if werr != nil {
-		// A journal write failure degrades durability, not the sweep: the
-		// analyses are all here, only crash-resume coverage is partial.
-		errs = append(errs, werr)
-	}
-	return out, errors.Join(errs...)
 }

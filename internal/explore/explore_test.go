@@ -161,7 +161,7 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 			// Two passes: the second is served entirely from cache and
 			// must agree with the first (and with uncached analysis).
 			for pass := 0; pass < 2; pass++ {
-				analyses, err := eng.Sweep(context.Background(), variants)
+				analyses, err := sweep(context.Background(), eng, variants)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -217,7 +217,7 @@ func TestSweepCacheReuseAcrossCommOnlyChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Sweep(context.Background(), variants); err != nil {
+	if _, err := sweep(context.Background(), eng, variants); err != nil {
 		t.Fatal(err)
 	}
 	// 10 variants sharing one compute signature: 1 comp miss + 10 comm
@@ -257,7 +257,7 @@ func TestSweepIsolatesFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	analyses, err := eng.Sweep(context.Background(), variants)
+	analyses, err := sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
 	if !errors.As(err, &sweepErr) {
 		t.Fatalf("Sweep error = %v, want *SweepError", err)
@@ -320,7 +320,7 @@ func TestMemoPanicFailsOnlyItsVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyses, err := eng.Sweep(context.Background(), variants)
+	analyses, err := sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
 	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 1 {
 		t.Fatalf("Sweep error = %v, want a *SweepError with one failed variant", err)
@@ -405,7 +405,7 @@ func TestSweepPreCanceledContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	if _, err := eng.Sweep(ctx, []*hw.Machine{hw.BGQ(), hw.XeonE5()}); !errors.Is(err, context.Canceled) {
+	if _, err := sweep(ctx, eng, []*hw.Machine{hw.BGQ(), hw.XeonE5()}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Sweep = %v, want wrapped context.Canceled", err)
 	}
 	waitForGoroutines(t, before)
@@ -439,7 +439,7 @@ func TestBoundedPool1000Variants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyses, err := eng.Sweep(context.Background(), variants)
+	analyses, err := sweep(context.Background(), eng, variants)
 	if err != nil {
 		t.Fatal(err)
 	}

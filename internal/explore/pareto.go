@@ -53,7 +53,7 @@ type Point struct {
 
 // Pareto returns the non-dominated variants of a sweep over (projected
 // time, cost), as ParetoPoints defines them. variants and analyses must be
-// index-aligned, as returned by Engine.Sweep; nil analyses are skipped.
+// index-aligned, as a sweep returns them; nil analyses are skipped.
 func Pareto(variants []*hw.Machine, analyses []*hotspot.Analysis, cost CostFunc) []Point {
 	pts := make([]Point, 0, len(analyses))
 	for i, a := range analyses {

@@ -91,21 +91,6 @@ func decodeTimes(in []recTimes) []hotspot.BlockTimes {
 	return out
 }
 
-// RecordConfidence extracts the confidence score from one sweep-journal
-// record payload (the same wire form journalAppend writes and the shard
-// protocol's VariantResult carries). ok is false for records written
-// before confidence tracking existed or for payloads that are not sweep
-// records — callers weighting surrogate samples then fall back to full
-// weight. Exported for the shard round planner, which trains the
-// surrogate from merged worker results without an engine.
-func RecordConfidence(payload []byte) (float64, bool) {
-	var rec sweepRecord
-	if json.Unmarshal(payload, &rec) != nil || rec.Conf == nil {
-		return 0, false
-	}
-	return math.Float64frombits(*rec.Conf), true
-}
-
 // bindJournal validates the journal against the layout and decodes its
 // records into the replay map: a fresh journal is bound to this engine's
 // layout fingerprint; a recovered one must match it (journal.ErrMetaMismatch
@@ -149,7 +134,7 @@ func (e *Engine) replayEntry(m *hw.Machine) (replayEntry, bool) {
 // journalAppend durably records one freshly completed variant. A write
 // failure does not fail the variant — the analysis is already computed —
 // but it disables further journaling and surfaces once from the sweep's
-// wait/Sweep error so the operator knows resume coverage is partial.
+// wait error so the operator knows resume coverage is partial.
 func (e *Engine) journalAppend(m *hw.Machine, comp, comm []hotspot.BlockTimes, conf float64) {
 	if e.jnl == nil {
 		return

@@ -5,11 +5,37 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"skope/internal/explore"
+	"skope/internal/hotspot"
 	"skope/internal/hw"
 )
+
+// sweep collects eng.Stream into analyses index-aligned with variants.
+// Failed variants stay nil and come back in a *explore.SweepError sorted
+// by index, joined with wait's error (cancellation, journal or store
+// degradation).
+func sweep(ctx context.Context, eng *explore.Engine, variants []*hw.Machine) ([]*hotspot.Analysis, error) {
+	out := make([]*hotspot.Analysis, len(variants))
+	var failures []*explore.VariantError
+	results, wait := eng.Stream(ctx, variants)
+	for r := range results {
+		var ve *explore.VariantError
+		if errors.As(r.Err, &ve) {
+			failures = append(failures, ve)
+			continue
+		}
+		out[r.Index] = r.Analysis
+	}
+	var errs []error
+	if len(failures) > 0 {
+		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
+		errs = append(errs, &explore.SweepError{Variants: failures})
+	}
+	return out, errors.Join(append(errs, wait())...)
+}
 
 // streamVariants builds n distinct-communication BGQ variants (comp times
 // memoize to one entry, comm times are all distinct).
@@ -62,7 +88,7 @@ func TestCacheStatsConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := eng.Sweep(context.Background(), variants)
+	out, err := sweep(context.Background(), eng, variants)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +108,7 @@ func TestCacheStatsConservation(t *testing.T) {
 		t.Errorf("Misses = %d, want %d (1 comp subset + %d comm subsets)", stats.Misses, n+1, n)
 	}
 	// A second identical sweep must be all hits and still balance.
-	if _, err := eng.Sweep(context.Background(), variants); err != nil {
+	if _, err := sweep(context.Background(), eng, variants); err != nil {
 		t.Fatal(err)
 	}
 	stats2 := eng.CacheStats()

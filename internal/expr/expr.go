@@ -235,12 +235,6 @@ var builtins = map[string]builtin{
 	}},
 }
 
-// IsBuiltin reports whether name is a recognized builtin function.
-func IsBuiltin(name string) bool {
-	_, ok := builtins[name]
-	return ok
-}
-
 // Eval implements Expr.
 func (c *Call) Eval(env Env) (float64, error) {
 	b, ok := builtins[c.Name]

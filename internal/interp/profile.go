@@ -93,15 +93,6 @@ func (pr *Profiler) LoopTrips(site string, trips int64) {
 	}
 }
 
-// CollectProfile runs the program once under the profiler and returns the
-// branch/loop statistics.
-func CollectProfile(e *Engine, pr *Profiler) (*Profile, error) {
-	if err := e.Run(); err != nil {
-		return nil, err
-	}
-	return pr.P, nil
-}
-
 // String renders the profile deterministically for goldens and debugging.
 func (p *Profile) String() string {
 	var b strings.Builder

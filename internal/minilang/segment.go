@@ -86,18 +86,6 @@ func SegmentFor(funcName string, b *Block, s Stmt) *Segment {
 	return nil
 }
 
-// ContainsUserCall reports whether e contains a call to a user (non-
-// builtin) function.
-func ContainsUserCall(e Expr) bool {
-	found := false
-	walkExprCalls(e, func(c *Call) {
-		if !c.Builtin {
-			found = true
-		}
-	})
-	return found
-}
-
 // OpCounts is a static operation census of an expression or statement: the
 // translator's estimate of the instruction mix of one execution.
 type OpCounts struct {

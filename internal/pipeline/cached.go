@@ -150,13 +150,3 @@ func sweepFromStore(w *workloads.Workload, variants []*hw.Machine, st *store.Sto
 		Diagnostics:       prep.Diagnostics,
 	}
 }
-
-// SweepCachedByName is SweepCached over a named benchmark at the given
-// scale.
-func SweepCachedByName(ctx context.Context, name string, s workloads.Scale, variants []*hw.Machine, st *store.Store, opts ...Option) ([]*Eval, *SweepSummary, error) {
-	w, err := workloads.Get(name, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return SweepCached(ctx, w, variants, st, opts...)
-}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -347,34 +346,26 @@ func TestSweepCanceledMidFlight(t *testing.T) {
 	noLeakedGoroutines(t, before)
 }
 
-func TestAnalysisJSONExport(t *testing.T) {
+// TestAnalysisRankOrderAndCoverage: an analysis lists its blocks in rank
+// order (projected time, descending) and their coverages sum to 1.
+func TestAnalysisRankOrderAndCoverage(t *testing.T) {
 	run := prepared(t, "cfd")
 	ev, err := Evaluate(context.Background(), run, hw.BGQ(), WithCriteria(hotspot.ScaledCriteria()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := ev.Analysis.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := hotspot.ReadReport(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Machine != "BG/Q" || len(rep.Blocks) != len(ev.Analysis.Blocks) {
-		t.Errorf("report = %s with %d blocks", rep.Machine, len(rep.Blocks))
-	}
-	if rep.Blocks[0].Rank != 1 || rep.Blocks[0].Seconds <= 0 {
-		t.Errorf("first block = %+v", rep.Blocks[0])
+	a := ev.Analysis
+	if a.Machine.Name != "BG/Q" || len(a.Blocks) == 0 || a.Blocks[0].T <= 0 {
+		t.Fatalf("analysis on %s with %d blocks", a.Machine.Name, len(a.Blocks))
 	}
 	cum := 0.0
-	for _, b := range rep.Blocks {
-		cum += b.Coverage
+	for i, b := range a.Blocks {
+		if i > 0 && b.T > a.Blocks[i-1].T {
+			t.Errorf("block %d (%s, %g s) outranks block %d (%g s)", i, b.BlockID, b.T, i-1, a.Blocks[i-1].T)
+		}
+		cum += a.Coverage(b)
 	}
 	if cum < 0.999 || cum > 1.001 {
 		t.Errorf("coverages sum to %g", cum)
-	}
-	if _, err := hotspot.ReadReport(strings.NewReader("{")); err == nil {
-		t.Error("bad JSON accepted")
 	}
 }

@@ -528,28 +528,6 @@ func (c *Coordinator) MergedRecords() []Record {
 	return out
 }
 
-// VariantResults returns every merged variant as the workers reported it
-// — index, journal key, payload, projected-time bits — sorted by index.
-// This is the feedback half of the adaptive round protocol: a RoundPlanner
-// driver completes one round's mini-job, then feeds this slice (plus
-// Failures) back into the planner to train the surrogate.
-func (c *Coordinator) VariantResults() []VariantResult {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]VariantResult, 0, len(c.times))
-	for idx, bits := range c.times {
-		key := c.variants[idx].Fingerprint()
-		out = append(out, VariantResult{
-			Index:    idx,
-			Key:      key,
-			Payload:  append([]byte(nil), c.merged[key]...),
-			TimeBits: bits,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
-}
-
 // Failures returns the recorded variant failures, sorted by index.
 func (c *Coordinator) Failures() []VariantFailure {
 	c.mu.Lock()

@@ -52,14 +52,6 @@ type JobSpec struct {
 	LayoutFP string `json:"layout"`
 	// ShardSize is the partition's variants-per-shard (< 1 selects 16).
 	ShardSize int `json:"shard_size,omitempty"`
-
-	// Indices, when non-nil, restricts the job to the named grid positions
-	// (in the given order) instead of the full cross product. Adaptive
-	// round planners use this to hand coordinators one acquisition batch
-	// at a time as an ordinary mini-job: Variants, Shards, and the whole
-	// lease/steal/merge protocol operate on the subset unchanged. Every
-	// entry must lie inside the full grid; duplicates are rejected.
-	Indices []int `json:"indices,omitempty"`
 }
 
 // Workload materializes the spec's workload: the inline source if present,
@@ -83,31 +75,9 @@ func (s *JobSpec) Grid() *explore.Grid {
 	return &explore.Grid{Base: s.Base.Machine(), Axes: s.Axes}
 }
 
-// Variants materializes the grid in its deterministic order. When the
-// spec carries Indices, the result is that subset of the full grid, in
-// the spec's order; shard and result indices then refer to positions in
-// the subset, and the spec's Indices slice is the map back to the grid.
+// Variants materializes the grid in its deterministic order.
 func (s *JobSpec) Variants() ([]*hw.Machine, error) {
-	full, err := s.Grid().Variants()
-	if err != nil {
-		return nil, err
-	}
-	if s.Indices == nil {
-		return full, nil
-	}
-	seen := make(map[int]bool, len(s.Indices))
-	sub := make([]*hw.Machine, len(s.Indices))
-	for i, g := range s.Indices {
-		if g < 0 || g >= len(full) {
-			return nil, fmt.Errorf("shard: job index %d outside grid of %d variants", g, len(full))
-		}
-		if seen[g] {
-			return nil, fmt.Errorf("shard: job index %d listed twice", g)
-		}
-		seen[g] = true
-		sub[i] = full[g]
-	}
-	return sub, nil
+	return s.Grid().Variants()
 }
 
 // Shards partitions the spec's variants under its layout fingerprint.

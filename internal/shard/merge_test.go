@@ -2,10 +2,10 @@ package shard_test
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"skope/internal/explore"
@@ -13,255 +13,92 @@ import (
 	"skope/internal/shard"
 )
 
-// writeSweepJournal builds a sweep journal at dir/name bound to layoutFP,
-// holding the given key→payload records in map-iteration-independent
-// (slice) order.
-func writeSweepJournal(t *testing.T, dir, name, layoutFP string, records [][2]string) string {
+// scanKeys reads a journal's records in file order.
+func scanKeys(t *testing.T, path string) (journal.ScanReport, []string) {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	j, err := journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SetMeta(map[string]string{explore.MetaLayoutKey: layoutFP}); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range records {
-		if err := j.Append(r[0], []byte(r[1])); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// tearTail appends a torn (unterminated, checksum-less) line to a journal
-// file, simulating a SIGKILL mid-append.
-func tearTail(t *testing.T, path string) {
-	t.Helper()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`00000000 {"key":"torn`); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func scanAll(t *testing.T, path string) (journal.ScanReport, map[string]string) {
-	t.Helper()
-	got := make(map[string]string)
-	rep, err := journal.Scan(path, func(key string, payload []byte) error {
-		got[key] = string(payload)
+	var keys []string
+	rep, err := journal.Scan(path, func(key string, _ []byte) error {
+		keys = append(keys, key)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, got
+	return rep, keys
 }
 
-func TestMergeJournalsDeduplicates(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "layout-m"
-	// Overlapping shards: v2 appears in both with identical bytes — the
-	// footprint of a stolen shard finished twice.
-	a := writeSweepJournal(t, dir, "a.journal", fp, [][2]string{
-		{"v1", `{"t":1}`}, {"v2", `{"t":2}`},
-	})
-	b := writeSweepJournal(t, dir, "b.journal", fp, [][2]string{
-		{"v2", `{"t":2}`}, {"v3", `{"t":3}`},
-	})
-	dst := filepath.Join(dir, "merged.journal")
-	stats, err := shard.MergeJournals(dst, fp, a, b)
-	if err != nil {
-		t.Fatal(err)
+// completeInOrder leases every shard of a fresh test coordinator (one
+// worker per shard, so all leases are held at once), then completes the
+// shards in the given order.
+func completeInOrder(t *testing.T, order []int) *shard.Coordinator {
+	t.Helper()
+	c, variants := testCoordinator(t, newStepClock())
+	grants := make([]shard.Grant, len(order))
+	for i := range grants {
+		grants[i] = mustLease(t, c, fmt.Sprintf("w%d", i))
 	}
-	if stats.Inputs != 2 || stats.Records != 4 || stats.Unique != 3 || stats.TornInputs != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	rep, got := scanAll(t, dst)
-	if rep.Meta[explore.MetaLayoutKey] != fp {
-		t.Fatalf("merged journal bound to %q, want %q", rep.Meta[explore.MetaLayoutKey], fp)
-	}
-	want := map[string]string{"v1": `{"t":1}`, "v2": `{"t":2}`, "v3": `{"t":3}`}
-	if len(got) != len(want) {
-		t.Fatalf("merged records = %v", got)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("record %s = %q, want %q", k, got[k], v)
-		}
-	}
-}
-
-func TestMergeJournalsConflictingPayloads(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "layout-m"
-	a := writeSweepJournal(t, dir, "a.journal", fp, [][2]string{{"v1", `{"t":1}`}})
-	b := writeSweepJournal(t, dir, "b.journal", fp, [][2]string{{"v1", `{"t":999}`}})
-	_, err := shard.MergeJournals(filepath.Join(dir, "m.journal"), fp, a, b)
-	if !errors.Is(err, shard.ErrConflict) {
-		t.Fatalf("conflicting payloads: %v, want ErrConflict", err)
-	}
-}
-
-func TestMergeJournalsRejectsForeignLayout(t *testing.T) {
-	dir := t.TempDir()
-	a := writeSweepJournal(t, dir, "a.journal", "layout-m", [][2]string{{"v1", `{"t":1}`}})
-	alien := writeSweepJournal(t, dir, "alien.journal", "layout-other", [][2]string{{"v9", `{"t":9}`}})
-	_, err := shard.MergeJournals(filepath.Join(dir, "m.journal"), "layout-m", a, alien)
-	if !errors.Is(err, journal.ErrMetaMismatch) {
-		t.Fatalf("foreign layout: %v, want ErrMetaMismatch", err)
-	}
-}
-
-func TestMergeJournalsToleratesTornInput(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "layout-m"
-	a := writeSweepJournal(t, dir, "a.journal", fp, [][2]string{{"v1", `{"t":1}`}})
-	b := writeSweepJournal(t, dir, "b.journal", fp, [][2]string{{"v2", `{"t":2}`}})
-	tearTail(t, b)
-	before, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dst := filepath.Join(dir, "m.journal")
-	stats, merr := shard.MergeJournals(dst, fp, a, b)
-	if merr != nil {
-		t.Fatal(merr)
-	}
-	if stats.TornInputs != 1 || stats.Unique != 2 {
-		t.Fatalf("stats = %+v, want 1 torn input, 2 unique", stats)
-	}
-	// The torn source was read, not repaired: merge must never mutate its
-	// inputs (the shard's owner may still be appending).
-	after, err := os.ReadFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("merge modified a torn input journal")
-	}
-	_, got := scanAll(t, dst)
-	if len(got) != 2 || got["v1"] == "" || got["v2"] == "" {
-		t.Fatalf("merged records = %v", got)
-	}
-}
-
-func TestMergeJournalsOrderIndependent(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "layout-m"
-	// Three journals with interleaved keys and one duplicate.
-	a := writeSweepJournal(t, dir, "a.journal", fp, [][2]string{
-		{"v5", `{"t":5}`}, {"v1", `{"t":1}`},
-	})
-	b := writeSweepJournal(t, dir, "b.journal", fp, [][2]string{
-		{"v3", `{"t":3}`}, {"v1", `{"t":1}`},
-	})
-	c := writeSweepJournal(t, dir, "c.journal", fp, [][2]string{
-		{"v2", `{"t":2}`},
-	})
-
-	orders := [][]string{
-		{a, b, c}, {c, b, a}, {b, a, c}, {c, a, b},
-	}
-	var first []byte
-	for i, srcs := range orders {
-		dst := filepath.Join(dir, fmt.Sprintf("m%d.journal", i))
-		if _, err := shard.MergeJournals(dst, fp, srcs...); err != nil {
+	for _, i := range order {
+		g := grants[i]
+		if err := c.Complete(fmt.Sprintf("w%d", i), g.Shard.ID, g.Epoch, shardResults(variants, g.Shard), nil); err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(dst)
+	}
+	if !c.Done() {
+		t.Fatal("job not done after completing every shard")
+	}
+	return c
+}
+
+// TestCoordinatorWriteMergedOrderIndependent: the merged journal holds
+// every variant sorted by key, is bound to the spec's layout fingerprint,
+// and its bytes depend only on the record set — two shard-completion
+// orders write byte-identical files.
+func TestCoordinatorWriteMergedOrderIndependent(t *testing.T) {
+	dir := t.TempDir()
+	var files [][]byte
+	for i, order := range [][]int{{0, 1, 2}, {2, 0, 1}} {
+		c := completeInOrder(t, order)
+		path := filepath.Join(dir, fmt.Sprintf("m%d.journal", i))
+		n, err := c.WriteMerged(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			first = raw
-			continue
+		rep, keys := scanKeys(t, path)
+		if n != 6 || len(keys) != n {
+			t.Fatalf("order %v: WriteMerged wrote %d records, scanned %d, want 6", order, n, len(keys))
 		}
-		if !bytes.Equal(raw, first) {
-			t.Fatalf("merge order %d produced different bytes than order 0", i)
+		if !sort.StringsAreSorted(keys) {
+			t.Fatalf("order %v: merged records not sorted by key: %v", order, keys)
 		}
+		if got := rep.Meta[explore.MetaLayoutKey]; got != testSpec().LayoutFP {
+			t.Fatalf("order %v: merged journal bound to %q, want %q", order, got, testSpec().LayoutFP)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, raw)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("two shard-completion orders wrote different merged journals")
 	}
 }
 
-func TestMergeJournalsAtomic(t *testing.T) {
-	dir := t.TempDir()
-	const fp = "layout-m"
-	a := writeSweepJournal(t, dir, "a.journal", fp, [][2]string{{"v1", `{"t":1}`}})
-	dst := filepath.Join(dir, "m.journal")
-	// A stale temp file from a crashed previous merge must not wedge it.
+// TestCoordinatorWriteMergedAtomic: a stale temp file from a crashed
+// earlier write does not wedge WriteMerged, and none is left behind.
+func TestCoordinatorWriteMergedAtomic(t *testing.T) {
+	c := completeInOrder(t, []int{0, 1, 2})
+	dst := filepath.Join(t.TempDir(), "m.journal")
 	if err := os.WriteFile(dst+".tmp", []byte("stale"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shard.MergeJournals(dst, fp, a); err != nil {
+	if _, err := c.WriteMerged(dst); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(dst + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind after merge")
+		t.Fatal("temp file left behind after WriteMerged")
 	}
-	_, got := scanAll(t, dst)
-	if len(got) != 1 {
-		t.Fatalf("merged records = %v", got)
-	}
-}
-
-func TestCoordinatorWriteMergedMatchesMergeJournals(t *testing.T) {
-	// The coordinator's in-memory merge and the on-disk journal merge must
-	// agree byte-for-byte: both are presentations of the same record set.
-	clock := newStepClock()
-	c, variants := testCoordinator(t, clock)
-	dir := t.TempDir()
-
-	var journals []string
-	for {
-		g, err := c.Lease("w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g.State == shard.LeaseDone {
-			break
-		}
-		results := shardResults(variants, g.Shard)
-		recs := make([][2]string, len(results))
-		for i, r := range results {
-			recs[i] = [2]string{r.Key, string(r.Payload)}
-		}
-		journals = append(journals,
-			writeSweepJournal(t, dir, g.Shard.ID+".journal", "layout-under-test", recs))
-		if err := c.Complete("w", g.Shard.ID, g.Epoch, results, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fromCoordinator := filepath.Join(dir, "coord.journal")
-	n, err := c.WriteMerged(fromCoordinator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(variants) {
-		t.Fatalf("WriteMerged wrote %d records, want %d", n, len(variants))
-	}
-	fromJournals := filepath.Join(dir, "disk.journal")
-	if _, err := shard.MergeJournals(fromJournals, "layout-under-test", journals...); err != nil {
-		t.Fatal(err)
-	}
-	cb, err := os.ReadFile(fromCoordinator)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := os.ReadFile(fromJournals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cb, jb) {
-		t.Fatal("coordinator merge and journal merge produced different bytes")
+	if _, keys := scanKeys(t, dst); len(keys) != 6 {
+		t.Fatalf("merged records = %v", keys)
 	}
 }

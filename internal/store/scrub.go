@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"sort"
 )
 
@@ -35,19 +36,28 @@ type ScrubReport struct {
 // the next matching evaluation recomputes and replaces them), previously
 // quarantined keys whose records verify clean are released. Verification
 // runs without the store lock — decode work dominates — so concurrent
-// evaluations are not stalled by a scrub.
+// evaluations are not stalled by a scrub. A Put may therefore replace a
+// failing record mid-scrub; only a key whose current record is still the
+// payload verified here is quarantined or reported.
 func (s *Store) Scrub() ScrubReport {
 	entries := s.jnl.Entries()
 	var rep ScrubReport
 	bad := make(map[string]Problem)
+	verified := make(map[string][]byte) // the failing payloads, by key
 	for _, e := range entries {
 		rep.Checked++
 		if p, ok := verifyRecord(e.Key, e.Payload); !ok {
 			bad[e.Key] = p
+			verified[e.Key] = e.Payload
 		}
 	}
 
 	s.mu.Lock()
+	for key := range bad {
+		if cur, ok := s.jnl.Get(key); !ok || !bytes.Equal(cur, verified[key]) {
+			delete(bad, key)
+		}
+	}
 	for key := range s.quarantine {
 		if _, still := bad[key]; !still {
 			delete(s.quarantine, key)

@@ -2,9 +2,11 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"syscall"
 	"testing"
+	"time"
 
 	"skope/internal/hotspot"
 	"skope/internal/hw"
@@ -97,6 +99,49 @@ func TestPutHealsQuarantine(t *testing.T) {
 	// and reports nothing bad.
 	if rep := s.Scrub(); rep.Bad != 0 || rep.Quarantined != 0 {
 		t.Fatalf("scrub after heal = %+v", rep)
+	}
+}
+
+// TestScrubRacingHealDoesNotQuarantine races a scrub against the healing
+// Put of the corrupt record it is verifying. Scrub verifies a snapshot
+// without the store lock, so the Put can land in between; the healed key
+// must never stay quarantined. Hundreds of good records make verification
+// take milliseconds, so the Put usually lands inside that window.
+func TestScrubRacingHealDoesNotQuarantine(t *testing.T) {
+	s, layoutFP, machineFP, mode := scrubFixture(t)
+	a := analyzeOn(t, testLayout(t), hw.BGQ())
+	for i := 0; i < 300; i++ {
+		if err := s.PutEval(layoutFP, fmt.Sprintf("filler-%03d", i), mode, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := evalKey(layoutFP, machineFP, mode)
+	for round := 0; round < 30; round++ {
+		if round > 0 {
+			// Corrupt the record again, as the fixture did.
+			if err := s.jnl.Append(key, []byte("not an analysis")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Scrub()
+		}()
+		// Give the scrub time to take its snapshot, so the Put usually
+		// lands while it verifies. Only how often the race is exercised
+		// depends on this: the assertions hold in every interleaving.
+		time.Sleep(time.Millisecond)
+		if err := s.PutEval(layoutFP, machineFP, mode, a); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if q := s.Quarantined(); len(q) != 0 {
+			t.Fatalf("round %d: healed key stayed quarantined: %v", round, q)
+		}
+		if _, ok, err := s.GetEval(layoutFP, machineFP, mode); !ok || err != nil {
+			t.Fatalf("round %d: GetEval of healed key = (%v, %v)", round, ok, err)
+		}
 	}
 }
 
