@@ -7,10 +7,10 @@
 // the selection quality against the measured profile. With -sweep it
 // switches to design-space exploration: the flag (repeatable) spans a grid
 // of machine variants around the base machine, evaluated analytically
-// through the bounded, memoizing exploration engine. An exhaustive sweep
-// evaluates the base machine as one more variant — journaled, cached and
-// held to the -min-confidence floor like the grid — and every speedup is
-// relative to it.
+// through the bounded, memoizing exploration engine. Every sweep, adaptive
+// or exhaustive, evaluates the base machine as one more variant —
+// journaled, cached and held to the -min-confidence floor like the grid —
+// and every speedup is relative to it.
 //
 // Usage:
 //
@@ -67,8 +67,8 @@
 // missing branch probabilities and trip counts fall back to documented
 // priors, and every substitution is reported as a diagnostic alongside a
 // confidence score. -min-confidence sets a floor below which sweep
-// variants are flagged instead of ranked; an exhaustive sweep whose base
-// machine falls below it fails, since its speedups would have no baseline.
+// variants are flagged instead of ranked; a sweep whose base machine falls
+// below it fails, since its speedups would have no baseline.
 //
 // Exit codes: 0 on a clean run, 1 on failure, 3 when the run completed
 // but degraded — some results rest on fallback priors, recovered parses,
@@ -218,10 +218,10 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 		return false, fmt.Errorf("-adaptive needs -sweep axes to search over")
 	}
 
-	if len(cfg.sw.Axes) > 0 && !cfg.sw.Adaptive {
-		// The exhaustive sweep prepares inside pipeline.SweepCached: a
-		// fully warm store serves the whole sweep — preparation included —
-		// with zero recomputation.
+	if len(cfg.sw.Axes) > 0 {
+		// A sweep prepares inside the pipeline: a fully warm store serves
+		// an exhaustive sweep — preparation included — with zero
+		// recomputation.
 		return sweep(ctx, out, cfg, w, m, lim)
 	}
 
@@ -231,10 +231,6 @@ func run(ctx context.Context, out io.Writer, cfg config) (degraded bool, err err
 		return false, err
 	}
 	reportPreparation(out, run.Confidence, run.Diagnostics)
-
-	if cfg.sw.Adaptive {
-		return sweepAdaptive(ctx, out, cfg, run, m, lim)
-	}
 
 	sections := map[string]bool{}
 	for _, s := range strings.Split(cfg.show, ",") {
@@ -374,15 +370,22 @@ func reportPreparation(out io.Writer, conf float64, diags []guard.Diagnostic) {
 
 // sweep runs the design-space exploration mode: a grid of machine variants
 // around the base machine, evaluated analytically (no simulation) by
-// pipeline.SweepCached, reported as a ranked table plus the time/cost
-// Pareto frontier. The base machine rides along as the last variant, so
-// the baseline is evaluated, journaled, cached and held to the
-// -min-confidence floor exactly like the grid. With -store, warm
-// (workload, variant, settings) triples are served bit-identically from
-// earlier runs — a fully warm grid skips even the preparation — and fresh
-// results are written through for the next run.
+// pipeline.SweepCached — or, with -adaptive, only where
+// pipeline.SweepAdaptive's surrogate-guided search chooses — and reported
+// as a ranked table plus the time/cost Pareto frontier. The base machine
+// rides along as the last variant, so the baseline is evaluated,
+// journaled, cached and held to the -min-confidence floor exactly like
+// the grid. With -store, warm (workload, variant, settings) triples are
+// served bit-identically from earlier runs — a fully warm exhaustive grid
+// skips even the preparation — and fresh results are written through for
+// the next run.
 func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
-	variants, err := cfg.sw.Variants(base)
+	axes, err := cfg.sw.Axes.Axes()
+	if err != nil {
+		return false, err
+	}
+	grid := explore.Grid{Base: base, Axes: axes}
+	variants, err := grid.Variants()
 	if err != nil {
 		return false, err
 	}
@@ -411,7 +414,25 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 
 	all := append(append([]*hw.Machine{}, variants...), base)
 	start := time.Now()
-	evals, sum, err := pipeline.SweepCached(ctx, w, all, st, opts...)
+	var evals []*pipeline.Eval
+	var sum *pipeline.SweepSummary
+	if cfg.sw.Adaptive {
+		evals, sum, err = pipeline.SweepAdaptive(ctx, w, all, st, axes, explore.AdaptiveOptions{
+			Seed:     cfg.sw.AdaptiveSeed,
+			MaxEvals: cfg.sw.AdaptiveBudget,
+			OnRound: func(tr explore.RoundTrace) {
+				fmt.Fprintf(out, "round %2d: %3d evals (%d/%d total)  incumbent %.4g s  surrogate R²=%.3f",
+					tr.Round, tr.Evals, tr.TotalEvals, tr.GridSize, tr.IncumbentTime, tr.R2)
+				if tr.Converged {
+					fmt.Fprint(out, "  converged")
+				}
+				fmt.Fprintln(out)
+			},
+		}, opts...)
+		fmt.Fprintln(out)
+	} else {
+		evals, sum, err = pipeline.SweepCached(ctx, w, all, st, opts...)
+	}
 	if err != nil {
 		if !tolerable(err) || evals == nil {
 			return false, err
@@ -432,25 +453,36 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 	}
 	renderSweep(out, cfg, variants, evals[:len(variants)], baseEval.Analysis, w.Name, base.Name)
 
-	fmt.Fprintf(out, "sweep stats: %d variants in %s", len(variants), wall.Round(time.Microsecond))
-	if st != nil {
-		stats := st.Stats()
-		fmt.Fprintf(out, ", store %s, %.1f%% served from store (%d hits / %d misses)",
-			st.Path(), 100*stats.HitRate(), stats.Hits, stats.Misses)
-	}
-	if sum.SkippedPrepare {
-		fmt.Fprint(out, ", preparation skipped (fully warm)")
+	if ad := sum.Adaptive; ad != nil {
+		mode := "budget exhausted"
+		if ad.Converged {
+			mode = "converged"
+		}
+		fmt.Fprintf(out, "adaptive search: %d of %d evaluations (%.1f%%) in %d rounds (%s), %s wall\n",
+			ad.Evals, ad.GridSize, 100*float64(ad.Evals)/float64(ad.GridSize),
+			len(ad.Rounds), mode, wall.Round(time.Microsecond))
+		fmt.Fprintln(out, "note: exhaustive mode (no -adaptive) remains the golden reference; the adaptive optimum is exact but only the full grid proves it global")
 	} else {
-		stats := last.Cache
-		fmt.Fprintf(out, ", cache hit rate %.1f%% (%d hits / %d misses)", 100*stats.HitRate(), stats.Hits, stats.Misses)
+		fmt.Fprintf(out, "sweep stats: %d variants in %s", len(variants), wall.Round(time.Microsecond))
+		if st != nil {
+			stats := st.Stats()
+			fmt.Fprintf(out, ", store %s, %.1f%% served from store (%d hits / %d misses)",
+				st.Path(), 100*stats.HitRate(), stats.Hits, stats.Misses)
+		}
+		if sum.SkippedPrepare {
+			fmt.Fprint(out, ", preparation skipped (fully warm)")
+		} else {
+			stats := last.Cache
+			fmt.Fprintf(out, ", cache hit rate %.1f%% (%d hits / %d misses)", 100*stats.HitRate(), stats.Hits, stats.Misses)
+		}
+		if sum.FromJournal > 0 {
+			fmt.Fprintf(out, ", %d replayed from journal", sum.FromJournal)
+		}
+		if last.Retried > 0 {
+			fmt.Fprintf(out, ", %d retries", last.Retried)
+		}
+		fmt.Fprintln(out)
 	}
-	if sum.FromJournal > 0 {
-		fmt.Fprintf(out, ", %d replayed from journal", sum.FromJournal)
-	}
-	if last.Retried > 0 {
-		fmt.Fprintf(out, ", %d retries", last.Retried)
-	}
-	fmt.Fprintln(out)
 	if j != nil {
 		if n, torn := j.Recovered(); n > 0 || torn {
 			fmt.Fprintf(out, "journal %s: %d completed variants to replay", cfg.sw.Journal, replayable)
@@ -463,85 +495,6 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 	if sum.Confidence < 1 || len(sum.Diagnostics) > 0 {
 		degraded = true
 		fmt.Fprintf(out, "sweep %s\n", report.Confidence(sum.Confidence, sum.Diagnostics))
-	}
-	return degraded, nil
-}
-
-// sweepAdaptive runs the surrogate-guided search: seed sample, online
-// least-squares fit, ranked acquisition rounds, patience stop. Journal
-// and store attach through the same pipeline options as an exhaustive
-// sweep (every evaluation is an exact engine evaluation); the ranked
-// table at the end covers only the evaluated slice of the grid, with the
-// eval-count savings reported against the exhaustive count.
-func sweepAdaptive(ctx context.Context, out io.Writer, cfg config, run *pipeline.Run, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
-	axes, err := cfg.sw.Axes.Axes()
-	if err != nil {
-		return false, err
-	}
-	grid := explore.Grid{Base: base, Axes: axes}
-	variants, err := grid.Variants()
-	if err != nil {
-		return false, err
-	}
-
-	opts := sweepOptions(cfg, lim)
-	if cfg.sw.Store != "" {
-		st, serr := store.Open(cfg.sw.Store)
-		if serr != nil {
-			return false, serr
-		}
-		defer st.Close()
-		opts = append(opts, pipeline.WithStore(st))
-	}
-	j, err := openJournal(cfg)
-	if err != nil {
-		return false, err
-	}
-	if j != nil {
-		defer j.Close()
-		opts = append(opts, pipeline.WithJournal(j))
-	}
-
-	aopt := explore.AdaptiveOptions{
-		Seed:     cfg.sw.AdaptiveSeed,
-		MaxEvals: cfg.sw.AdaptiveBudget,
-		OnRound: func(tr explore.RoundTrace) {
-			fmt.Fprintf(out, "round %2d: %3d evals (%d/%d total)  incumbent %.4g s  surrogate R²=%.3f",
-				tr.Round, tr.Evals, tr.TotalEvals, tr.GridSize, tr.IncumbentTime, tr.R2)
-			if tr.Converged {
-				fmt.Fprint(out, "  converged")
-			}
-			fmt.Fprintln(out)
-		},
-	}
-	start := time.Now()
-	evals, ares, err := pipeline.SweepAdaptive(ctx, run, variants, axes, aopt, opts...)
-	if err != nil {
-		if !tolerable(err) || evals == nil {
-			return false, err
-		}
-		degraded = true
-	}
-	wall := time.Since(start)
-	fmt.Fprintln(out)
-
-	baseline, err := hotspot.Analyze(ctx, run.BET, hw.NewModel(base), run.Libs)
-	if err != nil {
-		return degraded, err
-	}
-	renderSweep(out, cfg, variants, evals, baseline, run.Workload.Name, base.Name)
-
-	mode := "budget exhausted"
-	if ares.Converged {
-		mode = "converged"
-	}
-	fmt.Fprintf(out, "adaptive search: %d of %d evaluations (%.1f%%) in %d rounds (%s), %s wall\n",
-		ares.Evals, ares.GridSize, 100*float64(ares.Evals)/float64(ares.GridSize),
-		len(ares.Rounds), mode, wall.Round(time.Microsecond))
-	fmt.Fprintln(out, "note: exhaustive mode (no -adaptive) remains the golden reference; the adaptive optimum is exact but only the full grid proves it global")
-	if run.Degraded() {
-		degraded = true
-		fmt.Fprintf(out, "sweep %s\n", report.Confidence(run.Confidence, run.Diagnostics))
 	}
 	return degraded, nil
 }

@@ -189,6 +189,17 @@ func main() {
 // under the given confidence floor; storePath empty means no -store.
 func lenientSweep(t *testing.T, dir string, minConf float64, storePath string) (string, error) {
 	t.Helper()
+	return lenientRun(t, dir, cliflags.Sweep{
+		Axes:          cliflags.AxisList{"mem-latency=60,180"},
+		MinConfidence: minConf,
+		Store:         storePath,
+	})
+}
+
+// lenientRun runs skope -lenient on lenientSource, written to dir, with
+// the given sweep flags.
+func lenientRun(t *testing.T, dir string, sw cliflags.Sweep) (string, error) {
+	t.Helper()
 	path := filepath.Join(dir, "app.ml")
 	if err := os.WriteFile(path, []byte(lenientSource), 0o644); err != nil {
 		t.Fatal(err)
@@ -198,11 +209,7 @@ func lenientSweep(t *testing.T, dir string, minConf float64, storePath string) (
 		mach: cliflags.Machine{Preset: "bgq"},
 		grd:  cliflags.Guard{Lenient: true},
 		crit: cliflags.Criteria{Coverage: 0.9, Leanness: 0.5, MaxSpots: 10},
-		sw: cliflags.Sweep{
-			Axes:          cliflags.AxisList{"mem-latency=60,180"},
-			MinConfidence: minConf,
-			Store:         storePath,
-		},
+		sw:   sw,
 	}
 	var buf bytes.Buffer
 	_, err := run(context.Background(), &buf, cfg)
@@ -237,6 +244,83 @@ func TestRunSweepPlainMatchesStore(t *testing.T) {
 	}
 	if got, want := tableOf(t, stored), tableOf(t, plain); got != want {
 		t.Errorf("-store sweep rendered differently:\n--- store ---\n%s\n--- plain ---\n%s", got, want)
+	}
+}
+
+// adaptiveLenientSweep is the 36-variant grid of the adaptive tests
+// over lenientSource, searched with a fixed seed.
+func adaptiveLenientSweep(minConf float64, storePath string, adaptive bool) cliflags.Sweep {
+	return cliflags.Sweep{
+		Axes:          cliflags.AxisList{"freq-ghz=1.2,1.6,2.0,2.4", "mem-latency=80,110,150", "hit-l1=0.9,0.95,0.99"},
+		MinConfidence: minConf,
+		Store:         storePath,
+		Adaptive:      adaptive,
+		AdaptiveSeed:  13,
+	}
+}
+
+// TestRunAdaptiveBaselineBelowFloor: an adaptive sweep holds the base
+// machine to -min-confidence like an exhaustive one, so a floor above
+// the analysis confidence fails plain and -store runs alike.
+func TestRunAdaptiveBaselineBelowFloor(t *testing.T) {
+	dir := t.TempDir()
+	for _, storePath := range []string{"", filepath.Join(dir, "results.cas")} {
+		out, err := lenientRun(t, dir, adaptiveLenientSweep(0.995, storePath, true))
+		if err == nil || err.Error() != "baseline BG/Q failed to evaluate" {
+			t.Errorf("store %q: err = %v, want the baseline failure\n%s", storePath, err, out)
+		}
+	}
+}
+
+// sweepRows maps each row of the rendered ranked table to its variant's
+// columns after the rank, whitespace-normalized: the column widths depend
+// on which rows the table holds.
+func sweepRows(t *testing.T, out string) map[string]string {
+	t.Helper()
+	rows := map[string]string{}
+	i := strings.Index(out, "== design-space sweep")
+	if i < 0 {
+		t.Fatalf("no ranked table in:\n%s", out)
+	}
+	in := false
+	for _, line := range strings.Split(out[i:], "\n") {
+		switch {
+		case strings.HasPrefix(line, "----"):
+			in = true
+		case in && strings.TrimSpace(line) == "":
+			return rows
+		case in:
+			f := strings.Fields(line)
+			rest := strings.Join(f[1:], " ")
+			rows[rest[:strings.Index(rest, "]")+1]] = rest
+		}
+	}
+	t.Fatalf("no ranked table in:\n%s", out)
+	return nil
+}
+
+// TestRunAdaptiveRowsMatchExhaustive: above the floor, every row of an
+// adaptive sweep — time and speedup included — equals the exhaustive
+// sweep's row for the same variant, because both evaluate the baseline
+// the same way.
+func TestRunAdaptiveRowsMatchExhaustive(t *testing.T) {
+	dir := t.TempDir()
+	exOut, err := lenientRun(t, dir, adaptiveLenientSweep(0.99, "", false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adOut, err := lenientRun(t, dir, adaptiveLenientSweep(0.99, "", true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exhaustive, adaptive := sweepRows(t, exOut), sweepRows(t, adOut)
+	if len(exhaustive) != 36 || len(adaptive) == 0 || len(adaptive) >= len(exhaustive) {
+		t.Fatalf("%d adaptive rows, %d exhaustive rows:\n%s", len(adaptive), len(exhaustive), adOut)
+	}
+	for variant, row := range adaptive {
+		if exhaustive[variant] != row {
+			t.Errorf("adaptive row %q, exhaustive %q", row, exhaustive[variant])
+		}
 	}
 }
 

@@ -9,7 +9,11 @@
 // session holds its requested workers as tokens of a counting semaphore —
 // and their results are served as a chunked JSON-lines stream: progress
 // while running, then the ranked variants, then a summary trailer with the
-// Pareto frontier.
+// Pareto frontier. A session sweeps the full grid, or with mode
+// "adaptive" only the variants a surrogate-guided search chooses; in both
+// modes the base machine is swept as the last variant — journaled, stored
+// and held to the confidence floor like the grid — so a baseline below
+// the floor fails the session.
 //
 // Every result the daemon computes is written through to the
 // content-addressed store (-store). Results are keyed by what they are —
@@ -195,7 +199,7 @@ func runWorker(cfg daemonConfig) int {
 			fmt.Printf("skoped: worker %s: no open jobs\n", id)
 			return 0
 		}
-		w := &shard.Worker{Client: client, JobID: jobID, ID: id, DataDir: cfg.dataDir, RPCTimeout: cfg.net.RPCTimeout}
+		w := &shard.Worker{Client: client, JobID: jobID, ID: id, DataDir: cfg.dataDir}
 		stats, err := w.Run(ctx)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || ctx.Err() != nil {

@@ -295,6 +295,51 @@ func TestAdaptiveSession(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSessionBaselineBelowFloor: an adaptive session sweeps the
+// base machine as its last variant and holds it to min_confidence, so a
+// source whose lenient analysis confidence is 0.9922 fails at a 0.995
+// floor instead of reporting speedups against a rejected baseline. At
+// 0.99 it completes: the baseline is evaluated by the engine, never by
+// the simulator, which cannot run this source to completion.
+func TestAdaptiveSessionBaselineBelowFloor(t *testing.T) {
+	_, ts := testServer(t, t.TempDir(), filepath.Join(t.TempDir(), "cas"), 2)
+	lenient := true
+	session := func(minConf float64) string {
+		return submit(t, ts.URL, sessionRequest{
+			Source: `
+global n: int = 64;
+global z: int = 0;
+global a: [n]float;
+func main() {
+  for i = 0 .. n { a[i] = exp(a[i]) * 0.5; }
+  for k = 0 .. n / z { a[0] = a[0] * 2.0; }
+}
+`,
+			Sweep:   []string{"freq-ghz=1.2,1.6,2.0,2.4", "mem-latency=80,110,150", "hit-l1=0.9,0.95,0.99"},
+			Mode:    modeAdaptive,
+			Lenient: &lenient, MinConfidence: minConf, AdaptiveSeed: 13,
+		})
+	}
+	id := session(0.995)
+	info := waitState(t, ts.URL, id)
+	if info["state"] != stateFailed || info["error"] != "baseline BG/Q failed to evaluate" {
+		t.Fatalf("session ended %v (%v), want failed on the baseline", info["state"], info["error"])
+	}
+	results, summary := streamLines(t, ts.URL, id, "")
+	if len(results) != 0 || summary["state"] != stateFailed {
+		t.Errorf("%d result lines, summary %v", len(results), summary)
+	}
+
+	id = session(0.99)
+	if info := waitState(t, ts.URL, id); info["state"] != stateDone {
+		t.Fatalf("session at floor 0.99 ended %v (%v)", info["state"], info["error"])
+	}
+	results, summary = streamLines(t, ts.URL, id, "")
+	if len(results) == 0 || summary["baseline_time_s"] == 0.0 {
+		t.Errorf("%d result lines, baseline time %v", len(results), summary["baseline_time_s"])
+	}
+}
+
 func TestSessionValidation(t *testing.T) {
 	_, ts := testServer(t, t.TempDir(), "", 1)
 	bad := []sessionRequest{

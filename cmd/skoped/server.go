@@ -713,12 +713,12 @@ wait:
 		BaselineTimeS:     baseline,
 		ReplayOrder:       sess.replayOrder,
 	}
-	if sess.adaptive != nil {
+	if ad := sess.summary.Adaptive; ad != nil {
 		sum.Mode = modeAdaptive
-		sum.Evals = sess.adaptive.Evals
-		sum.GridSize = sess.adaptive.GridSize
-		sum.Rounds = len(sess.adaptive.Rounds)
-		sum.Converged = sess.adaptive.Converged
+		sum.Evals = ad.Evals
+		sum.GridSize = ad.GridSize
+		sum.Rounds = len(ad.Rounds)
+		sum.Converged = ad.Converged
 	}
 	analyses := sess.analyses()
 	if best := explore.Best(analyses); best >= 0 {

@@ -115,23 +115,16 @@ type session struct {
 	baseEval    *pipeline.Eval
 	summary     *pipeline.SweepSummary
 	replayOrder []string // journal keys in original completion order (resumed sessions)
-	// Adaptive-mode state: the round trace grows as rounds complete (the
-	// result stream tails it live) and the final search outcome lands in
-	// adaptive when the session finishes.
-	rounds   []explore.RoundTrace
-	adaptive *explore.AdaptiveResult
+	// rounds is an adaptive session's round trace, grown as rounds
+	// complete (the result stream tails it live); the final search
+	// outcome is summary.Adaptive.
+	rounds []explore.RoundTrace
 }
 
 func (s *session) setState(state string) {
 	s.mu.Lock()
 	s.state = state
 	s.mu.Unlock()
-}
-
-func (s *session) snapshotState() (state, errMsg string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state, s.errMsg
 }
 
 // jid validates journal IDs: they become file names under -data-dir.
@@ -263,9 +256,11 @@ func (srv *server) newSession(id string, req sessionRequest) (*session, error) {
 	return sess, nil
 }
 
-// run executes the session: acquire the worker budget, run the sweep
-// through the shared store (and the session journal when named), record
-// the outcome. It owns the session's terminal state.
+// run executes the session: acquire the worker budget, run the sweep —
+// exhaustive or adaptive — through the shared store (and the session
+// journal when named), record the outcome. The base machine is swept as
+// the last variant, so a baseline below the confidence floor fails the
+// session in either mode. run owns the session's terminal state.
 func (srv *server) run(ctx context.Context, sess *session) {
 	defer func() {
 		// Terminal bookkeeping: stamp the finish time (the -session-ttl GC
@@ -319,13 +314,23 @@ func (srv *server) run(ctx context.Context, sess *session) {
 		opts = append(opts, pipeline.WithJournal(j))
 	}
 
-	if sess.req.Mode == modeAdaptive {
-		srv.runAdaptive(ctx, sess, opts)
-		return
-	}
-
 	all := append(append([]*hw.Machine{}, sess.variants...), sess.base)
-	evals, sum, err := pipeline.SweepCached(ctx, sess.workload, all, srv.store, opts...)
+	var evals []*pipeline.Eval
+	var sum *pipeline.SweepSummary
+	var err error
+	if sess.req.Mode == modeAdaptive {
+		evals, sum, err = pipeline.SweepAdaptive(ctx, sess.workload, all, srv.store, sess.axes, explore.AdaptiveOptions{
+			Seed:     sess.req.AdaptiveSeed,
+			MaxEvals: sess.req.AdaptiveBudget,
+			OnRound: func(tr explore.RoundTrace) {
+				sess.mu.Lock()
+				sess.rounds = append(sess.rounds, tr)
+				sess.mu.Unlock()
+			},
+		}, opts...)
+	} else {
+		evals, sum, err = pipeline.SweepCached(ctx, sess.workload, all, srv.store, opts...)
+	}
 	if err != nil && !tolerable(err) || evals == nil {
 		if ctx.Err() != nil {
 			sess.setState(stateCanceled)
@@ -345,9 +350,14 @@ func (srv *server) run(ctx context.Context, sess *session) {
 		sess.errMsg = err.Error()
 	}
 	// A fully warm run never invoked the engine, so synthesize the final
-	// progress from the summary.
+	// progress from the summary; an adaptive session reports the search's
+	// spend against the grid.
+	done, total := sum.Total, sum.Total
+	if ad := sum.Adaptive; ad != nil {
+		done, total = ad.Evals, ad.GridSize
+	}
 	sess.progress = explore.Progress{
-		Done: sum.Total, Total: sum.Total,
+		Done: done, Total: total,
 		Replayed: sum.FromJournal, Stored: sum.FromStore,
 		Retried: sess.progress.Retried, Elapsed: time.Since(sess.created),
 	}
@@ -355,92 +365,6 @@ func (srv *server) run(ctx context.Context, sess *session) {
 		sess.state = stateFailed
 		sess.errMsg = "baseline " + sess.base.Name + " failed to evaluate"
 		return
-	}
-	sess.state = stateDone
-}
-
-// runAdaptive executes an "adaptive"-mode session: prepare once, run the
-// surrogate-guided search through pipeline.SweepAdaptive (the shared
-// store and the session journal ride along on the options, so the
-// evaluations compose with the daemon's caching exactly like an exact
-// sweep's), evaluate the baseline, and record the round trace + outcome.
-// Called with the worker budget already held; the caller owns the
-// terminal state on the paths that return early.
-func (srv *server) runAdaptive(ctx context.Context, sess *session, opts []pipeline.Option) {
-	if srv.store != nil {
-		opts = append(opts, pipeline.WithStore(srv.store))
-	}
-	run, err := pipeline.Prepare(ctx, sess.workload, opts...)
-	if err != nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(err)
-		return
-	}
-	aopt := explore.AdaptiveOptions{
-		Seed:     sess.req.AdaptiveSeed,
-		MaxEvals: sess.req.AdaptiveBudget,
-		OnRound: func(tr explore.RoundTrace) {
-			sess.mu.Lock()
-			sess.rounds = append(sess.rounds, tr)
-			sess.mu.Unlock()
-		},
-	}
-	evals, ares, err := pipeline.SweepAdaptive(ctx, run, sess.variants, sess.axes, aopt, opts...)
-	if err != nil && !tolerable(err) || evals == nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(err)
-		return
-	}
-	baseEval, berr := pipeline.Evaluate(ctx, run, sess.base, opts...)
-	if berr != nil {
-		if ctx.Err() != nil {
-			sess.setState(stateCanceled)
-			return
-		}
-		sess.fail(berr)
-		return
-	}
-
-	sum := &pipeline.SweepSummary{
-		Workload:    run.Workload.Name,
-		Total:       len(sess.variants),
-		Confidence:  run.Confidence,
-		Diagnostics: run.Diagnostics,
-	}
-	for _, ev := range evals {
-		if ev == nil {
-			continue
-		}
-		switch ev.Provenance {
-		case pipeline.FromJournal:
-			sum.FromJournal++
-		case pipeline.FromStore:
-			sum.FromStore++
-		default:
-			sum.Computed++
-		}
-	}
-
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	sess.baseEval = baseEval
-	sess.evals = evals
-	sess.summary = sum
-	sess.adaptive = ares
-	sess.degraded = err != nil || run.Confidence < 1 || len(run.Diagnostics) > 0
-	if err != nil {
-		sess.errMsg = err.Error()
-	}
-	sess.progress = explore.Progress{
-		Done: ares.Evals, Total: ares.GridSize,
-		Replayed: sum.FromJournal, Stored: sum.FromStore,
-		Retried: sess.progress.Retried, Elapsed: time.Since(sess.created),
 	}
 	sess.state = stateDone
 }

@@ -23,16 +23,14 @@ import (
 // for under-sampled regions), stopping once the incumbent optimum has
 // survived a configured number of rounds unimproved.
 //
-// The split of responsibilities matters for the distributed path: the
-// AdaptivePlanner is pure bookkeeping — which grid indices to evaluate
-// next, what has been observed, when to stop — with no engine, journal,
-// or store dependency, so internal/shard can drive the identical policy
-// by mailing each round out as a sharded job. Engine.Adaptive is the
-// in-process driver: each round's batch flows through Engine.Stream, so
-// journaling, CAS store hits, retries, breakers, and MinConfidence all
-// compose with adaptive search unchanged. Exact (exhaustive) mode remains
-// the golden reference; adaptive mode trades completeness for evaluations
-// and is asserted against it in the parity tests.
+// The AdaptivePlanner is pure bookkeeping — which grid indices to
+// evaluate next, what has been observed, when to stop — with no engine,
+// journal, or store dependency. Engine.Adaptive is its driver: each
+// round's batch flows through Engine.Stream, so journaling, CAS store
+// hits, retries, breakers, and MinConfidence all compose with adaptive
+// search unchanged. Exact (exhaustive) mode remains the golden reference;
+// adaptive mode trades completeness for evaluations and is asserted
+// against it in the parity tests.
 
 // AdaptiveOptions configures the acquisition loop. The zero value asks
 // for defaults everywhere, which the planner resolves against the grid's

@@ -287,8 +287,8 @@ func TestChaosKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	journaled := map[string]bool{}
-	for fp := range j.Replay() {
-		journaled[fp] = true
+	for _, e := range j.Entries() {
+		journaled[e.Key] = true
 	}
 	j.Close()
 	if len(journaled) == 0 || len(journaled) >= len(variants) {
@@ -422,8 +422,8 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	journaled := map[string]bool{}
-	for fp := range j.Replay() {
-		journaled[fp] = true
+	for _, e := range j.Entries() {
+		journaled[e.Key] = true
 	}
 	j.Close()
 	if len(journaled) == 0 || len(journaled) >= want.Evals {

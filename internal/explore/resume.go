@@ -30,9 +30,6 @@ import (
 // directly resumable through the Journal option.
 const MetaLayoutKey = "layout"
 
-// metaLayoutKey is the internal alias (predates the export).
-const metaLayoutKey = MetaLayoutKey
-
 // ErrJournalDegraded marks a sweep whose analyses are all intact but
 // whose journal stopped accepting writes mid-run: results are complete,
 // crash-resume coverage is partial. Callers that treat durability as
@@ -97,25 +94,25 @@ func decodeTimes(in []recTimes) []hotspot.BlockTimes {
 // otherwise — the workload, profile, or translation changed since the
 // journal was written).
 func (e *Engine) bindJournal(j *journal.Journal) error {
-	if err := j.SetMeta(map[string]string{metaLayoutKey: e.layout.Fingerprint()}); err != nil {
+	if err := j.SetMeta(map[string]string{MetaLayoutKey: e.layout.Fingerprint()}); err != nil {
 		return fmt.Errorf("explore: journal not resumable for this workload: %w", err)
 	}
 	replay := make(map[string]replayEntry)
-	for key, payload := range j.Replay() {
+	for _, rc := range j.Entries() {
 		var rec sweepRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return fmt.Errorf("explore: journal record %s: %w", key, err)
+		if err := json.Unmarshal(rc.Payload, &rec); err != nil {
+			return fmt.Errorf("explore: journal record %s: %w", rc.Key, err)
 		}
 		if len(rec.Comp) != e.layout.NumComp() || len(rec.Comm) != e.layout.NumComm() {
 			return fmt.Errorf("explore: journal record %s: %d comp / %d comm blocks, layout has %d / %d",
-				key, len(rec.Comp), len(rec.Comm), e.layout.NumComp(), e.layout.NumComm())
+				rc.Key, len(rec.Comp), len(rec.Comm), e.layout.NumComp(), e.layout.NumComm())
 		}
 		entry := replayEntry{comp: decodeTimes(rec.Comp), comm: decodeTimes(rec.Comm)}
 		if rec.Conf != nil {
 			c := math.Float64frombits(*rec.Conf)
 			entry.conf = &c
 		}
-		replay[key] = entry
+		replay[rc.Key] = entry
 	}
 	e.jnl = j
 	e.replay = replay

@@ -22,7 +22,6 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -90,7 +89,8 @@ type Journal struct {
 // contents: the meta header and every intact record. A torn final line —
 // the footprint of a crash mid-Append — is discarded by truncating the
 // file back to the last intact record; corruption anywhere before the
-// tail is an error, since an fsync-per-record log cannot produce it.
+// tail is an error wrapping ErrCorrupt, since an fsync-per-record log
+// cannot produce it.
 func Open(path string) (*Journal, error) {
 	return OpenFS(iofault.Disk, path)
 }
@@ -114,74 +114,35 @@ func OpenFS(fsys iofault.FS, path string) (*Journal, error) {
 	return j, nil
 }
 
-// recover scans the file line by line, stopping at the first damaged
-// line. If the damage is anything but a torn tail, it is corruption.
+// recover walks the file from the start and takes over what it finds.
+// A torn tail is truncated away; any other damage is refused (walk wraps
+// it in ErrCorrupt).
 func (j *Journal) recover() error {
 	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("journal %s: %w", j.path, err)
 	}
-	r := bufio.NewReaderSize(j.f, 1<<16)
-	var good int64 // offset just past the last intact line
-	lineNo := 0
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF && len(line) == 0 {
-			break
+	rep, err := walk(j.f, j.path, func(key string, payload []byte) error {
+		if _, seen := j.records[key]; !seen {
+			j.order = append(j.order, key)
 		}
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("journal %s: %w", j.path, err)
-		}
-		payload, perr := parseLine(line)
-		if perr != nil || err == io.EOF {
-			// Damaged or unterminated line: legitimate only as the very
-			// last line (a torn Append) after an intact header. A damaged
-			// first line means this is not (or no longer is) a journal —
-			// refuse rather than truncate someone else's file.
-			if lineNo == 0 {
-				return fmt.Errorf("journal %s: not a journal (bad or torn header); remove the file to start fresh", j.path)
-			}
-			if _, after := r.ReadByte(); after != io.EOF {
-				return fmt.Errorf("journal %s: line %d: corrupt record before end of file: %v",
-					j.path, lineNo+1, perr)
-			}
-			j.truncated = true
-			break
-		}
-		lineNo++
-		if lineNo == 1 {
-			var h header
-			if uerr := json.Unmarshal(payload, &h); uerr != nil || h.Magic != magic {
-				return fmt.Errorf("journal %s: not a journal (bad header)", j.path)
-			}
-			if h.Version != version {
-				return fmt.Errorf("journal %s: unsupported version %d (want %d)", j.path, h.Version, version)
-			}
-			j.meta = h.Meta
-		} else {
-			var rec record
-			if uerr := json.Unmarshal(payload, &rec); uerr != nil {
-				return fmt.Errorf("journal %s: line %d: bad record: %w", j.path, lineNo, uerr)
-			}
-			if _, seen := j.records[rec.Key]; !seen {
-				j.order = append(j.order, rec.Key)
-			}
-			j.records[rec.Key] = rec.Payload
-			j.recovered++
-		}
-		good += int64(len(line))
+		j.records[key] = payload
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	j.meta, j.recovered, j.truncated, j.size = rep.Meta, rep.Records, rep.TornTail, rep.TornOffset
 	if j.truncated {
-		if err := j.f.Truncate(good); err != nil {
+		if err := j.f.Truncate(j.size); err != nil {
 			return fmt.Errorf("journal %s: truncating torn tail: %w", j.path, err)
 		}
 		if err := j.f.Sync(); err != nil {
 			return fmt.Errorf("journal %s: %w", j.path, err)
 		}
 	}
-	if _, err := j.f.Seek(good, io.SeekStart); err != nil {
+	if _, err := j.f.Seek(j.size, io.SeekStart); err != nil {
 		return fmt.Errorf("journal %s: %w", j.path, err)
 	}
-	j.size = good
 	return nil
 }
 
@@ -328,9 +289,9 @@ type Entry struct {
 // Entries returns a copy of every intact record in original completion
 // order: distinct keys appear in the order they were first appended
 // (recovered records first, in file order), each carrying its most recent
-// payload. This is the ordered counterpart of Replay — resuming consumers
-// (the skoped daemon streaming a dead session's results) use it to replay
-// work in the order it originally finished.
+// payload. Resuming consumers (the explore engine binding a journal, the
+// skoped daemon streaming a dead session's results) use it to replay work
+// in the order it originally finished.
 func (j *Journal) Entries() []Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -345,7 +306,7 @@ func (j *Journal) Entries() []Entry {
 }
 
 // Get returns a copy of the latest payload appended under key, if any.
-// It is the point-lookup counterpart of Replay, for consumers (the result
+// It is the point-lookup counterpart of Entries, for consumers (the result
 // store) that address individual records rather than replaying the log.
 func (j *Journal) Get(key string) ([]byte, bool) {
 	j.mu.Lock()
@@ -357,21 +318,6 @@ func (j *Journal) Get(key string) ([]byte, bool) {
 	cp := make([]byte, len(v))
 	copy(cp, v)
 	return cp, true
-}
-
-// Replay returns a copy of every intact record currently in the journal
-// (recovered at Open plus any appended since), keyed as appended. The map
-// carries no ordering; use Entries for original completion order.
-func (j *Journal) Replay() map[string][]byte {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string][]byte, len(j.records))
-	for k, v := range j.records {
-		cp := make([]byte, len(v))
-		copy(cp, v)
-		out[k] = cp
-	}
-	return out
 }
 
 // Len returns the number of distinct record keys in the journal.

@@ -42,9 +42,10 @@ func TestRoundTrip(t *testing.T) {
 	if got := j2.Meta()["layout"]; got != "abc123" {
 		t.Errorf("recovered meta layout = %q", got)
 	}
-	recs := j2.Replay()
-	if len(recs) != 2 || string(recs["fp1"]) != "payload-1" || string(recs["fp2"]) != "payload-2" {
-		t.Errorf("Replay = %v", recs)
+	if recs := j2.Entries(); len(recs) != 2 ||
+		recs[0].Key != "fp1" || string(recs[0].Payload) != "payload-1" ||
+		recs[1].Key != "fp2" || string(recs[1].Payload) != "payload-2" {
+		t.Errorf("Entries = %v", recs)
 	}
 	if n, torn := j2.Recovered(); n != 2 || torn {
 		t.Errorf("Recovered = (%d, %v), want (2, false)", n, torn)
@@ -90,9 +91,8 @@ func TestTornTailIsDiscarded(t *testing.T) {
 	if n, torn := j2.Recovered(); n != 1 || !torn {
 		t.Fatalf("Recovered = (%d, %v), want (1, true)", n, torn)
 	}
-	recs := j2.Replay()
-	if len(recs) != 1 || string(recs["good"]) != "kept" {
-		t.Errorf("Replay after torn tail = %v", recs)
+	if recs := j2.Entries(); len(recs) != 1 || recs[0].Key != "good" || string(recs[0].Payload) != "kept" {
+		t.Errorf("Entries after torn tail = %v", recs)
 	}
 	// The tail must be physically gone so future appends start clean.
 	if err := j2.Append("next", []byte("v")); err != nil {
@@ -151,7 +151,7 @@ func TestLastRecordWins(t *testing.T) {
 	}
 	j.Append("k", []byte("first"))
 	j.Append("k", []byte("second"))
-	if got := string(j.Replay()["k"]); got != "second" {
+	if got, _ := j.Get("k"); string(got) != "second" {
 		t.Errorf("duplicate key replayed %q, want second", got)
 	}
 	if j.Len() != 1 {
@@ -185,9 +185,9 @@ func TestConcurrentAppends(t *testing.T) {
 	if j2.Len() != 200 {
 		t.Errorf("recovered %d records, want 200", j2.Len())
 	}
-	for k, v := range j2.Replay() {
-		if k != string(v) {
-			t.Errorf("record %q holds %q", k, v)
+	for _, e := range j2.Entries() {
+		if e.Key != string(e.Payload) {
+			t.Errorf("record %q holds %q", e.Key, e.Payload)
 		}
 	}
 }
@@ -201,7 +201,7 @@ func TestEmptyPayload(t *testing.T) {
 	}
 	j.Close()
 	j2 := openT(t, path)
-	if v, ok := j2.Replay()["empty"]; !ok || len(v) != 0 {
+	if v, ok := j2.Get("empty"); !ok || len(v) != 0 {
 		t.Errorf("empty payload lost: %v %v", v, ok)
 	}
 }

@@ -17,10 +17,10 @@ import (
 // scrub (a verifier must not modify what it verifies) and wrong for merge
 // inputs it does not own. Scan leaves the file untouched.
 
-// ErrCorrupt marks damage Scan found before the end of the file — a bad
+// ErrCorrupt marks damage Scan or Open found: a bad header, or a bad
 // frame or checksum followed by more data. A torn tail (the one partial
-// line a crash mid-Append can leave) is NOT corruption; it is reported on
-// ScanReport.TornTail instead.
+// line a crash mid-Append can leave) is NOT corruption; Scan reports it on
+// ScanReport.TornTail and Open truncates it.
 var ErrCorrupt = errors.New("journal corrupt")
 
 // ScanReport is the outcome of one read-only journal walk.
@@ -50,38 +50,48 @@ func Scan(path string, fn func(key string, payload []byte) error) (ScanReport, e
 // ScanFS is Scan through an explicit file abstraction (nil = the disk),
 // mirroring OpenFS for read-only walks.
 func ScanFS(fsys iofault.FS, path string, fn func(key string, payload []byte) error) (ScanReport, error) {
-	var rep ScanReport
 	if fsys == nil {
 		fsys = iofault.Disk
 	}
 	f, err := fsys.Open(path)
 	if err != nil {
-		return rep, fmt.Errorf("journal: %w", err)
+		return ScanReport{}, fmt.Errorf("journal: %w", err)
 	}
 	defer f.Close()
+	return walk(f, path, fn)
+}
 
-	r := bufio.NewReaderSize(f, 1<<16)
-	var good int64
+// walk reads the journal frames in r: the header, then every record in
+// file order, handed to fn (nil skips them). A damaged or unterminated
+// final line is a torn tail, reported on the ScanReport; a bad header or
+// damage before the end of the file fails with an error wrapping
+// ErrCorrupt. An error from fn aborts the walk and is returned as-is.
+// Shared by Open's recovery and Scan.
+func walk(r io.Reader, path string, fn func(key string, payload []byte) error) (rep ScanReport, err error) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	lineNo := 0
 	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF && len(line) == 0 {
-			break
+		line, rerr := br.ReadBytes('\n')
+		if rerr == io.EOF && len(line) == 0 {
+			return rep, nil
 		}
-		if err != nil && err != io.EOF {
-			return rep, fmt.Errorf("journal %s: %w", path, err)
+		if rerr != nil && rerr != io.EOF {
+			return rep, fmt.Errorf("journal %s: %w", path, rerr)
 		}
 		payload, perr := parseLine(line)
-		if perr != nil || err == io.EOF {
+		if perr != nil || rerr == io.EOF {
+			// Damaged or unterminated line: legitimate only as the very
+			// last line (a torn Append) after an intact header. A damaged
+			// first line means this is not (or no longer is) a journal —
+			// refuse rather than truncate someone else's file.
 			if lineNo == 0 {
 				return rep, fmt.Errorf("journal %s: not a journal (bad or torn header): %w", path, ErrCorrupt)
 			}
-			if _, after := r.ReadByte(); after != io.EOF {
+			if _, after := br.ReadByte(); after != io.EOF {
 				return rep, fmt.Errorf("journal %s: line %d: corrupt record before end of file (%v): %w",
 					path, lineNo+1, perr, ErrCorrupt)
 			}
 			rep.TornTail = true
-			rep.TornOffset = good
 			return rep, nil
 		}
 		lineNo++
@@ -106,10 +116,8 @@ func ScanFS(fsys iofault.FS, path string, fn func(key string, payload []byte) er
 				}
 			}
 		}
-		good += int64(len(line))
+		rep.TornOffset += int64(len(line))
 	}
-	rep.TornOffset = good
-	return rep, nil
 }
 
 // Repair truncates the journal's torn tail, if it has one, and reports

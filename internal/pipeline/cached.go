@@ -2,15 +2,17 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
+	"skope/internal/explore"
 	"skope/internal/guard"
-	"skope/internal/hotspot"
 	"skope/internal/hw"
 	"skope/internal/store"
 	"skope/internal/workloads"
 )
 
-// SweepSummary reports how a SweepCached run was served.
+// SweepSummary reports how a SweepCached or SweepAdaptive run was served.
 type SweepSummary struct {
 	// Workload and LayoutFingerprint identify what was swept. The
 	// fingerprint is the store identity of the workload's prepared model —
@@ -30,6 +32,24 @@ type SweepSummary struct {
 	// construction). Per-variant analysis diagnostics live on the Evals.
 	Confidence  float64
 	Diagnostics []guard.Diagnostic
+	// Adaptive is SweepAdaptive's search outcome: the incumbent, the
+	// evaluation spend and the round trace. nil on exhaustive sweeps.
+	Adaptive *explore.AdaptiveResult
+}
+
+// tally partitions the successful evals by provenance.
+func (s *SweepSummary) tally(evals []*Eval) {
+	for _, ev := range evals {
+		switch {
+		case ev == nil:
+		case ev.Provenance == FromJournal:
+			s.FromJournal++
+		case ev.Provenance == FromStore:
+			s.FromStore++
+		default:
+			s.Computed++
+		}
+	}
 }
 
 // SweepCached is Sweep with the preparation itself behind the store: it
@@ -51,55 +71,123 @@ type SweepSummary struct {
 // Prepare + Sweep.
 func SweepCached(ctx context.Context, w *workloads.Workload, variants []*hw.Machine, st *store.Store, opts ...Option) ([]*Eval, *SweepSummary, error) {
 	o := buildOptions(opts)
-	cacheable := st != nil && !o.customModel && o.prof == nil
-	if cacheable {
+	if o.cacheable(st) {
 		if evals, sum := sweepFromStore(w, variants, st, &o); evals != nil {
 			return evals, sum, nil
 		}
 	}
-
-	run, err := Prepare(ctx, w, opts...)
+	run, sum, opts, err := prepareSweep(ctx, w, len(variants), st, opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	evals, err := Sweep(ctx, run, variants, opts...)
+	if evals == nil {
+		return nil, nil, err
+	}
+	sum.tally(evals)
+	return evals, sum, err
+}
+
+// SweepAdaptive is SweepCached's surrogate-guided sibling. variants are
+// the grid of axes in explore.Grid.Variants order followed by the base
+// machine. It prepares as SweepCached's cold path does, runs
+// explore.Engine.Adaptive over the grid, and evaluates the base machine
+// on the same engine — journaled, stored and held to WithMinConfidence
+// like an exhaustive sweep's. Round traces arrive on aopt.OnRound and the
+// progress callback, whose base-machine snapshots continue the search's
+// counts. Evals are nil where the search never evaluated; the search
+// outcome is on SweepSummary.Adaptive. Errors come back as from
+// SweepCached, which stays the golden reference: only the full grid
+// proves the adaptive optimum global.
+func SweepAdaptive(ctx context.Context, w *workloads.Workload, variants []*hw.Machine, st *store.Store, axes []explore.Axis, aopt explore.AdaptiveOptions, opts ...Option) ([]*Eval, *SweepSummary, error) {
+	run, sum, opts, err := prepareSweep(ctx, w, len(variants), st, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	o := buildOptions(opts)
+	var searched explore.Progress // the search's last round snapshot
+	baseline := false
+	if report := o.progress; report != nil {
+		opts = append(opts, WithProgress(func(p explore.Progress) {
+			if p.Adaptive != nil {
+				searched = p
+			} else if baseline {
+				p.Done, p.Total = p.Done+searched.Done, p.Total+searched.Total
+				p.Replayed, p.Stored = p.Replayed+searched.Replayed, p.Stored+searched.Stored
+				p.Retried += searched.Retried
+			}
+			report(p)
+		}))
+	}
+	eng, err := Explorer(run, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	grid := variants[:len(variants)-1]
+	res, err := eng.Adaptive(ctx, grid, axes, aopt)
+	if res == nil {
+		return nil, nil, fmt.Errorf("pipeline: adaptive sweep %s: %w", w.Name, err)
+	}
+	baseline = true
+	evals := make([]*Eval, len(variants))
+	for i, r := range res.Results {
+		if r.Analysis != nil {
+			evals[i] = sweepEval(run.Diagnostics, run.Confidence, r, o.crit)
+		}
+	}
+	// se keeps the search's variant failures; its journal and store
+	// degradations are sticky on the engine, so collect reports them again.
+	se := &explore.SweepError{}
+	errors.As(err, &se)
+	evals, err = collect(ctx, eng, run, o.crit, variants[len(grid):], evals, len(grid), se.Variants)
+	if err != nil {
+		err = fmt.Errorf("pipeline: adaptive sweep %s: %w", w.Name, err)
+	}
+	if evals == nil {
+		return nil, nil, err
+	}
+	sum.tally(evals)
+	sum.Adaptive = res
+	return evals, sum, err
+}
+
+// cacheable reports whether st can address results under these options:
+// a foreign model constructor or profile is not part of any fingerprint.
+func (o *options) cacheable(st *store.Store) bool {
+	return st != nil && !o.customModel && o.prof == nil
+}
+
+// prepareSweep is the cold start of SweepCached and SweepAdaptive: it
+// prepares w and returns the run, its summary, and the options with a
+// cacheable st attached, after recording the preparation in st so the
+// next identical sweep can skip it.
+func prepareSweep(ctx context.Context, w *workloads.Workload, total int, st *store.Store, opts []Option) (*Run, *SweepSummary, []Option, error) {
+	o := buildOptions(opts)
+	run, err := Prepare(ctx, w, opts...)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	sum := &SweepSummary{
 		Workload:    w.Name,
-		Total:       len(variants),
+		Total:       total,
 		Confidence:  run.Confidence,
 		Diagnostics: run.Diagnostics,
 	}
 	if l, lerr := run.Layout(); lerr == nil {
 		sum.LayoutFingerprint = l.Fingerprint()
-		if cacheable {
-			// Record the preparation so the next identical sweep can skip
-			// it. Best-effort: a store failure costs cache coverage, not
-			// the sweep.
+	}
+	if o.cacheable(st) {
+		if sum.LayoutFingerprint != "" {
+			// Best-effort: a store failure costs cache coverage only.
 			_ = st.PutPrep(store.PrepDigest(w, o.lenient, o.lim), store.Prep{
 				LayoutFingerprint: sum.LayoutFingerprint,
 				Confidence:        run.Confidence,
 				Diagnostics:       run.Diagnostics,
 			})
 		}
-	}
-	if cacheable {
 		opts = append(opts, WithStore(st))
 	}
-	evals, err := Sweep(ctx, run, variants, opts...)
-	if evals == nil {
-		return nil, nil, err
-	}
-	for _, ev := range evals {
-		switch {
-		case ev == nil:
-		case ev.Provenance == FromJournal:
-			sum.FromJournal++
-		case ev.Provenance == FromStore:
-			sum.FromStore++
-		default:
-			sum.Computed++
-		}
-	}
-	return evals, sum, err
+	return run, sum, opts, nil
 }
 
 // sweepFromStore attempts the fully warm path: prep record plus every eval
@@ -117,28 +205,13 @@ func sweepFromStore(w *workloads.Workload, variants []*hw.Machine, st *store.Sto
 		if err != nil || !ok {
 			return nil, nil
 		}
-		conf := prep.Confidence
-		if a.Confidence < conf {
-			conf = a.Confidence
-		}
 		if o.minConf > 0 && a.Confidence < o.minConf {
 			// The cold run would have failed this variant at the
 			// confidence gate; a warm run must not resurrect it. Punt to
 			// the cold path so the failure surfaces identically.
 			return nil, nil
 		}
-		diags := make([]guard.Diagnostic, 0, len(prep.Diagnostics)+len(a.Diagnostics))
-		diags = append(diags, prep.Diagnostics...)
-		diags = append(diags, a.Diagnostics...)
-		guard.SortDiagnostics(diags)
-		evals[i] = &Eval{
-			Machine:     m,
-			Analysis:    a,
-			Selection:   hotspot.Select(a, o.crit),
-			Diagnostics: diags,
-			Confidence:  conf,
-			Provenance:  FromStore,
-		}
+		evals[i] = sweepEval(prep.Diagnostics, prep.Confidence, explore.Result{Machine: m, Analysis: a, Stored: true}, o.crit)
 	}
 	return evals, &SweepSummary{
 		Workload:          w.Name,

@@ -8,9 +8,11 @@ import (
 	"reflect"
 	"testing"
 
+	"skope/internal/explore"
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
+	"skope/internal/journal"
 	"skope/internal/store"
 	"skope/internal/workloads"
 )
@@ -202,41 +204,138 @@ func TestSweepCachedBypassesForeignModel(t *testing.T) {
 	}
 }
 
-// TestEvaluateStoreHit: Evaluate serves its analysis from the store on the
-// second call — grafted, so hot-path extraction still works — while the
-// simulation (machine-specific, never cached) runs both times.
-func TestEvaluateStoreHit(t *testing.T) {
+// adaptiveGrid is the 36-variant grid around BG/Q that the adaptive
+// tests search, with the base machine last — the shape SweepAdaptive
+// takes.
+func adaptiveGrid(t *testing.T) ([]*hw.Machine, []explore.Axis) {
+	t.Helper()
+	var axes []explore.Axis
+	for _, spec := range []string{"freq-ghz=1.2,1.6,2.0,2.4", "mem-latency=80,110,150", "hit-l1=0.9,0.95,0.99"} {
+		ax, err := explore.ParseAxis(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		axes = append(axes, ax)
+	}
+	base := hw.BGQ()
+	grid := explore.Grid{Base: base, Axes: axes}
+	variants, err := grid.Variants()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(variants, base), axes
+}
+
+// TestSweepAdaptiveJournalResume: a journaled adaptive sweep records the
+// searched variants and the base machine; a resumed run retraces the same
+// search and replays every one of them — FromJournal is the search's
+// evaluations plus the baseline — bit-identically.
+func TestSweepAdaptiveJournalResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	w, err := workloads.Get("sord", workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants, axes := adaptiveGrid(t)
+	var last explore.Progress
+	sweep := func() ([]*Eval, *SweepSummary) {
+		t.Helper()
+		j, err := journal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		evals, sum, err := SweepAdaptive(context.Background(), w, variants, nil, axes,
+			explore.AdaptiveOptions{Seed: 13}, WithJournal(j), WithWorkers(4),
+			WithProgress(func(p explore.Progress) { last = p }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evals, sum
+	}
+
+	cold, coldSum := sweep()
+	searched := coldSum.Adaptive.Evals
+	if searched <= 0 || searched >= len(variants)-1 {
+		t.Fatalf("search spent %d of %d evaluations", searched, len(variants)-1)
+	}
+	if coldSum.Computed != searched+1 || coldSum.FromJournal != 0 {
+		t.Errorf("cold run: %d computed, %d from journal; want %d, 0", coldSum.Computed, coldSum.FromJournal, searched+1)
+	}
+
+	resumed, sum := sweep()
+	if sum.Adaptive.Evals != searched || len(sum.Adaptive.Rounds) != len(coldSum.Adaptive.Rounds) {
+		t.Errorf("resumed search spent %d evals in %d rounds, cold %d in %d",
+			sum.Adaptive.Evals, len(sum.Adaptive.Rounds), searched, len(coldSum.Adaptive.Rounds))
+	}
+	if sum.FromJournal != searched+1 || sum.Computed != 0 {
+		t.Errorf("resumed run: %d from journal, %d computed; want %d, 0", sum.FromJournal, sum.Computed, searched+1)
+	}
+	// The base machine's progress snapshot continues the search's counts.
+	if last.Done != searched+1 || last.Replayed != searched+1 {
+		t.Errorf("final progress %d done, %d replayed; want %d", last.Done, last.Replayed, searched+1)
+	}
+	var got, want []*Eval
+	for i := range cold {
+		if (cold[i] == nil) != (resumed[i] == nil) {
+			t.Fatalf("variant %d: evaluated in one run only", i)
+		}
+		if cold[i] != nil {
+			want, got = append(want, cold[i]), append(got, resumed[i])
+			if resumed[i].Provenance != FromJournal {
+				t.Errorf("variant %d: provenance %v, want FromJournal", i, resumed[i].Provenance)
+			}
+		}
+	}
+	if got[len(got)-1] != resumed[len(resumed)-1] {
+		t.Fatal("the base machine was not evaluated")
+	}
+	assertEvalsBitIdentical(t, got, want)
+	for i := range got {
+		if math.Float64bits(got[i].Confidence) != math.Float64bits(want[i].Confidence) ||
+			!reflect.DeepEqual(got[i].SpotIDs(), want[i].SpotIDs()) {
+			t.Errorf("evaluated variant %d: confidence or selection drifted on replay", i)
+		}
+	}
+}
+
+// TestSweepAdaptiveStoreRecordsBaseline: with a store, an adaptive sweep
+// writes the prep record and the base machine's result next to the
+// searched variants', so a repeat serves all of them from the store.
+func TestSweepAdaptiveStoreRecordsBaseline(t *testing.T) {
 	s, err := store.Open(filepath.Join(t.TempDir(), "cas.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	run := prepared(t, "srad")
-	m := hw.BGQ()
+	w, err := workloads.Get("srad", workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants, axes := adaptiveGrid(t)
+	base := variants[len(variants)-1]
+	aopt := explore.AdaptiveOptions{Seed: 13}
 
-	ev1, err := Evaluate(context.Background(), run, m, WithStore(s))
+	_, sum, err := SweepAdaptive(context.Background(), w, variants, s, axes, aopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev1.Provenance != Computed {
-		t.Fatalf("first evaluation provenance %v, want Computed", ev1.Provenance)
+	mode := store.ModeDigest(hotspot.DefaultCriteria(), false, 0)
+	if _, ok, err := s.GetEval(sum.LayoutFingerprint, base.Fingerprint(), mode); err != nil || !ok {
+		t.Errorf("baseline record: ok=%v err=%v", ok, err)
 	}
-	ev2, err := Evaluate(context.Background(), run, m, WithStore(s))
+	if _, ok, err := s.GetPrep(store.PrepDigest(w, false, nil)); err != nil || !ok {
+		t.Errorf("prep record: ok=%v err=%v", ok, err)
+	}
+
+	evals, again, err := SweepAdaptive(context.Background(), w, variants, s, axes, aopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev2.Provenance != FromStore {
-		t.Fatalf("second evaluation provenance %v, want FromStore", ev2.Provenance)
+	if want := sum.Adaptive.Evals + 1; again.FromStore != want || again.Computed != 0 {
+		t.Errorf("repeat: %d from store, %d computed; want %d, 0", again.FromStore, again.Computed, want)
 	}
-	e1, _ := hotspot.EncodeAnalysis(ev1.Analysis)
-	e2, _ := hotspot.EncodeAnalysis(ev2.Analysis)
-	if !bytes.Equal(e1, e2) {
-		t.Error("store-served analysis not bit-identical")
-	}
-	if ev2.HotPath == nil || ev2.HotPath.NumNodes != ev1.HotPath.NumNodes {
-		t.Error("hot path lost on store-served evaluation")
-	}
-	if ev2.Sim == nil {
-		t.Error("simulation skipped on store hit (it is machine-specific and never cached)")
+	if ev := evals[len(evals)-1]; ev == nil || ev.Provenance != FromStore {
+		t.Errorf("repeat baseline = %+v, want served from the store", ev)
 	}
 }

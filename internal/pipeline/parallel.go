@@ -102,7 +102,7 @@ func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 	if o.jnl != nil {
 		eopts = append(eopts, explore.Journal(o.jnl))
 	}
-	if o.storeUsable() {
+	if o.st != nil && !o.customModel {
 		eopts = append(eopts, explore.CAS(o.st, o.modeDigest()))
 	}
 	eng, err := explore.New(run.BET, run.Libs, eopts...)
@@ -134,44 +134,52 @@ func Sweep(ctx context.Context, run *Run, variants []*hw.Machine, opts ...Option
 	if err != nil {
 		return nil, err
 	}
-	evals := make([]*Eval, len(variants))
-	var failures []*explore.VariantError
+	evals, err := collect(ctx, eng, run, o.crit, variants, make([]*Eval, len(variants)), 0, nil)
+	if err != nil {
+		return evals, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, err)
+	}
+	return evals, nil
+}
+
+// collect streams variants through eng into evals[off:], appending
+// failures to fails as *VariantErrors indexed into evals. It returns them
+// sorted in one *explore.SweepError joined with any journal or store
+// degradation, or nil evals on cancellation. Shared by every sweep path.
+func collect(ctx context.Context, eng *explore.Engine, run *Run, crit hotspot.Criteria, variants []*hw.Machine, evals []*Eval, off int, fails []*explore.VariantError) ([]*Eval, error) {
 	results, wait := eng.Stream(ctx, variants)
 	for r := range results {
 		if r.Err != nil {
 			var ve *explore.VariantError
 			if !errors.As(r.Err, &ve) {
-				ve = &explore.VariantError{Index: r.Index, Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
+				ve = &explore.VariantError{Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
 			}
-			failures = append(failures, ve)
+			ve.Index = off + r.Index
+			fails = append(fails, ve)
 			continue
 		}
-		evals[r.Index] = sweepEval(run.Diagnostics, run.Confidence, r, o.crit)
+		evals[off+r.Index] = sweepEval(run.Diagnostics, run.Confidence, r, crit)
 	}
 	werr := wait()
 	if werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
-		return nil, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, werr)
+		return nil, werr
 	}
 	var errs []error
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		errs = append(errs, &explore.SweepError{Variants: failures})
+	if len(fails) > 0 {
+		sort.Slice(fails, func(i, j int) bool { return fails[i].Index < fails[j].Index })
+		errs = append(errs, &explore.SweepError{Variants: fails})
 	}
 	if werr != nil {
 		// Journal or store degradation: results are complete, only
 		// durability/cache coverage is partial.
 		errs = append(errs, werr)
 	}
-	if err := errors.Join(errs...); err != nil {
-		return evals, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, err)
-	}
-	return evals, nil
+	return evals, errors.Join(errs...)
 }
 
 // sweepEval assembles the unified Eval for one analytical sweep result:
 // selection under the configured criteria, preparation + analysis
 // diagnostics merged, end-to-end confidence, provenance from the result's
-// source flags. Shared by Sweep and the daemon's session runner.
+// source flags. Shared by every sweep path.
 func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result, crit hotspot.Criteria) *Eval {
 	a := r.Analysis
 	diags := make([]guard.Diagnostic, 0, len(prepDiags)+len(a.Diagnostics))

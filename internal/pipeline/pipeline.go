@@ -141,10 +141,6 @@ type options struct {
 	prof        *interp.Profile
 }
 
-// storeUsable reports whether the configured store may serve and receive
-// results for these options.
-func (o *options) storeUsable() bool { return o.st != nil && !o.customModel }
-
 // modeDigest is the evaluation-mode component of this configuration's
 // store keys.
 func (o *options) modeDigest() string {
@@ -252,14 +248,14 @@ func WithJournal(j *journal.Journal) Option {
 	return func(o *options) { o.jnl = j }
 }
 
-// WithStore attaches a content-addressed result store to Evaluate, Sweep,
-// SweepCached, and Explorer-built engines. Results whose identity — layout
-// fingerprint × machine fingerprint × evaluation-mode digest — is already
-// stored are served bit-identically with zero recomputation, across
-// sessions, processes, and restarts; fresh results are durably written
-// through. The store is ignored under WithModelFunc: a foreign model
-// constructor is not part of any fingerprint, so its results are not
-// content-addressable. The store is owned by the caller.
+// WithStore attaches a content-addressed result store to Sweep and
+// Explorer-built engines; SweepCached and SweepAdaptive take it as an
+// argument. Results whose identity — layout, machine and evaluation-mode
+// fingerprints — is already stored are served bit-identically with zero
+// recomputation, across sessions, processes, and restarts; fresh results
+// are durably written through. WithModelFunc bypasses the store (a
+// foreign model constructor is not part of any fingerprint). The caller
+// owns the store.
 func WithStore(s *store.Store) Option {
 	return func(o *options) { o.st = s }
 }
@@ -452,13 +448,12 @@ func (p Provenance) String() string {
 }
 
 // Eval is one machine-specific evaluation — the unified result type of
-// Evaluate, EvaluateMany, Sweep, and SweepCached, and the wire type the
-// skoped daemon serves. The analytical fields (Analysis, Selection,
-// Diagnostics, Confidence) are always present; the measured fields (Modl,
-// Prof, Sim, the quality metrics, HotPath) are populated only by the
-// simulating entry points (Evaluate, EvaluateMany) — purely analytical
-// sweeps leave them zero so that cached and computed sweep results are
-// interchangeable.
+// Evaluate, EvaluateMany and every sweep, and the wire type the skoped
+// daemon serves. The analytical fields (Analysis, Selection, Diagnostics,
+// Confidence) are always present; the measured fields (Modl, Prof, Sim,
+// the quality metrics, HotPath) are populated only by the simulating
+// entry points (Evaluate, EvaluateMany) — purely analytical sweeps leave
+// them zero so that cached and computed sweep results are interchangeable.
 type Eval struct {
 	Machine *hw.Machine
 	// Analysis is the per-block roofline projection over the BET.
@@ -509,34 +504,9 @@ func Evaluate(ctx context.Context, run *Run, m *hw.Machine, opts ...Option) (ev 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: evaluate %s on %s: %w", run.Workload.Name, m.Name, err)
 	}
-	// Store path: serve the analysis by content address when one is
-	// attached. A hit is grafted onto the run's layout, so hot-path
-	// extraction below works identically; any store trouble (layout
-	// failure, decode skew, graft mismatch) falls back to computing.
-	var analysis *hotspot.Analysis
-	prov := Computed
-	if o.storeUsable() {
-		if l, lerr := run.Layout(); lerr == nil {
-			if a, ok, gerr := o.st.GetEval(l.Fingerprint(), m.Fingerprint(), o.modeDigest()); gerr == nil && ok {
-				if l.Graft(a) == nil {
-					analysis = a
-					prov = FromStore
-				}
-			}
-		}
-	}
-	if analysis == nil {
-		analysis, err = hotspot.Analyze(ctx, run.BET, o.modelFunc(m), run.Libs)
-		if err != nil {
-			return nil, stage(ErrModel, fmt.Errorf("pipeline: analyze %s on %s: %w", run.Workload.Name, m.Name, err))
-		}
-		if o.storeUsable() {
-			if l, lerr := run.Layout(); lerr == nil {
-				// Best-effort write-through: a store failure never fails
-				// the evaluation, the result is already in hand.
-				_ = o.st.PutEval(l.Fingerprint(), m.Fingerprint(), o.modeDigest(), analysis)
-			}
-		}
+	analysis, err := hotspot.Analyze(ctx, run.BET, o.modelFunc(m), run.Libs)
+	if err != nil {
+		return nil, stage(ErrModel, fmt.Errorf("pipeline: analyze %s on %s: %w", run.Workload.Name, m.Name, err))
 	}
 	sel := hotspot.Select(analysis, o.crit)
 
@@ -572,7 +542,6 @@ func Evaluate(ctx context.Context, run *Run, m *hw.Machine, opts ...Option) (ev 
 		HotPath:          hotpath.Extract(run.BET.Root, sel.Spots),
 		Diagnostics:      evDiags,
 		Confidence:       conf,
-		Provenance:       prov,
 	}, nil
 }
 

@@ -300,25 +300,14 @@ var ErrUnavailable = errors.New("coordinator unavailable")
 type Client struct {
 	// BaseURL is the coordinator's root (e.g. "http://127.0.0.1:8080").
 	BaseURL string
-	// HTTP overrides the whole HTTP client (tests pass a httptest
-	// server's). When nil, a client over Transport is used.
-	HTTP *http.Client
-	// Transport, when HTTP is nil, is the RoundTripper to use (nil
-	// selects http.DefaultTransport). The netfault chaos seam threads
-	// in here.
+	// Transport is the RoundTripper to use (nil selects
+	// http.DefaultTransport). The netfault chaos seam threads in here.
 	Transport http.RoundTripper
-	// Timeout is the per-call deadline (default 30s, <0 disables). The
+	// Timeout is the per-attempt deadline (default 30s, <0 disables). The
 	// effective deadline is the earlier of this and the caller's
-	// context — workers derive tighter per-RPC deadlines from their
+	// context — workers derive tighter heartbeat deadlines from their
 	// lease duration and pass them via ctx.
 	Timeout time.Duration
-}
-
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return &http.Client{Transport: c.Transport}
 }
 
 func (c *Client) timeout() time.Duration {
@@ -382,7 +371,7 @@ func (c *Client) do(ctx context.Context, method, url string, body []byte) (int, 
 		}
 		return err
 	}
-	resp, err := c.http().Do(req)
+	resp, err := (&http.Client{Transport: c.Transport}).Do(req)
 	if err != nil {
 		return 0, nil, attemptTimeout(err)
 	}

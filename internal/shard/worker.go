@@ -44,13 +44,8 @@ type Worker struct {
 	// Poll is the wait-state backoff (default 200ms).
 	Poll time.Duration
 	// Retry wraps every protocol call (default: 4 attempts, 50ms base).
+	// Each attempt runs under the Client's per-call deadline.
 	Retry resilience.Policy
-	// RPCTimeout is the per-attempt deadline on every protocol call
-	// (default 30s; <0 disables). Heartbeats additionally cap it at a
-	// third of the lease duration — a renewal that cannot finish within
-	// its own cadence is as good as lost, and must not stall the next
-	// tick behind a hung connection.
-	RPCTimeout time.Duration
 
 	// ReplayOnly, when set, refuses to evaluate: the worker only serves
 	// shards whose journals already cover every variant. Used by the
@@ -115,38 +110,11 @@ func (w *Worker) retry() resilience.Policy {
 	return p
 }
 
-func (w *Worker) rpcTimeout() time.Duration {
-	if w.RPCTimeout != 0 {
-		return w.RPCTimeout
-	}
-	return 30 * time.Second
-}
-
-// call runs one protocol call under the worker's retry policy, giving
-// each attempt its own deadline (d; 0 selects the worker's RPCTimeout)
-// and tallying the retries spent.
-func (w *Worker) call(ctx context.Context, stats *WorkerStats, d time.Duration, fn func(context.Context) error) error {
-	if d == 0 {
-		d = w.rpcTimeout()
-	}
-	p := w.retry()
-	attempts, err := p.Do(ctx, func(int) error {
-		actx := ctx
-		if d > 0 {
-			var cancel context.CancelFunc
-			actx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
-		ferr := fn(actx)
-		// A deadline miss chargeable to this attempt (the worker's own
-		// context is still live) is transient: mark it so the retry
-		// classification re-attempts instead of giving up.
-		if ferr != nil && errors.Is(ferr, context.DeadlineExceeded) &&
-			ctx.Err() == nil && !errors.Is(ferr, resilience.ErrAttemptTimeout) {
-			ferr = fmt.Errorf("%w: %w", resilience.ErrAttemptTimeout, ferr)
-		}
-		return ferr
-	})
+// call runs one protocol call under the worker's retry policy and tallies
+// the retries spent. The Client gives each attempt its own deadline and
+// marks a miss as a transient attempt timeout.
+func (w *Worker) call(ctx context.Context, stats *WorkerStats, fn func(context.Context) error) error {
+	attempts, err := w.retry().Do(ctx, func(int) error { return fn(ctx) })
 	if stats != nil {
 		stats.RPCRetries += attempts - 1
 	}
@@ -159,7 +127,7 @@ func (w *Worker) call(ctx context.Context, stats *WorkerStats, d time.Duration, 
 func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 	var stats WorkerStats
 	var detail JobDetail
-	if err := w.call(ctx, &stats, 0, func(actx context.Context) error {
+	if err := w.call(ctx, &stats, func(actx context.Context) error {
 		var derr error
 		detail, derr = w.Client.Detail(actx, w.JobID)
 		return derr
@@ -203,7 +171,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 		return stats, fmt.Errorf("shard: worker %s: prepared layout %s, job wants %s: %w",
 			w.ID, layout.Fingerprint(), spec.LayoutFP, ErrSkew)
 	}
-	if err := w.call(ctx, &stats, 0, func(actx context.Context) error {
+	if err := w.call(ctx, &stats, func(actx context.Context) error {
 		return w.Client.Register(actx, w.JobID, w.ID)
 	}); err != nil {
 		return stats, fmt.Errorf("shard: worker %s: register: %w", w.ID, err)
@@ -214,7 +182,7 @@ func (w *Worker) Run(ctx context.Context) (WorkerStats, error) {
 			return stats, fmt.Errorf("shard: worker %s: %w", w.ID, err)
 		}
 		var resp LeaseResponse
-		if err := w.call(ctx, &stats, 0, func(actx context.Context) error {
+		if err := w.call(ctx, &stats, func(actx context.Context) error {
 			var lerr error
 			resp, lerr = w.Client.Lease(actx, w.JobID, w.ID)
 			return lerr
@@ -287,16 +255,14 @@ func (w *Worker) processShard(ctx context.Context, run *pipeline.Run, variants [
 
 	// Heartbeat until the shard is processed; a refused heartbeat means
 	// the lease is lost and the sweep should stop burning cycles. Each
-	// renewal gets its own deadline capped at a third of the lease — a
-	// renewal slower than its own cadence is as good as lost, and must
-	// not let a hung connection stall the ticker past expiry.
+	// renewal gets a deadline of a third of the lease (or the Client's
+	// per-call deadline, if earlier) — a renewal slower than its own
+	// cadence is as good as lost, and must not let a hung connection
+	// stall the ticker past expiry.
 	sctx, lost := context.WithCancel(ctx)
 	hbStop := make(chan struct{})
 	hbDone := make(chan struct{})
-	hbTimeout := w.rpcTimeout()
-	if third := leaseFor / 3; third > 0 && (hbTimeout <= 0 || third < hbTimeout) {
-		hbTimeout = third
-	}
+	hbTimeout := leaseFor / 3
 	go func() {
 		defer close(hbDone)
 		t := time.NewTicker(w.heartbeatInterval(leaseFor))
@@ -361,7 +327,7 @@ func (w *Worker) processShard(ctx context.Context, run *pipeline.Run, variants [
 			})
 		}
 	}
-	if err := w.call(ctx, stats, 0, func(actx context.Context) error {
+	if err := w.call(ctx, stats, func(actx context.Context) error {
 		return w.Client.Complete(actx, w.JobID, w.ID, sh.ID, epoch, results, failures)
 	}); err != nil {
 		if errors.Is(err, ErrStaleLease) || errors.Is(err, ErrNotOwner) {
@@ -395,7 +361,7 @@ func (w *Worker) replaySweep(ctx context.Context, run *pipeline.Run, slice []*hw
 
 // failShard reports a whole-shard failure, preferring the original error.
 func (w *Worker) failShard(ctx context.Context, stats *WorkerStats, sh Shard, epoch uint64, cause error) error {
-	if err := w.call(ctx, stats, 0, func(actx context.Context) error {
+	if err := w.call(ctx, stats, func(actx context.Context) error {
 		return w.Client.Fail(actx, w.JobID, w.ID, sh.ID, epoch, cause.Error())
 	}); err != nil {
 		if errors.Is(err, ErrStaleLease) {

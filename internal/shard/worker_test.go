@@ -80,7 +80,7 @@ func serveJob(t *testing.T, spec shard.JobSpec, cfg shard.Config) (*shard.Coordi
 	svc.Mount(mux)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return coord, &shard.Client{BaseURL: srv.URL, HTTP: srv.Client()}, cfg.JobID
+	return coord, &shard.Client{BaseURL: srv.URL, Transport: srv.Client().Transport}, cfg.JobID
 }
 
 // directSweep evaluates the spec's variants in-process with no journal —
