@@ -2,35 +2,31 @@ package explore
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
-	"skope/internal/hotspot"
 	"skope/internal/hw"
 )
 
-// This file is the surrogate-guided acquisition loop: instead of
-// evaluating a grid exhaustively, Engine.Adaptive evaluates a small
-// deterministic seed sample, fits the Surrogate, and then spends each
-// round's evaluations only on the unevaluated variants the surrogate
+// This file is the surrogate-guided acquisition loop's bookkeeping:
+// instead of evaluating a grid exhaustively, an adaptive search evaluates
+// a small deterministic seed sample, fits the Surrogate, and then spends
+// each round's evaluations only on the unevaluated variants the surrogate
 // ranks most promising (predicted objective minus an exploration bonus
 // for under-sampled regions), stopping once the incumbent optimum has
 // survived a configured number of rounds unimproved.
 //
 // The AdaptivePlanner is pure bookkeeping — which grid indices to
 // evaluate next, what has been observed, when to stop — with no engine,
-// journal, or store dependency. Engine.Adaptive is its driver: each
-// round's batch flows through Engine.Stream, so journaling, CAS store
-// hits, retries, breakers, and MinConfidence all compose with adaptive
-// search unchanged. Exact (exhaustive) mode remains the golden reference;
-// adaptive mode trades completeness for evaluations and is asserted
-// against it in the parity tests.
+// journal, or store dependency. Its driver is pipeline.SweepAdaptive,
+// which evaluates each round's batch through Engine.Stream, so
+// journaling, CAS store hits, retries, breakers, and MinConfidence all
+// compose with adaptive search unchanged. Exact (exhaustive) mode remains
+// the golden reference; adaptive mode trades completeness for
+// evaluations and is asserted against it in the parity tests.
 
 // AdaptiveOptions configures the acquisition loop. The zero value asks
 // for defaults everywhere, which the planner resolves against the grid's
@@ -95,8 +91,9 @@ func (o AdaptiveOptions) withDefaults(dims int) AdaptiveOptions {
 	return o
 }
 
-// RoundTrace is one completed acquisition round, streamed via Progress
-// (and skoped's NDJSON session stream) and recorded on the AdaptiveResult.
+// RoundTrace is one completed acquisition round, delivered to
+// AdaptiveOptions.OnRound (skope prints it, skoped streams it as NDJSON)
+// and recorded on the AdaptiveResult.
 type RoundTrace struct {
 	// Round numbers rounds from 1 (the seed round).
 	Round int `json:"round"`
@@ -124,8 +121,9 @@ type RoundTrace struct {
 // owns the grid bookkeeping (which indices have been issued and observed),
 // the surrogate, the incumbent, and the stopping rule. Drivers alternate
 // NextRound (get a batch of grid indices to evaluate), Observe /
-// ObserveFailure (report each batch member), and EndRound (fit + trace).
-// It is not safe for concurrent use; drivers serialize rounds.
+// ObserveFailure (report each batch member), and EndRound (fit + trace),
+// then read the outcome from Result. It is not safe for concurrent use;
+// drivers serialize rounds.
 type AdaptivePlanner struct {
 	opt      AdaptiveOptions
 	variants []*hw.Machine
@@ -211,24 +209,10 @@ func NewAdaptivePlanner(variants []*hw.Machine, axes []Axis, opt AdaptiveOptions
 	return p, nil
 }
 
-// GridSize returns the number of variants in the planner's grid.
-func (p *AdaptivePlanner) GridSize() int { return len(p.variants) }
-
-// Evals returns the evaluations issued so far (the adaptive spend).
-func (p *AdaptivePlanner) Evals() int { return p.spent }
-
-// Converged reports whether the search stopped because the incumbent
-// survived Patience rounds unimproved (as opposed to exhausting the
-// budget or the grid).
-func (p *AdaptivePlanner) Converged() bool { return p.converged }
-
-// Traces returns the per-round trace accumulated so far.
-func (p *AdaptivePlanner) Traces() []RoundTrace { return p.traces }
-
-// Incumbent returns the grid index and objective of the best observed
-// variant; ok is false before any variant succeeds.
-func (p *AdaptivePlanner) Incumbent() (idx int, y float64, ok bool) {
-	return p.bestIdx, p.bestTime, p.hasBest
+// Result returns the search's outcome so far: the evaluation spend, the
+// round trace and whether the search converged.
+func (p *AdaptivePlanner) Result() *AdaptiveResult {
+	return &AdaptiveResult{Evals: p.spent, GridSize: len(p.variants), Rounds: p.traces, Converged: p.converged}
 }
 
 // budget returns the remaining evaluation budget (-1 for unlimited).
@@ -463,23 +447,9 @@ func (p *AdaptivePlanner) EndRound() RoundTrace {
 	return tr
 }
 
-// AdaptiveResult is the outcome of one surrogate-guided search.
+// AdaptiveResult is the outcome of one surrogate-guided search. The
+// evaluations themselves are the driver's: the planner only chose them.
 type AdaptiveResult struct {
-	// BestIndex is the grid index of the optimum among evaluated variants
-	// (-1 if nothing succeeded); Best the variant, BestAnalysis its exact
-	// analysis. The optimum is always an exact engine evaluation — the
-	// surrogate only chose what to evaluate.
-	BestIndex    int
-	Best         *hw.Machine
-	BestAnalysis *hotspot.Analysis
-	// Analyses is index-aligned with the input grid; unevaluated and
-	// failed variants leave a nil. Typically ~5% of entries are set.
-	Analyses []*hotspot.Analysis
-	// Results holds the full engine Result (provenance flags, attempt
-	// counts) for each successful evaluation, index-aligned with the grid
-	// and with Index rewritten from batch position to grid index; entries
-	// are zero-valued (Machine == nil) exactly where Analyses is nil.
-	Results []Result
 	// Evals is the number of evaluations issued (≪ GridSize when the
 	// search converged), GridSize the exhaustive count for comparison.
 	Evals    int
@@ -488,120 +458,4 @@ type AdaptiveResult struct {
 	Rounds []RoundTrace
 	// Converged reports a patience stop (false: budget or grid exhausted).
 	Converged bool
-}
-
-// Adaptive runs the surrogate-guided search over a materialized grid.
-// variants must be the axes' Grid.Variants output (odometer order); each
-// round's batch is evaluated through Stream, so the engine's journal, CAS
-// store, retries, breaker, and confidence floor apply exactly as in an
-// exhaustive sweep. An issued index counts against the budget regardless
-// of how it was served (fresh, journal replay, or store hit), so a
-// resumed run retraces the identical round sequence — it just pays zero
-// recomputation for the rounds the journal already holds.
-//
-// Failed variants are consumed without training the surrogate and come
-// back aggregated in a *SweepError, sorted by index. Cancellation returns
-// a nil result and the wrapped context error. Journal/CAS degradation is
-// reported alongside the intact result.
-func (e *Engine) Adaptive(ctx context.Context, variants []*hw.Machine, axes []Axis, opt AdaptiveOptions) (*AdaptiveResult, error) {
-	p, err := NewAdaptivePlanner(variants, axes, opt)
-	if err != nil {
-		return nil, err
-	}
-	res := &AdaptiveResult{
-		BestIndex: -1,
-		GridSize:  len(variants),
-		Analyses:  make([]*hotspot.Analysis, len(variants)),
-		Results:   make([]Result, len(variants)),
-	}
-	start := time.Now()
-	var failures []*VariantError
-	var replayed, stored, retried int
-	for {
-		batch := p.NextRound()
-		if len(batch) == 0 {
-			break
-		}
-		ms := make([]*hw.Machine, len(batch))
-		for i, g := range batch {
-			ms[i] = variants[g]
-		}
-		type gridResult struct {
-			grid int
-			r    Result
-		}
-		collected := make([]gridResult, 0, len(batch))
-		results, wait := e.Stream(ctx, ms)
-		for r := range results {
-			collected = append(collected, gridResult{batch[r.Index], r})
-		}
-		if werr := wait(); werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
-			// Cancellation is the only way to lose the search state.
-			return nil, werr
-		}
-		// Observation order must not depend on worker-pool completion
-		// order, or the fit (and with it every later round) would be
-		// nondeterministic.
-		sort.Slice(collected, func(i, j int) bool { return collected[i].grid < collected[j].grid })
-		for _, c := range collected {
-			if c.r.Err != nil {
-				var ve *VariantError
-				if !errors.As(c.r.Err, &ve) {
-					ve = &VariantError{Machine: c.r.Machine, MachineName: c.r.Machine.Name, Err: c.r.Err}
-				}
-				// Re-attribute from batch position to grid index.
-				ve.Index = c.grid
-				failures = append(failures, ve)
-				p.ObserveFailure(c.grid)
-				continue
-			}
-			if c.r.Replayed {
-				replayed++
-			}
-			if c.r.Stored {
-				stored++
-			}
-			if c.r.Attempts > 1 {
-				retried += c.r.Attempts - 1
-			}
-			c.r.Index = c.grid
-			res.Analyses[c.grid] = c.r.Analysis
-			res.Results[c.grid] = c.r
-			p.Observe(c.grid, c.r.Analysis.TotalTime, c.r.Analysis.Confidence)
-		}
-		tr := p.EndRound()
-		if e.progress != nil {
-			snap := tr
-			e.progress(Progress{
-				Done: p.Evals(), Total: len(variants),
-				Replayed: replayed, Stored: stored, Retried: retried,
-				Cache:    e.CacheStats(),
-				Elapsed:  time.Since(start),
-				Adaptive: &snap,
-			})
-		}
-		if opt.OnRound != nil {
-			opt.OnRound(tr)
-		}
-	}
-	res.Rounds = p.Traces()
-	res.Converged = p.Converged()
-	res.Evals = p.Evals()
-	if idx, _, ok := p.Incumbent(); ok {
-		res.BestIndex = idx
-		res.Best = variants[idx]
-		res.BestAnalysis = res.Analyses[idx]
-	}
-	var errs []error
-	if len(failures) > 0 {
-		sort.Slice(failures, func(i, j int) bool { return failures[i].Index < failures[j].Index })
-		errs = append(errs, &SweepError{Variants: failures})
-	}
-	if jerr := e.journalError(); jerr != nil {
-		errs = append(errs, jerr)
-	}
-	if cerr := e.casError(); cerr != nil {
-		errs = append(errs, cerr)
-	}
-	return res, errors.Join(errs...)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -17,6 +18,8 @@ import (
 	"skope/internal/explore"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
+	"skope/internal/journal"
+	"skope/internal/pipeline"
 	"skope/internal/store"
 	"skope/internal/workloads"
 )
@@ -39,6 +42,30 @@ func parityAxes() []explore.Axis {
 		{Param: "hit-l1", Values: []float64{0.88, 0.91, 0.94, 0.97, 0.995}},
 		{Param: "l1-latency", Values: []float64{3, 4, 6, 9}},
 	}
+}
+
+// adaptiveInputs returns the named test-scale workload and the grid
+// variants with BG/Q, their base, appended: pipeline.SweepAdaptive's
+// inputs.
+func adaptiveInputs(t testing.TB, name string, variants []*hw.Machine) (*workloads.Workload, []*hw.Machine) {
+	t.Helper()
+	w, err := workloads.Get(name, workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, append(append([]*hw.Machine{}, variants...), hw.BGQ())
+}
+
+// gridAnalyses drops the base machine from an adaptive sweep's Evals and
+// returns the grid's analyses, nil where the search did not evaluate.
+func gridAnalyses(evals []*pipeline.Eval) []*hotspot.Analysis {
+	out := make([]*hotspot.Analysis, len(evals)-1)
+	for i, ev := range evals[:len(out)] {
+		if ev != nil {
+			out[i] = ev.Analysis
+		}
+	}
+	return out
 }
 
 func parityVariants(t testing.TB) []*hw.Machine {
@@ -86,23 +113,25 @@ func TestAdaptiveParity(t *testing.T) {
 				}
 			}
 
-			eng, err := explore.New(run.BET, run.Libs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := eng.Adaptive(context.Background(), variants, parityAxes(),
+			w, all := adaptiveInputs(t, name, variants)
+			evals, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, parityAxes(),
 				explore.AdaptiveOptions{Seed: 42, MaxEvals: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.BestIndex != best {
+			res := sum.Adaptive
+			inc := explore.Best(gridAnalyses(evals))
+			if inc < 0 {
+				t.Fatal("adaptive search found no incumbent")
+			}
+			if inc != best {
 				t.Errorf("adaptive optimum is variant %d (%s), exhaustive says %d (%s)",
-					res.BestIndex, variants[res.BestIndex].Fingerprint(), best, variants[best].Fingerprint())
+					inc, variants[inc].Fingerprint(), best, variants[best].Fingerprint())
 			}
-			if res.Best.Fingerprint() != variants[best].Fingerprint() {
-				t.Errorf("incumbent fingerprint %s != exhaustive %s", res.Best.Fingerprint(), variants[best].Fingerprint())
+			if fp := evals[inc].Machine.Fingerprint(); fp != variants[best].Fingerprint() {
+				t.Errorf("incumbent fingerprint %s != exhaustive %s", fp, variants[best].Fingerprint())
 			}
-			if got, want := res.BestAnalysis.TotalTime, analyses[best].TotalTime; math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := evals[inc].Analysis.TotalTime, analyses[best].TotalTime; math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("incumbent objective %v not float-exact against exhaustive %v", got, want)
 			}
 			if res.Evals > budget {
@@ -163,23 +192,25 @@ func adaptiveVariants(t testing.TB) []*hw.Machine {
 }
 
 // TestAdaptiveDeterministicTrace: a fixed seed makes the whole run a pure
-// function of the inputs — two independent engines (each with its own
+// function of the inputs — two independent sweeps (each with its own
 // journal) must produce byte-identical round traces and byte-identical
 // journal files.
 func TestAdaptiveDeterministicTrace(t *testing.T) {
-	run := prepared(t, "sord")
-	variants := adaptiveVariants(t)
+	w, all := adaptiveInputs(t, "sord", adaptiveVariants(t))
 
 	runOnce := func(dir string) ([]byte, []byte) {
 		path := filepath.Join(dir, "adaptive.journal")
-		eng, jnl := journaledEngine(t, run, path, explore.Workers(1))
-		res, err := eng.Adaptive(context.Background(), variants, adaptiveAxes(),
-			explore.AdaptiveOptions{Seed: 7})
+		jnl, err := journal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, adaptiveAxes(),
+			explore.AdaptiveOptions{Seed: 7}, pipeline.WithJournal(jnl), pipeline.WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		jnl.Close()
-		trace, err := json.Marshal(res.Rounds)
+		trace, err := json.Marshal(sum.Adaptive.Rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,16 +231,12 @@ func TestAdaptiveDeterministicTrace(t *testing.T) {
 	}
 
 	// A different seed picks a different bootstrap sample.
-	eng, err := explore.New(run.BET, run.Libs, explore.Workers(1))
+	_, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, adaptiveAxes(),
+		explore.AdaptiveOptions{Seed: 8}, pipeline.WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Adaptive(context.Background(), variants, adaptiveAxes(),
-		explore.AdaptiveOptions{Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := json.Marshal(res.Rounds)
+	other, err := json.Marshal(sum.Adaptive.Rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +257,8 @@ func TestAdaptivePlannerInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.GridSize() != len(variants) {
-		t.Fatalf("GridSize = %d, want %d", p.GridSize(), len(variants))
+	if got := p.Result().GridSize; got != len(variants) {
+		t.Fatalf("GridSize = %d, want %d", got, len(variants))
 	}
 
 	obj := func(g int) float64 {
@@ -267,17 +294,17 @@ func TestAdaptivePlannerInvariants(t *testing.T) {
 		}
 		p.EndRound()
 	}
-	if p.Evals() != len(issued) {
-		t.Errorf("Evals = %d, issued %d", p.Evals(), len(issued))
+	res := p.Result()
+	if res.Evals != len(issued) {
+		t.Errorf("Evals = %d, issued %d", res.Evals, len(issued))
 	}
-	idx, y, ok := p.Incumbent()
-	if !ok || idx != bestIdx || y != bestY {
-		t.Errorf("incumbent = (%d, %v, %v), want argmin over issued (%d, %v)", idx, y, ok, bestIdx, bestY)
+	if len(res.Rounds) == 0 {
+		t.Fatal("no round traces recorded")
 	}
-	if got, want := len(p.Traces()), 0; want == got {
-		t.Error("no round traces recorded")
+	if last := res.Rounds[len(res.Rounds)-1]; last.Incumbent != bestIdx || last.IncumbentTime != bestY {
+		t.Errorf("incumbent = (%d, %v), want argmin over issued (%d, %v)", last.Incumbent, last.IncumbentTime, bestIdx, bestY)
 	}
-	for i, tr := range p.Traces() {
+	for i, tr := range res.Rounds {
 		if tr.Round != i+1 {
 			t.Errorf("trace %d has Round %d", i, tr.Round)
 		}
@@ -319,21 +346,22 @@ func TestAdaptivePlannerDegenerate(t *testing.T) {
 				t.Fatal(err)
 			}
 			seen := 0
+			var tr explore.RoundTrace
 			for batch := p.NextRound(); batch != nil; batch = p.NextRound() {
 				for _, g := range batch {
 					seen++
 					p.Observe(g, 1+float64(g)/10, 1)
 				}
-				tr := p.EndRound()
+				tr = p.EndRound()
 				if math.IsNaN(tr.R2) || math.IsInf(tr.R2, 0) {
 					t.Fatalf("round %d R² = %v", tr.Round, tr.R2)
 				}
 			}
-			if seen != len(variants) && !p.Converged() {
+			if seen != len(variants) && !p.Result().Converged {
 				t.Errorf("planner stopped after %d of %d evals without converging", seen, len(variants))
 			}
-			if idx, _, ok := p.Incumbent(); !ok || idx < 0 || idx >= len(variants) {
-				t.Errorf("incumbent (%d, ok=%v) invalid on %d-point grid", idx, ok, len(variants))
+			if tr.Incumbent < 0 || tr.Incumbent >= len(variants) {
+				t.Errorf("incumbent %d invalid on %d-point grid", tr.Incumbent, len(variants))
 			}
 		})
 	}
@@ -348,28 +376,25 @@ func TestAdaptivePlannerDegenerate(t *testing.T) {
 // exactly the budget, reports Converged=false, and still returns the
 // incumbent over what it did evaluate.
 func TestAdaptiveBudget(t *testing.T) {
-	run := prepared(t, "sord")
-	variants := adaptiveVariants(t)
-	eng, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Adaptive(context.Background(), variants, adaptiveAxes(),
+	w, all := adaptiveInputs(t, "sord", adaptiveVariants(t))
+	evals, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, adaptiveAxes(),
 		explore.AdaptiveOptions{Seed: 5, MaxEvals: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := sum.Adaptive
 	if res.Evals != 6 {
 		t.Errorf("Evals = %d, want exactly the budget of 6", res.Evals)
 	}
 	if res.Converged {
 		t.Error("budget-exhausted search reported Converged")
 	}
-	if res.BestIndex < 0 || res.BestAnalysis == nil {
-		t.Fatalf("no incumbent under budget: BestIndex=%d", res.BestIndex)
+	analyses := gridAnalyses(evals)
+	if best := explore.Best(analyses); best < 0 {
+		t.Fatalf("no incumbent under budget: best=%d", best)
 	}
 	evaluated := 0
-	for _, a := range res.Analyses {
+	for _, a := range analyses {
 		if a != nil {
 			evaluated++
 		}
@@ -379,45 +404,38 @@ func TestAdaptiveBudget(t *testing.T) {
 	}
 }
 
-// TestAdaptiveConcurrentSearches runs two surrogate-guided searches
-// concurrently on one shared engine with the CAS store attached — the
-// -race exercise for the planner/engine split: planners are per-search,
-// everything shared (memo cache, store, progress sink) must stay
-// consistent under worker-pool interleaving.
+// TestAdaptiveConcurrentSearches runs three surrogate-guided sweeps
+// concurrently on one shared CAS store — the -race exercise for the
+// planner/engine split: planners are per-search, everything shared (the
+// store, the progress sink) must stay consistent under worker-pool
+// interleaving.
 func TestAdaptiveConcurrentSearches(t *testing.T) {
 	s, err := store.Open(filepath.Join(t.TempDir(), "cas.journal"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	run := prepared(t, "srad")
-	variants := adaptiveVariants(t)
+	w, all := adaptiveInputs(t, "srad", adaptiveVariants(t))
 
 	var mu sync.Mutex
 	var progress []explore.Progress
-	mode := store.ModeDigest(hotspot.DefaultCriteria(), false, 0)
-	eng, err := explore.New(run.BET, run.Libs,
-		explore.CAS(s, mode),
-		explore.Workers(4),
-		explore.OnProgress(func(p explore.Progress) {
-			mu.Lock()
-			progress = append(progress, p)
-			mu.Unlock()
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	onProgress := pipeline.WithProgress(func(p explore.Progress) {
+		mu.Lock()
+		progress = append(progress, p)
+		mu.Unlock()
+	})
 
 	const searches = 3
-	results := make([]*explore.AdaptiveResult, searches)
+	evals := make([][]*pipeline.Eval, searches)
+	sums := make([]*pipeline.SweepSummary, searches)
 	errs := make([]error, searches)
 	var wg sync.WaitGroup
 	for i := 0; i < searches; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = eng.Adaptive(context.Background(), variants, adaptiveAxes(),
-				explore.AdaptiveOptions{Seed: uint64(20 + i)})
+			evals[i], sums[i], errs[i] = pipeline.SweepAdaptive(context.Background(), w, all, s, adaptiveAxes(),
+				explore.AdaptiveOptions{Seed: uint64(20 + i)}, pipeline.WithWorkers(4), onProgress)
 		}(i)
 	}
 	wg.Wait()
@@ -430,39 +448,30 @@ func TestAdaptiveConcurrentSearches(t *testing.T) {
 	// Different seeds may converge on different incumbents in principle,
 	// but every incumbent objective must be an exact engine evaluation and
 	// every search must have produced a valid trace.
-	for i, res := range results {
-		if res.BestIndex < 0 || res.BestAnalysis == nil {
+	for i := range evals {
+		best := explore.Best(gridAnalyses(evals[i]))
+		if best < 0 {
 			t.Fatalf("search %d found no incumbent", i)
 		}
-		if res.BestAnalysis.TotalTime <= 0 {
-			t.Errorf("search %d incumbent time %v", i, res.BestAnalysis.TotalTime)
+		if tt := evals[i][best].Analysis.TotalTime; tt <= 0 {
+			t.Errorf("search %d incumbent time %v", i, tt)
 		}
-		if res.Evals < len(res.Rounds) {
+		if res := sums[i].Adaptive; res.Evals < len(res.Rounds) {
 			t.Errorf("search %d: %d evals across %d rounds", i, res.Evals, len(res.Rounds))
 		}
 	}
-	stats := eng.CacheStats()
-	if stats.Hits+stats.Misses == 0 {
+	mu.Lock()
+	defer mu.Unlock()
+	touched := false
+	for _, p := range progress {
+		touched = touched || p.Cache.Hits+p.Cache.Misses > 0
+	}
+	if !touched {
 		t.Error("memo cache untouched by three concurrent searches")
 	}
 	st := s.Stats()
 	if st.Puts == 0 {
 		t.Error("no results written through to the CAS store")
-	}
-	// Round-boundary progress snapshots must carry the adaptive trace.
-	mu.Lock()
-	defer mu.Unlock()
-	adaptiveSnaps := 0
-	for _, p := range progress {
-		if p.Adaptive != nil {
-			adaptiveSnaps++
-			if p.Adaptive.GridSize != len(variants) {
-				t.Errorf("adaptive snapshot GridSize = %d", p.Adaptive.GridSize)
-			}
-		}
-	}
-	if adaptiveSnaps == 0 {
-		t.Error("no adaptive round snapshots on the progress stream")
 	}
 }
 
@@ -525,8 +534,8 @@ func FuzzAdaptivePlannerAxes(f *testing.F) {
 			}
 			p.EndRound()
 		}
-		if p.Evals() != len(issued) {
-			t.Fatalf("Evals = %d, issued %d", p.Evals(), len(issued))
+		if got := p.Result().Evals; got != len(issued) {
+			t.Fatalf("Evals = %d, issued %d", got, len(issued))
 		}
 	})
 }
@@ -534,16 +543,12 @@ func FuzzAdaptivePlannerAxes(f *testing.F) {
 // TestAdaptiveCancellation: cancelling mid-search loses the result (like
 // Sweep) and reports the context error.
 func TestAdaptiveCancellation(t *testing.T) {
-	run := prepared(t, "sord")
-	variants := adaptiveVariants(t)
+	w, all := adaptiveInputs(t, "sord", adaptiveVariants(t))
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	eng, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Adaptive(ctx, variants, adaptiveAxes(), explore.AdaptiveOptions{Seed: 1})
-	if res != nil || err == nil {
-		t.Fatalf("cancelled search returned (%v, %v)", res, err)
+	defer cancel()
+	evals, sum, err := pipeline.SweepAdaptive(ctx, w, all, nil, adaptiveAxes(),
+		explore.AdaptiveOptions{Seed: 1, OnRound: func(explore.RoundTrace) { cancel() }})
+	if evals != nil || sum != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search returned (%v, %v, %v)", evals, sum, err)
 	}
 }

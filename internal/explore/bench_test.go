@@ -8,6 +8,7 @@ import (
 	"skope/internal/explore"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
+	"skope/internal/pipeline"
 )
 
 // benchVariants builds the acceptance-criteria sweep: 1000 sord variants
@@ -99,23 +100,21 @@ func parityBest(b *testing.B, variants []*hw.Machine) int {
 // report an evals/op metric (the pinned comparison lives in
 // BENCH_adaptive.json); the adaptive one also asserts it found the exact
 // exhaustive optimum, so running it with -benchtime 1x doubles as a
-// parity smoke.
+// parity smoke. Both sides run the front ends' sweep functions
+// (pipeline.SweepCached and pipeline.SweepAdaptive), so each op also
+// prepares the workload and evaluates the base machine.
 func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
-	run := prepared(b, "sord")
 	variants := parityVariants(b)
 	axes := parityAxes()
+	w, all := adaptiveInputs(b, "sord", variants)
 
 	b.Run("exhaustive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			eng, err := explore.New(run.BET, run.Libs)
+			evals, _, err := pipeline.SweepCached(context.Background(), w, all, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			analyses, err := sweep(context.Background(), eng, variants)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if explore.Best(analyses) < 0 {
+			if explore.Best(gridAnalyses(evals)) < 0 {
 				b.Fatal("no best variant")
 			}
 		}
@@ -126,19 +125,16 @@ func BenchmarkAdaptiveVsExhaustive(b *testing.B) {
 		b.ResetTimer()
 		evals := 0
 		for i := 0; i < b.N; i++ {
-			eng, err := explore.New(run.BET, run.Libs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := eng.Adaptive(context.Background(), variants, axes,
+			got, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, axes,
 				explore.AdaptiveOptions{Seed: 42, MaxEvals: len(variants) * 5 / 100})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.BestIndex != want {
-				b.Fatalf("adaptive optimum %d, exhaustive says %d", res.BestIndex, want)
+			if best := explore.Best(gridAnalyses(got)); best != want {
+				b.Fatalf("adaptive optimum %d, exhaustive says %d", best, want)
 			}
-			evals = res.Evals
+			// The search's spend; the base machine is not part of it.
+			evals = sum.Adaptive.Evals
 		}
 		b.ReportMetric(float64(evals), "evals/op")
 	})

@@ -372,7 +372,6 @@ func TestChaosKillAndResume(t *testing.T) {
 // sequence — replaying every journaled evaluation with zero recomputation —
 // and converge to the same incumbent with an identical round trace.
 func TestChaosAdaptiveKillAndResume(t *testing.T) {
-	run := prepared(t, "srad")
 	axes := []explore.Axis{
 		{Param: "freq-ghz", Values: []float64{1.2, 1.6, 2.0, 2.4}},
 		{Param: "mem-latency", Values: []float64{80, 110, 150}},
@@ -383,14 +382,19 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, all := adaptiveInputs(t, "srad", variants)
 	opt := explore.AdaptiveOptions{Seed: 11}
+	journaledSweep := func(ctx context.Context, path string) ([]*pipeline.Eval, *pipeline.SweepSummary, error) {
+		j, err := journal.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		return pipeline.SweepAdaptive(ctx, w, all, nil, axes, opt, pipeline.WithJournal(j), pipeline.WithWorkers(2))
+	}
 
 	// Reference: a never-interrupted, journal-free adaptive run.
-	engRef, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := engRef.Adaptive(context.Background(), variants, axes, opt)
+	want, wantSum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, axes, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,12 +413,10 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	eng1, j1 := journaledEngine(t, run, path, explore.Workers(2))
-	res1, err := eng1.Adaptive(ctx, variants, axes, opt)
-	if res1 != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("killed search returned (%v, %v), want (nil, context.Canceled)", res1, err)
+	killed, _, err := journaledSweep(ctx, path)
+	if killed != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("killed search returned (%v, %v), want (nil, context.Canceled)", killed, err)
 	}
-	j1.Close()
 	disarm()
 
 	j, err := journal.Open(path)
@@ -426,8 +428,8 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		journaled[e.Key] = true
 	}
 	j.Close()
-	if len(journaled) == 0 || len(journaled) >= want.Evals {
-		t.Fatalf("journal holds %d evaluations (reference run spends %d); kill did not land mid-search", len(journaled), want.Evals)
+	if len(journaled) == 0 || len(journaled) >= wantSum.Adaptive.Evals {
+		t.Fatalf("journal holds %d evaluations (reference run spends %d); kill did not land mid-search", len(journaled), wantSum.Adaptive.Evals)
 	}
 
 	// Phase 2: fresh engine, same seed, resumed journal. Journaled
@@ -439,9 +441,7 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		mu.Unlock()
 	})
 	t.Cleanup(disarm2)
-	eng2, j2 := journaledEngine(t, run, path, explore.Workers(2))
-	defer j2.Close()
-	got, err := eng2.Adaptive(context.Background(), variants, axes, opt)
+	got, sum, err := journaledSweep(context.Background(), path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,41 +454,47 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		}
 	}
 	replayedCount := 0
-	for _, r := range got.Results {
-		if r.Machine != nil && r.Replayed {
+	for _, ev := range got {
+		if ev != nil && ev.Provenance == pipeline.FromJournal {
 			replayedCount++
 		}
 	}
 	if replayedCount != len(journaled) {
 		t.Errorf("resumed search replayed %d evaluations, journal held %d", replayedCount, len(journaled))
 	}
-	if len(evaluated) != want.Evals-len(journaled) {
-		t.Errorf("%d fresh evaluations after resume, want %d", len(evaluated), want.Evals-len(journaled))
+	// The base machine, swept after the search, is evaluated fresh too.
+	if fresh := wantSum.Adaptive.Evals - len(journaled) + 1; len(evaluated) != fresh {
+		t.Errorf("%d fresh evaluations after resume, want %d", len(evaluated), fresh)
 	}
 
 	// Same incumbent, same spend, identical round-by-round trace.
-	if got.BestIndex != want.BestIndex || got.Best.Fingerprint() != want.Best.Fingerprint() {
+	gotBest, wantBest := explore.Best(gridAnalyses(got)), explore.Best(gridAnalyses(want))
+	if gotBest < 0 || wantBest < 0 {
+		t.Fatalf("no incumbent: resumed %d, reference %d", gotBest, wantBest)
+	}
+	gotInc, wantInc := got[gotBest], want[wantBest]
+	if gotBest != wantBest || gotInc.Machine.Fingerprint() != wantInc.Machine.Fingerprint() {
 		t.Errorf("resumed incumbent %d (%s) != reference %d (%s)",
-			got.BestIndex, got.Best.Fingerprint(), want.BestIndex, want.Best.Fingerprint())
+			gotBest, gotInc.Machine.Fingerprint(), wantBest, wantInc.Machine.Fingerprint())
 	}
-	if got.BestAnalysis.TotalTime != want.BestAnalysis.TotalTime {
-		t.Errorf("resumed incumbent time %v != reference %v", got.BestAnalysis.TotalTime, want.BestAnalysis.TotalTime)
+	if gotInc.Analysis.TotalTime != wantInc.Analysis.TotalTime {
+		t.Errorf("resumed incumbent time %v != reference %v", gotInc.Analysis.TotalTime, wantInc.Analysis.TotalTime)
 	}
-	if got.Evals != want.Evals || got.Converged != want.Converged {
-		t.Errorf("resumed spend (%d, converged=%v) != reference (%d, %v)", got.Evals, got.Converged, want.Evals, want.Converged)
+	if g, r := sum.Adaptive, wantSum.Adaptive; g.Evals != r.Evals || g.Converged != r.Converged {
+		t.Errorf("resumed spend (%d, converged=%v) != reference (%d, %v)", g.Evals, g.Converged, r.Evals, r.Converged)
 	}
-	gotTrace, err := json.Marshal(got.Rounds)
+	gotTrace, err := json.Marshal(sum.Adaptive.Rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTrace, err := json.Marshal(want.Rounds)
+	wantTrace, err := json.Marshal(wantSum.Adaptive.Rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotTrace, wantTrace) {
 		t.Errorf("resumed round trace differs from reference:\n%s\n%s", gotTrace, wantTrace)
 	}
-	assertBitIdentical(t, []*hotspot.Analysis{got.BestAnalysis}, []*hotspot.Analysis{want.BestAnalysis})
+	assertBitIdentical(t, []*hotspot.Analysis{gotInc.Analysis}, []*hotspot.Analysis{wantInc.Analysis})
 }
 
 // TestChaosResumeSurvivesTornTail: a crash mid-Append leaves a torn final

@@ -92,7 +92,9 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // Progress is a sweep-level snapshot delivered to the OnProgress callback
-// after each completed variant.
+// after each completed variant of a Stream call. A driver that streams a
+// sweep in several batches, as an adaptive search does, offsets the counts
+// so that they run across all of them.
 type Progress struct {
 	// Done and Total count variants.
 	Done, Total int
@@ -110,12 +112,6 @@ type Progress struct {
 	Cache CacheStats
 	// Elapsed is the wall time since the sweep started.
 	Elapsed time.Duration
-	// Adaptive carries the just-completed round's trace when the snapshot
-	// is a round boundary of a surrogate-guided search (Engine.Adaptive);
-	// nil on exhaustive sweeps and on per-variant snapshots. On adaptive
-	// round snapshots Done/Total count evaluations spent against the full
-	// grid, not the current batch.
-	Adaptive *RoundTrace
 }
 
 // Result is one evaluated variant, streamed as soon as it completes.
@@ -193,13 +189,9 @@ type memoEntry struct {
 type Option func(*Engine)
 
 // Workers bounds the evaluation pool at n concurrent workers. Values < 1
-// leave the default (runtime.GOMAXPROCS) in place.
+// mean the default, runtime.GOMAXPROCS.
 func Workers(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.workers = n
-		}
-	}
+	return func(e *Engine) { e.workers = n }
 }
 
 // ModelFunc substitutes the roofline model constructor (default
@@ -278,7 +270,6 @@ func New(bet *core.BET, libs hotspot.LibModeler, opts ...Option) (*Engine, error
 	e := &Engine{
 		layout:   l,
 		newModel: hw.NewModel,
-		workers:  runtime.GOMAXPROCS(0),
 		comp:     make(map[compKey]*memoEntry),
 		comm:     make(map[commKey]*memoEntry),
 	}
@@ -447,7 +438,33 @@ func characterize[K comparable](e *Engine, memo map[K]*memoEntry, key K, ent *me
 	ent.ok = true
 }
 
-// Stream evaluates the variants through the bounded pool, sending each
+// Pool calls fn(i) for each i in [0, n) on up to workers goroutines
+// (runtime.GOMAXPROCS when workers < 1), each claiming the next unclaimed
+// index. Once ctx is canceled no further index is claimed. The returned
+// wait blocks until every worker has exited.
+func Pool(ctx context.Context, n, workers int, fn func(i int)) (wait func()) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	return wg.Wait
+}
+
+// Stream evaluates the variants on Pool, bounded by Workers, sending each
 // Result on the returned channel as it completes. Variant failures are
 // isolated: a variant that fails validation, modeling, or panics yields a
 // Result whose Err is a *VariantError, and the remaining variants keep
@@ -495,96 +512,76 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 		}
 	}
 
-	workers := e.workers
-	if workers > len(variants) {
-		workers = len(variants)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Each worker claims the next unclaimed variant index.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(variants) {
+	poolWait := Pool(sctx, len(variants), e.workers, func(i int) {
+		m := variants[i]
+		r := Result{Index: i, Machine: m}
+		if entry, ok := e.replayEntry(m); ok {
+			// Journaled in an earlier run: assemble from the durable
+			// per-block times, zero recomputation.
+			a, err := e.layout.Assemble(m, entry.comp, entry.comm)
+			if err != nil {
+				r.Err = e.variantError(i, m, 0, err)
+			} else {
+				if entry.conf != nil {
+					// The journal persisted the confidence the original
+					// run assembled with; replaying it keeps resumed
+					// sweeps bit-identical even if the scoring formula
+					// evolves.
+					a.Confidence = *entry.conf
+				}
+				// Write replays through to the store (before the
+				// confidence gate, like fresh completions), so finishing
+				// a journaled sweep also warms it.
+				e.casPut(m, a)
+				if lcErr := e.confidenceErr(a); lcErr != nil {
+					r.Err = e.variantError(i, m, 0, lcErr)
+				} else {
+					r.Analysis = a
+					r.Replayed = true
+				}
+			}
+		} else if a, ok := e.casGet(m); ok {
+			// Stored by an earlier sweep — possibly another session or
+			// process — under the same (layout, machine, mode)
+			// identity: decoded bit-identically, zero recomputation.
+			// The confidence gate still applies (the stored score is
+			// the computed one).
+			if lcErr := e.confidenceErr(a); lcErr != nil {
+				r.Err = e.variantError(i, m, 0, lcErr)
+			} else {
+				r.Analysis = a
+				r.Stored = true
+			}
+		} else {
+			a, comp, comm, attempts, err := e.evaluateVariant(sctx, m)
+			r.Attempts = attempts
+			if err != nil {
+				// Cancellation of the sweep is not a variant failure:
+				// drop the result; the pool stops claiming.
+				if sctx.Err() != nil && errors.Is(err, context.Canceled) {
 					return
 				}
-				m := variants[i]
-				r := Result{Index: i, Machine: m}
-				if entry, ok := e.replayEntry(m); ok {
-					// Journaled in an earlier run: assemble from the
-					// durable per-block times, zero recomputation.
-					a, err := e.layout.Assemble(m, entry.comp, entry.comm)
-					if err != nil {
-						r.Err = e.variantError(i, m, 0, err)
-					} else {
-						if entry.conf != nil {
-							// The journal persisted the confidence the
-							// original run assembled with; replaying it
-							// keeps resumed sweeps bit-identical even if
-							// the scoring formula evolves.
-							a.Confidence = *entry.conf
-						}
-						// Write replays through to the store (before the
-						// confidence gate, like fresh completions), so
-						// finishing a journaled sweep also warms it.
-						e.casPut(m, a)
-						if lcErr := e.confidenceErr(a); lcErr != nil {
-							r.Err = e.variantError(i, m, 0, lcErr)
-						} else {
-							r.Analysis = a
-							r.Replayed = true
-						}
-					}
-				} else if a, ok := e.casGet(m); ok {
-					// Stored by an earlier sweep — possibly another
-					// session or process — under the same (layout,
-					// machine, mode) identity: decoded bit-identically,
-					// zero recomputation. The confidence gate still
-					// applies (the stored score is the computed one).
-					if lcErr := e.confidenceErr(a); lcErr != nil {
-						r.Err = e.variantError(i, m, 0, lcErr)
-					} else {
-						r.Analysis = a
-						r.Stored = true
-					}
+				r.Err = e.variantError(i, m, attempts, err)
+			} else {
+				// Journal and store before the confidence gate: the
+				// results are valid either way, and a re-run with a
+				// lower floor replays them for free.
+				e.journalAppend(m, comp, comm, a.Confidence)
+				e.casPut(m, a)
+				if lcErr := e.confidenceErr(a); lcErr != nil {
+					r.Err = e.variantError(i, m, attempts, lcErr)
 				} else {
-					a, comp, comm, attempts, err := e.evaluateVariant(sctx, m)
-					r.Attempts = attempts
-					if err != nil {
-						// Cancellation of the sweep is not a variant
-						// failure: drop the result, the worker exits.
-						if sctx.Err() != nil && errors.Is(err, context.Canceled) {
-							return
-						}
-						r.Err = e.variantError(i, m, attempts, err)
-					} else {
-						// Journal and store before the confidence gate:
-						// the results are valid either way, and a re-run
-						// with a lower floor replays them for free.
-						e.journalAppend(m, comp, comm, a.Confidence)
-						e.casPut(m, a)
-						if lcErr := e.confidenceErr(a); lcErr != nil {
-							r.Err = e.variantError(i, m, attempts, lcErr)
-						} else {
-							r.Analysis = a
-						}
-					}
+					r.Analysis = a
 				}
-				out <- r
-				finish(r)
 			}
-		}()
-	}
+		}
+		out <- r
+		finish(r)
+	})
 
 	finished := make(chan struct{})
 	go func() {
-		wg.Wait()
+		poolWait()
 		close(out)
 		close(finished)
 	}()

@@ -213,7 +213,7 @@ func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 			v := 0.0
 			if g.Init != nil {
 				var err error
-				v, err = e.constEval(g.Init)
+				v, err = ConstEval(g.Init, e.Globals)
 				if err != nil {
 					return nil, fmt.Errorf("%s: global %s: %v", prog.Source, g.Name, err)
 				}
@@ -227,7 +227,7 @@ func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 		arr := &Array{Elem: 8}
 		total := int64(1)
 		for _, ex := range g.Type.Extents {
-			v, err := e.constEval(ex)
+			v, err := ConstEval(ex, e.Globals)
 			if err != nil {
 				return nil, fmt.Errorf("%s: extent of %s: %v", prog.Source, g.Name, err)
 			}
@@ -253,32 +253,34 @@ func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 	return e, nil
 }
 
-// constEval evaluates global-declaration expressions (literals, previously
-// initialized globals, arithmetic).
-func (e *Engine) constEval(x minilang.Expr) (float64, error) {
+// ConstEval evaluates a global-declaration expression — literals, the
+// scalar globals already initialized in env, arithmetic and comparisons —
+// under the interpreter's rules: integer division by zero is an error,
+// float division follows IEEE.
+func ConstEval(x minilang.Expr, env map[string]float64) (float64, error) {
 	switch t := x.(type) {
 	case *minilang.IntLit:
 		return float64(t.Val), nil
 	case *minilang.FloatLit:
 		return t.Val, nil
 	case *minilang.VarRef:
-		v, ok := e.Globals[t.Name]
+		v, ok := env[t.Name]
 		if !ok {
 			return 0, fmt.Errorf("reference to uninitialized global %q", t.Name)
 		}
 		return v, nil
 	case *minilang.Binary:
-		l, err := e.constEval(t.L)
+		l, err := ConstEval(t.L, env)
 		if err != nil {
 			return 0, err
 		}
-		r, err := e.constEval(t.R)
+		r, err := ConstEval(t.R, env)
 		if err != nil {
 			return 0, err
 		}
 		return applyBinary(t.Op, t.ResultType() == minilang.TypeInt, l, r)
 	case *minilang.Unary:
-		v, err := e.constEval(t.X)
+		v, err := ConstEval(t.X, env)
 		if err != nil {
 			return 0, err
 		}

@@ -2,8 +2,8 @@ package pipeline
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"time"
 
 	"skope/internal/explore"
 	"skope/internal/guard"
@@ -32,8 +32,8 @@ type SweepSummary struct {
 	// construction). Per-variant analysis diagnostics live on the Evals.
 	Confidence  float64
 	Diagnostics []guard.Diagnostic
-	// Adaptive is SweepAdaptive's search outcome: the incumbent, the
-	// evaluation spend and the round trace. nil on exhaustive sweeps.
+	// Adaptive is SweepAdaptive's search outcome: the evaluation spend
+	// and the round trace. nil on exhaustive sweeps.
 	Adaptive *explore.AdaptiveResult
 }
 
@@ -90,64 +90,72 @@ func SweepCached(ctx context.Context, w *workloads.Workload, variants []*hw.Mach
 
 // SweepAdaptive is SweepCached's surrogate-guided sibling. variants are
 // the grid of axes in explore.Grid.Variants order followed by the base
-// machine. It prepares as SweepCached's cold path does, runs
-// explore.Engine.Adaptive over the grid, and evaluates the base machine
-// on the same engine — journaled, stored and held to WithMinConfidence
-// like an exhaustive sweep's. Round traces arrive on aopt.OnRound and the
-// progress callback, whose base-machine snapshots continue the search's
-// counts. Evals are nil where the search never evaluated; the search
-// outcome is on SweepSummary.Adaptive. Errors come back as from
-// SweepCached, which stays the golden reference: only the full grid
+// machine. It prepares as SweepCached's cold path does, then drives an
+// explore.AdaptivePlanner: each round's batch of grid indices is collected
+// like an exhaustive sweep's variants and fed back to the planner in
+// ascending grid order, and the base machine is collected last, on the
+// same engine — journaled, stored and held to WithMinConfidence like an
+// exhaustive sweep's. Round traces arrive on aopt.OnRound; progress
+// snapshots count across all batches, so Done ends at the search's
+// evaluations plus one. Evals are nil where the search never evaluated;
+// the search outcome is on SweepSummary.Adaptive. Errors come back as
+// from SweepCached, which stays the golden reference: only the full grid
 // proves the adaptive optimum global.
 func SweepAdaptive(ctx context.Context, w *workloads.Workload, variants []*hw.Machine, st *store.Store, axes []explore.Axis, aopt explore.AdaptiveOptions, opts ...Option) ([]*Eval, *SweepSummary, error) {
 	run, sum, opts, err := prepareSweep(ctx, w, len(variants), st, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	o := buildOptions(opts)
-	var searched explore.Progress // the search's last round snapshot
-	baseline := false
-	if report := o.progress; report != nil {
+	start := time.Now()
+	var before, last explore.Progress // the collected batches' counts; the latest snapshot
+	if report := buildOptions(opts).progress; report != nil {
 		opts = append(opts, WithProgress(func(p explore.Progress) {
-			if p.Adaptive != nil {
-				searched = p
-			} else if baseline {
-				p.Done, p.Total = p.Done+searched.Done, p.Total+searched.Total
-				p.Replayed, p.Stored = p.Replayed+searched.Replayed, p.Stored+searched.Stored
-				p.Retried += searched.Retried
-			}
+			p.Done, p.Total = p.Done+before.Done, len(variants)
+			p.Replayed, p.Stored = p.Replayed+before.Replayed, p.Stored+before.Stored
+			p.Retried += before.Retried
+			p.Elapsed = time.Since(start)
+			last = p
 			report(p)
 		}))
 	}
-	eng, err := Explorer(run, opts...)
+	collect, err := collector(run, variants, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	grid := variants[:len(variants)-1]
-	res, err := eng.Adaptive(ctx, grid, axes, aopt)
-	if res == nil {
+	base := len(variants) - 1
+	planner, err := explore.NewAdaptivePlanner(variants[:base], axes, aopt)
+	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: adaptive sweep %s: %w", w.Name, err)
 	}
-	baseline = true
-	evals := make([]*Eval, len(variants))
-	for i, r := range res.Results {
-		if r.Analysis != nil {
-			evals[i] = sweepEval(run.Diagnostics, run.Confidence, r, o.crit)
+	var evals []*Eval
+	for batch := planner.NextRound(); batch != nil; batch = planner.NextRound() {
+		if evals, err = collect(ctx, batch); evals == nil {
+			return nil, nil, fmt.Errorf("pipeline: adaptive sweep %s: %w", w.Name, err)
+		}
+		before = last
+		// Batches are ascending, so the fit, and every later round with
+		// it, does not depend on the order the workers finished in.
+		for _, g := range batch {
+			if ev := evals[g]; ev != nil {
+				planner.Observe(g, ev.Analysis.TotalTime, ev.Analysis.Confidence)
+			} else {
+				planner.ObserveFailure(g)
+			}
+		}
+		if tr := planner.EndRound(); aopt.OnRound != nil {
+			aopt.OnRound(tr)
 		}
 	}
-	// se keeps the search's variant failures; its journal and store
-	// degradations are sticky on the engine, so collect reports them again.
-	se := &explore.SweepError{}
-	errors.As(err, &se)
-	evals, err = collect(ctx, eng, run, o.crit, variants[len(grid):], evals, len(grid), se.Variants)
-	if err != nil {
+	// The base machine's collect reports every failure and degradation of
+	// the sweep, the search's included.
+	if evals, err = collect(ctx, []int{base}); err != nil {
 		err = fmt.Errorf("pipeline: adaptive sweep %s: %w", w.Name, err)
 	}
 	if evals == nil {
 		return nil, nil, err
 	}
 	sum.tally(evals)
-	sum.Adaptive = res
+	sum.Adaptive = planner.Result()
 	return evals, sum, err
 }
 

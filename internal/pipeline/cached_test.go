@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -296,6 +297,61 @@ func TestSweepAdaptiveJournalResume(t *testing.T) {
 			!reflect.DeepEqual(got[i].SpotIDs(), want[i].SpotIDs()) {
 			t.Errorf("evaluated variant %d: confidence or selection drifted on replay", i)
 		}
+	}
+}
+
+// TestSweepAdaptiveProgress: an adaptive sweep's progress snapshots count
+// across all of its batches. Done rises by one per evaluated variant, out
+// of every variant, and ends at the search's evaluations plus the
+// baseline; the final Replayed and Stored match the summary's provenance.
+// Checked at one worker and at four, on a cold run, a journal resume and
+// a run served from the store.
+func TestSweepAdaptiveProgress(t *testing.T) {
+	w, err := workloads.Get("sord", workloads.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants, axes := adaptiveGrid(t)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := store.Open(filepath.Join(dir, "cas.journal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			for _, run := range []string{"cold", "resumed", "stored"} {
+				var snaps []explore.Progress
+				opts := []Option{WithWorkers(workers), WithProgress(func(p explore.Progress) { snaps = append(snaps, p) })}
+				var j *journal.Journal
+				if run != "stored" {
+					if j, err = journal.Open(filepath.Join(dir, "sweep.journal")); err != nil {
+						t.Fatal(err)
+					}
+					opts = append(opts, WithJournal(j))
+				}
+				_, sum, err := SweepAdaptive(context.Background(), w, variants, s, axes, explore.AdaptiveOptions{Seed: 13}, opts...)
+				if j != nil {
+					j.Close()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, p := range snaps {
+					if p.Done != i+1 || p.Total != len(variants) {
+						t.Fatalf("%s: snapshot %d is %d of %d, want %d of %d", run, i, p.Done, p.Total, i+1, len(variants))
+					}
+				}
+				last := snaps[len(snaps)-1]
+				if last.Done != sum.Adaptive.Evals+1 {
+					t.Errorf("%s: final Done %d, want the search's %d evaluations plus the baseline", run, last.Done, sum.Adaptive.Evals)
+				}
+				if last.Replayed != sum.FromJournal || last.Stored != sum.FromStore {
+					t.Errorf("%s: final progress %d replayed, %d stored; summary %d from journal, %d from store",
+						run, last.Replayed, last.Stored, sum.FromJournal, sum.FromStore)
+				}
+			}
+		})
 	}
 }
 

@@ -75,6 +75,40 @@ func TestSweepBelowConfidenceFloor(t *testing.T) {
 	}
 }
 
+// TestSweepAdaptiveBelowConfidenceFloor: when every analysis misses the
+// floor, each variant the search issued fails at its grid index and the
+// base machine at len(grid), all in one *explore.SweepError sorted by
+// index, and no variant produces an eval.
+func TestSweepAdaptiveBelowConfidenceFloor(t *testing.T) {
+	variants, axes := adaptiveGrid(t)
+	evals, sum, err := SweepAdaptive(context.Background(), partialProfileWorkload(), variants, nil, axes,
+		explore.AdaptiveOptions{Seed: 13}, WithLenient(true), WithMinConfidence(0.995), WithWorkers(2))
+	var sweepErr *explore.SweepError
+	if !errors.As(err, &sweepErr) {
+		t.Fatalf("err = %v, want a *explore.SweepError", err)
+	}
+	fails := sweepErr.Variants
+	if len(fails) != sum.Adaptive.Evals+1 {
+		t.Fatalf("%d variant failures, want the search's %d plus the baseline", len(fails), sum.Adaptive.Evals)
+	}
+	for i, ve := range fails {
+		if i > 0 && ve.Index <= fails[i-1].Index || !errors.Is(ve, explore.ErrLowConfidence) {
+			t.Errorf("failure %d = index %d, %v; want ascending indices, ErrLowConfidence", i, ve.Index, ve.Err)
+		}
+		if ve.Machine != variants[ve.Index] {
+			t.Errorf("failure %d at index %d names %s, not that variant", i, ve.Index, ve.MachineName)
+		}
+	}
+	if base := fails[len(fails)-1].Index; base != len(variants)-1 {
+		t.Errorf("last failure at index %d, want the base machine at %d", base, len(variants)-1)
+	}
+	for i, ev := range evals {
+		if ev != nil {
+			t.Errorf("variant %d below the floor still produced an eval", i)
+		}
+	}
+}
+
 // TestSweepAboveConfidenceFloor: a floor every analysis clears changes
 // nothing — the Evals are bit-identical to a sweep without a floor.
 func TestSweepAboveConfidenceFloor(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"skope/internal/explore"
 	"skope/internal/guard"
@@ -14,8 +12,8 @@ import (
 	"skope/internal/hw"
 )
 
-// EvaluateMany projects a prepared workload onto several machines through
-// a bounded worker pool (WithWorkers, default runtime.GOMAXPROCS).
+// EvaluateMany projects a prepared workload onto several machines on the
+// sweeps' worker pool, explore.Pool (WithWorkers, default GOMAXPROCS).
 // Preparation (the profiling run) is shared and machine independent; each
 // evaluation touches only its own analysis and simulator state, so the
 // fan-out is embarrassingly parallel. Results are returned in the order of
@@ -30,49 +28,19 @@ import (
 // ctx's error wrapped.
 func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ...Option) ([]*Eval, error) {
 	o := buildOptions(opts)
-	workers := o.workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(machines) {
-		workers = len(machines)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	evals := make([]*Eval, len(machines))
 	errs := make([]error, len(machines))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				ev, err := Evaluate(ctx, run, machines[i], opts...)
-				if err != nil {
-					if ctx.Err() != nil && errors.Is(err, context.Canceled) {
-						// Sweep-level cancellation, not a machine failure.
-						return
-					}
-					errs[i] = fmt.Errorf("pipeline: machine %s: %w", machines[i].Name, err)
-					continue
-				}
-				evals[i] = ev
+	explore.Pool(ctx, len(machines), o.workers, func(i int) {
+		ev, err := Evaluate(ctx, run, machines[i], opts...)
+		if err != nil {
+			if ctx.Err() == nil || !errors.Is(err, context.Canceled) {
+				// Not sweep-level cancellation: a machine failure.
+				errs[i] = fmt.Errorf("pipeline: machine %s: %w", machines[i].Name, err)
 			}
-		}()
-	}
-feed:
-	for i := range machines {
-		select {
-		case work <- i:
-		case <-ctx.Done():
-			break feed
+			return
 		}
-	}
-	close(work)
-	wg.Wait()
+		evals[i] = ev
+	})()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: evaluate many %s: %w", run.Workload.Name, err)
 	}
@@ -129,51 +97,74 @@ func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 // way to lose healthy results) returns nil evaluations and the wrapped
 // context error.
 func Sweep(ctx context.Context, run *Run, variants []*hw.Machine, opts ...Option) ([]*Eval, error) {
-	o := buildOptions(opts)
-	eng, err := Explorer(run, opts...)
+	collect, err := collector(run, variants, opts)
 	if err != nil {
 		return nil, err
 	}
-	evals, err := collect(ctx, eng, run, o.crit, variants, make([]*Eval, len(variants)), 0, nil)
+	evals, err := collect(ctx, nil)
 	if err != nil {
 		return evals, fmt.Errorf("pipeline: sweep %s: %w", run.Workload.Name, err)
 	}
 	return evals, nil
 }
 
-// collect streams variants through eng into evals[off:], appending
-// failures to fails as *VariantErrors indexed into evals. It returns them
-// sorted in one *explore.SweepError joined with any journal or store
-// degradation, or nil evals on cancellation. Shared by every sweep path.
-func collect(ctx context.Context, eng *explore.Engine, run *Run, crit hotspot.Criteria, variants []*hw.Machine, evals []*Eval, off int, fails []*explore.VariantError) ([]*Eval, error) {
-	results, wait := eng.Stream(ctx, variants)
-	for r := range results {
-		if r.Err != nil {
-			var ve *explore.VariantError
-			if !errors.As(r.Err, &ve) {
-				ve = &explore.VariantError{Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
+// collector builds the engine for run under opts and returns the one
+// collection loop every sweep path runs on it. Each call of collect
+// streams the variants at the indices idx (all of them when idx is nil)
+// into their Evals, index-aligned with variants, and returns every Eval
+// collected so far, with every failure so far as a *VariantError at its
+// variant index, sorted in one *explore.SweepError and joined with any
+// journal or store degradation; on cancellation, nil Evals and the
+// context's error.
+func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ctx context.Context, idx []int) ([]*Eval, error), err error) {
+	eng, err := Explorer(run, opts...)
+	if err != nil {
+		return nil, err
+	}
+	crit := buildOptions(opts).crit
+	evals := make([]*Eval, len(variants))
+	var fails []*explore.VariantError
+	return func(ctx context.Context, idx []int) ([]*Eval, error) {
+		batch := variants
+		if idx != nil {
+			batch = make([]*hw.Machine, len(idx))
+			for k, i := range idx {
+				batch[k] = variants[i]
 			}
-			ve.Index = off + r.Index
-			fails = append(fails, ve)
-			continue
 		}
-		evals[off+r.Index] = sweepEval(run.Diagnostics, run.Confidence, r, crit)
-	}
-	werr := wait()
-	if werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
-		return nil, werr
-	}
-	var errs []error
-	if len(fails) > 0 {
-		sort.Slice(fails, func(i, j int) bool { return fails[i].Index < fails[j].Index })
-		errs = append(errs, &explore.SweepError{Variants: fails})
-	}
-	if werr != nil {
-		// Journal or store degradation: results are complete, only
-		// durability/cache coverage is partial.
-		errs = append(errs, werr)
-	}
-	return evals, errors.Join(errs...)
+		results, wait := eng.Stream(ctx, batch)
+		for r := range results {
+			i := r.Index
+			if idx != nil {
+				i = idx[i]
+			}
+			if r.Err != nil {
+				var ve *explore.VariantError
+				if !errors.As(r.Err, &ve) {
+					ve = &explore.VariantError{Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
+				}
+				ve.Index = i
+				fails = append(fails, ve)
+				continue
+			}
+			evals[i] = sweepEval(run.Diagnostics, run.Confidence, r, crit)
+		}
+		werr := wait()
+		if werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
+			return nil, werr
+		}
+		var errs []error
+		if len(fails) > 0 {
+			sort.Slice(fails, func(i, j int) bool { return fails[i].Index < fails[j].Index })
+			errs = append(errs, &explore.SweepError{Variants: fails})
+		}
+		if werr != nil {
+			// Journal or store degradation: results are complete, only
+			// durability/cache coverage is partial.
+			errs = append(errs, werr)
+		}
+		return evals, errors.Join(errs...)
+	}, nil
 }
 
 // sweepEval assembles the unified Eval for one analytical sweep result:

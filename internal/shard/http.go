@@ -19,11 +19,10 @@ import (
 
 // Service is the coordinator's HTTP surface: a job registry plus the
 // worker-protocol routes, mountable into any daemon's mux (cmd/skoped
-// mounts it next to the session routes; the local multi-process mode and
-// tests mount it on a httptest server). Job creation is left to the host
-// — computing a job's layout fingerprint means preparing the workload,
-// which each host schedules its own way — so the host creates Coordinators
-// and Adds them here.
+// mounts it next to the session routes; tests mount it on a httptest
+// server). Job creation is left to the host — computing a job's layout
+// fingerprint means preparing the workload, which each host schedules its
+// own way — so the host creates Coordinators and Adds them here.
 type Service struct {
 	mu     sync.Mutex
 	jobs   map[string]*Coordinator

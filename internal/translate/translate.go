@@ -64,7 +64,9 @@ func Translate(prog *minilang.Program, prof *interp.Profile) (*Result, error) {
 }
 
 // InputEnv evaluates the program's scalar globals — the input context the
-// BET is built with (array dimensions and input-size parameters).
+// BET is built with (array dimensions and input-size parameters) — with
+// the interpreter's constant evaluator, so the context is exactly the
+// profiling run's initial globals.
 func InputEnv(prog *minilang.Program) (expr.Env, error) {
 	env := expr.Env{}
 	for _, g := range prog.Globals {
@@ -74,7 +76,7 @@ func InputEnv(prog *minilang.Program) (expr.Env, error) {
 		v := 0.0
 		if g.Init != nil {
 			var err error
-			v, err = constEval(g.Init, env)
+			v, err = interp.ConstEval(g.Init, env)
 			if err != nil {
 				return nil, fmt.Errorf("translate: global %s: %v", g.Name, err)
 			}
@@ -85,65 +87,6 @@ func InputEnv(prog *minilang.Program) (expr.Env, error) {
 		env[g.Name] = v
 	}
 	return env, nil
-}
-
-func constEval(e minilang.Expr, env expr.Env) (float64, error) {
-	switch t := e.(type) {
-	case *minilang.IntLit:
-		return float64(t.Val), nil
-	case *minilang.FloatLit:
-		return t.Val, nil
-	case *minilang.VarRef:
-		v, ok := env[t.Name]
-		if !ok {
-			return 0, fmt.Errorf("unknown name %q", t.Name)
-		}
-		return v, nil
-	case *minilang.Binary:
-		l, err := constEval(t.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := constEval(t.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch t.Op {
-		case minilang.OpAdd:
-			return l + r, nil
-		case minilang.OpSub:
-			return l - r, nil
-		case minilang.OpMul:
-			return l * r, nil
-		case minilang.OpDiv:
-			if r == 0 {
-				return 0, fmt.Errorf("division by zero")
-			}
-			if t.ResultType() == minilang.TypeInt {
-				return math.Trunc(l / r), nil
-			}
-			return l / r, nil
-		case minilang.OpRem:
-			if r == 0 {
-				return 0, fmt.Errorf("remainder by zero")
-			}
-			return math.Mod(l, r), nil
-		}
-		return 0, fmt.Errorf("unsupported operator in constant expression")
-	case *minilang.Unary:
-		v, err := constEval(t.X, env)
-		if err != nil {
-			return 0, err
-		}
-		if t.Op == "!" {
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		}
-		return -v, nil
-	}
-	return 0, fmt.Errorf("unsupported constant expression %T", e)
 }
 
 type translator struct {

@@ -2,6 +2,7 @@ package translate
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"skope/internal/libmodel"
 	"skope/internal/minilang"
 	"skope/internal/sim"
+	"skope/internal/workloads"
 )
 
 // prepProgram parses, checks and profiles a minilang program.
@@ -478,6 +480,59 @@ func TestInputEnvDivZero(t *testing.T) {
 	}
 	if _, err := InputEnv(prog); err == nil {
 		t.Error("division by zero in global init accepted")
+	}
+}
+
+// TestInputEnvIsInterpreterGlobals: the model's input context is exactly
+// the profiling run's initial scalar globals, on the five workloads and on
+// initializers with a comparison or an IEEE float division by zero.
+func TestInputEnvIsInterpreterGlobals(t *testing.T) {
+	srcs := map[string]string{
+		"comparison": `
+global n: int = 64;
+global big: int = n > 32;
+global a: [n]float;
+func main() {
+  for i = 0 .. n {
+    if (big > 0) {
+      a[i] = a[i] * 2.0 + 1.0;
+    }
+  }
+}
+`,
+		"float-div-zero": `
+global n: int = 64;
+global inv: float = 1.0 / (n - 64);
+global a: [n]float;
+func main() {
+  for i = 0 .. n {
+    a[i] = a[i] + 1.0;
+  }
+}
+`,
+	}
+	for _, name := range workloads.Names() {
+		w, err := workloads.Get(name, workloads.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs[name] = w.Source
+	}
+	for name, src := range srcs {
+		t.Run(name, func(t *testing.T) {
+			prog, prof := prepProgram(t, src)
+			res, err := Translate(prog, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := interp.New(prog, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(map[string]float64(res.Input), e.Globals) {
+				t.Errorf("input context %v != interpreter's initial globals %v", res.Input, e.Globals)
+			}
+		})
 	}
 }
 
