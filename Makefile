@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-store bench-shard bench-adaptive bench-smoke chaos chaos-disk chaos-net fuzz-short loc check
+.PHONY: all build vet fmt-check test race bench bench-profile bench-store bench-shard bench-adaptive bench-smoke chaos chaos-disk chaos-net fuzz-short loc check
 
 all: check
 
@@ -28,6 +28,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The profiling pass (interp.New + Run with the branch profiler) on each
+# workload: time, steps and ns/step, allocations. This is the layer that
+# sets what preparing a workload costs.
+bench-profile:
+	$(GO) test -run '^$$' -bench BenchmarkProfile -benchmem ./internal/interp/
 
 # Cold-vs-warm throughput of the content-addressed result store; the
 # pinned numbers live in BENCH_store.json.

@@ -1,14 +1,18 @@
 // Package interp implements the execution engine for minilang programs,
 // parameterized by an Observer that receives fine-grained dynamic events:
 // arithmetic operations, memory accesses with concrete addresses, library
-// calls, branch outcomes, and loop trip counts. New lowers the checked
-// program once into resolved nodes (lower.go); Run executes only those.
+// calls, branch outcomes, and loop trip counts. New compiles the checked
+// program once into Go closures (compile.go); Run only calls them. A
+// runtime error unwinds the closures as a panic of the package's own type,
+// which Run alone recovers and returns; no other panic is recovered.
 //
 // Two consumers plug into the engine:
 //
 //   - the branch profiler (Profile in this package), the paper's gcov
 //     substitute: it listens only to branch and loop events and produces the
-//     hardware-independent statistics folded into code skeletons;
+//     hardware-independent statistics folded into code skeletons. For a
+//     *Profiler, New compiles the program without the other events, so the
+//     profiling run pays only for what the profile keeps;
 //   - the machine timing simulator (package sim), the paper's physical
 //     validation machine substitute: it listens to every event, drives a
 //     cache hierarchy with the observed addresses, and attributes cycles to
@@ -164,20 +168,25 @@ type Engine struct {
 	rng      uint64
 	steps    int64
 	maxSteps int64
-	ctx      context.Context
+	// nextCheck is the step at which tick next takes its slow path: the
+	// next multiple of ctxCheckMask+1, or the first step past the budget.
+	nextCheck int64
+	ctx       context.Context
 
-	// The lowered program: main, the scalar global slots and their names,
-	// and the attribution block IDs that lowered nodes index.
+	// The compiled program: main, the scalar global slots and their names,
+	// and the attribution block IDs that compiled statements index.
 	main        *function
 	globals     []float64
 	globalNames []string
 	blockIDs    []string
 	// cur is the index of the current attribution block, or noBlock.
 	cur int
+	// ret is the value of the return statement that ended the latest call.
+	ret float64
 }
 
 // New prepares an engine: evaluates global initializers in declaration
-// order, allocates arrays, and lowers the program for execution. The
+// order, allocates arrays, and compiles the program for execution. The
 // program must have passed minilang.Check.
 func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 	e := &Engine{
@@ -201,6 +210,7 @@ func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 		}
 		e.obs = opts.Observer
 	}
+	e.nextCheck = min(ctxCheckMask+1, e.maxSteps+1)
 	if e.obs == nil {
 		e.obs = NopObserver{}
 	}
@@ -247,7 +257,7 @@ func New(prog *minilang.Program, opts *Options) (*Engine, error) {
 		e.Arrays[g.Name] = arr
 	}
 
-	if err := e.lower(prog); err != nil {
+	if err := e.compile(prog); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -293,21 +303,36 @@ func ConstEval(x minilang.Expr, env map[string]float64) (float64, error) {
 }
 
 // Run executes main(). It may be called once per engine.
-func (e *Engine) Run() error {
+func (e *Engine) Run() (err error) {
 	for i, name := range e.globalNames {
 		e.globals[i] = e.Globals[name]
 	}
-	_, err := e.call(e.main, make([]float64, e.main.slots))
-	for i, name := range e.globalNames {
-		e.Globals[name] = e.globals[i]
-	}
-	return err
+	defer func() {
+		// Only a runtimeError becomes Run's error; any other panic
+		// continues to the caller unchanged.
+		if r := recover(); r != nil {
+			re, ok := r.(runtimeError)
+			if !ok {
+				panic(r)
+			}
+			err = re.err
+		}
+		for i, name := range e.globalNames {
+			e.Globals[name] = e.globals[i]
+		}
+	}()
+	e.call(e.main, make([]float64, e.main.slots))
+	return nil
 }
+
+// runtimeError carries a runtime error from the compiled closure that
+// detects it to Run, which alone recovers it.
+type runtimeError struct{ err error }
 
 // Steps returns the number of statements executed so far.
 func (e *Engine) Steps() int64 { return e.steps }
 
-// control is the non-local control outcome of statement execution.
+// control is how control leaves a statement.
 type control int
 
 const (
@@ -317,8 +342,9 @@ const (
 	ctrlReturn
 )
 
-func (e *Engine) errf(pos minilang.Pos, format string, args ...any) error {
-	return fmt.Errorf("%s:%s: runtime: %s", e.src, pos, fmt.Sprintf(format, args...))
+// fail stops the run with a runtime error at pos.
+func (e *Engine) fail(pos minilang.Pos, format string, args ...any) {
+	panic(runtimeError{fmt.Errorf("%s:%s: runtime: %s", e.src, pos, fmt.Sprintf(format, args...))})
 }
 
 // ctxCheckMask gates the cancellation check to every 1024th statement: fine
@@ -326,28 +352,47 @@ func (e *Engine) errf(pos minilang.Pos, format string, args ...any) error {
 // ctx.Err() out of the interpreter's hot path.
 const ctxCheckMask = 1<<10 - 1
 
-// budget charges one statement against the step budget and, periodically,
+// tick charges one statement against the step budget and, periodically,
 // against the run's context deadline.
-func (e *Engine) budget(pos minilang.Pos) error {
+func (e *Engine) tick(pos minilang.Pos) {
 	e.steps++
-	if e.steps > e.maxSteps || e.steps&ctxCheckMask == 0 {
-		return e.checkpoint(pos)
+	if e.steps >= e.nextCheck {
+		e.checkpoint(pos)
 	}
-	return nil
 }
 
-// checkpoint is budget's slow path: the step limit, then the periodic
+// checkpoint is tick's slow path: the step limit, then the periodic
 // fault-injection point (no-op unless a test arms "interp.step") and
 // context check.
-func (e *Engine) checkpoint(pos minilang.Pos) error {
+func (e *Engine) checkpoint(pos minilang.Pos) {
 	if e.steps > e.maxSteps {
-		return e.errf(pos, "step budget exceeded (%d); runaway loop?", e.maxSteps)
+		e.fail(pos, "step budget exceeded (%d); runaway loop?", e.maxSteps)
 	}
+	e.nextCheck = min(e.steps+ctxCheckMask+1, e.maxSteps+1)
 	guard.Hit("interp.step", e.src)
 	if err := e.ctx.Err(); err != nil {
-		return fmt.Errorf("%s:%s: %w", e.src, pos, err)
+		panic(runtimeError{fmt.Errorf("%s:%s: %w", e.src, pos, err)})
 	}
-	return nil
+}
+
+// begin is tick for a statement that belongs to the segment block seg
+// (noBlock for none): it also switches attribution to seg. Its one call
+// keeps it small enough to inline.
+func (e *Engine) begin(pos minilang.Pos, seg int) {
+	e.steps++
+	if e.steps >= e.nextCheck || seg != e.cur {
+		e.beginSlow(pos, seg)
+	}
+}
+
+// beginSlow is begin's slow path.
+func (e *Engine) beginSlow(pos minilang.Pos, seg int) {
+	if e.steps >= e.nextCheck {
+		e.checkpoint(pos)
+	}
+	if seg != noBlock {
+		e.enter(seg)
+	}
 }
 
 // enter switches attribution to block b, if needed.
@@ -358,363 +403,14 @@ func (e *Engine) enter(b int) {
 	}
 }
 
-// call runs fn in frame fr, whose parameter slots are already set.
-func (e *Engine) call(fn *function, fr []float64) (float64, error) {
-	ret, ctrl, err := e.execBlock(fr, fn.body)
-	if err != nil {
-		return 0, err
-	}
-	if ctrl == ctrlReturn {
-		return ret, nil
-	}
-	return 0, nil
-}
-
-func (e *Engine) execBlock(fr []float64, body []*stmt) (float64, control, error) {
-	for _, s := range body {
-		ret, ctrl, err := e.exec(fr, s)
-		if err != nil || ctrl != ctrlNone {
-			return ret, ctrl, err
-		}
-	}
-	return 0, ctrlNone, nil
-}
-
-func (e *Engine) exec(fr []float64, s *stmt) (float64, control, error) {
-	if err := e.budget(s.pos); err != nil {
-		return 0, ctrlNone, err
-	}
-	if s.seg != noBlock {
-		e.enter(s.seg)
-	}
-	switch s.kind {
-	case stSetLocal, stSetGlobal:
-		v, err := e.eval(fr, s.x)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		if s.isInt {
-			v = math.Trunc(v)
-		}
-		if s.kind == stSetLocal {
-			fr[s.slot] = v
-		} else {
-			e.globals[s.slot] = v
-		}
-		return 0, ctrlNone, nil
-
-	case stSetIndex:
-		v, err := e.eval(fr, s.x)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		x := s.elem
-		off, err := e.element(fr, x)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		if x.isInt {
-			v = math.Trunc(v)
-		}
-		e.obs.Access(x.arr.Base+uint64(off)*uint64(x.arr.Elem), x.arr.Elem, true)
-		x.arr.Data[off] = v
-		return 0, ctrlNone, nil
-
-	case stExpr:
-		_, err := e.eval(fr, s.x)
-		return 0, ctrlNone, err
-
-	case stFor:
-		return e.execFor(fr, s)
-
-	case stWhile:
-		return e.execWhile(fr, s)
-
-	case stIf:
-		e.enter(s.block)
-		cond, err := e.eval(fr, s.x)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		taken := cond != 0
-		e.obs.Branch(s.site, taken)
-		if taken {
-			return e.execBlock(fr, s.body)
-		}
-		if s.els != nil {
-			return e.execBlock(fr, s.els)
-		}
-		return 0, ctrlNone, nil
-
-	case stReturn:
-		if s.x != nil {
-			v, err := e.eval(fr, s.x)
-			if err != nil {
-				return 0, ctrlNone, err
-			}
-			if s.isInt {
-				v = math.Trunc(v)
-			}
-			return v, ctrlReturn, nil
-		}
-		return 0, ctrlReturn, nil
-
-	case stBreak:
-		return 0, ctrlBreak, nil
-
-	case stContinue:
-		return 0, ctrlContinue, nil
-	}
-	return 0, ctrlNone, e.errf(s.pos, "unhandled statement kind %d", s.kind)
-}
-
-func (e *Engine) execFor(fr []float64, s *stmt) (float64, control, error) {
-	e.enter(s.block)
-	from, err := e.eval(fr, s.from)
-	if err != nil {
-		return 0, ctrlNone, err
-	}
-	to, err := e.eval(fr, s.to)
-	if err != nil {
-		return 0, ctrlNone, err
-	}
-	step := 1.0
-	if s.step != nil {
-		step, err = e.eval(fr, s.step)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-	}
-	step = math.Trunc(step)
-	if step == 0 {
-		return 0, ctrlNone, e.errf(s.pos, "for step is zero")
-	}
-	if math.IsNaN(step) {
-		return 0, ctrlNone, e.errf(s.pos, "for step is %g", step)
-	}
-	// A NaN bound fails every comparison, so the loop would silently run
-	// zero trips.
-	if math.IsNaN(from) {
-		return 0, ctrlNone, e.errf(s.pos, "for start is %g", from)
-	}
-	if math.IsNaN(to) {
-		return 0, ctrlNone, e.errf(s.pos, "for bound is %g", to)
-	}
-	i := math.Trunc(from)
-	to = math.Trunc(to)
-	var trips int64
-	for (step > 0 && i < to) || (step < 0 && i > to) {
-		// Loop bookkeeping: compare + increment.
-		e.enter(s.block)
-		e.obs.Op(OpInt, VecNone)
-		e.obs.Op(OpInt, VecNone)
-		fr[s.slot] = i
-		trips++
-		ret, ctrl, err := e.execBlock(fr, s.body)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		switch ctrl {
-		case ctrlBreak:
-			e.obs.LoopTrips(s.site, trips)
-			return 0, ctrlNone, nil
-		case ctrlReturn:
-			e.obs.LoopTrips(s.site, trips)
-			return ret, ctrlReturn, nil
-		}
-		i += step
-		if err := e.budget(s.pos); err != nil {
-			return 0, ctrlNone, err
-		}
-	}
-	e.obs.LoopTrips(s.site, trips)
-	return 0, ctrlNone, nil
-}
-
-func (e *Engine) execWhile(fr []float64, s *stmt) (float64, control, error) {
-	var trips int64
-	for {
-		e.enter(s.block)
-		cond, err := e.eval(fr, s.x)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		if cond == 0 {
-			break
-		}
-		trips++
-		ret, ctrl, err := e.execBlock(fr, s.body)
-		if err != nil {
-			return 0, ctrlNone, err
-		}
-		switch ctrl {
-		case ctrlBreak:
-			e.obs.LoopTrips(s.site, trips)
-			return 0, ctrlNone, nil
-		case ctrlReturn:
-			e.obs.LoopTrips(s.site, trips)
-			return ret, ctrlReturn, nil
-		}
-		if err := e.budget(s.pos); err != nil {
-			return 0, ctrlNone, err
-		}
-	}
-	e.obs.LoopTrips(s.site, trips)
-	return 0, ctrlNone, nil
-}
-
-// element evaluates and bounds-checks an exIndex node's index list and
-// returns the element's flat offset in x.arr.
-func (e *Engine) element(fr []float64, x *expr) (int64, error) {
-	var off int64
-	for d, ix := range x.index {
-		v, err := e.eval(fr, ix)
-		if err != nil {
-			return 0, err
-		}
-		// Address arithmetic: one int op per dimension.
-		e.obs.Op(OpInt, x.vec)
-		// The index is v truncated toward zero. Check its range in
-		// floating point, which also rejects NaN and infinities: Go leaves
-		// their conversion to int64 implementation-defined.
-		n := x.arr.Extents[d]
-		if !(v > -1 && v < float64(n)) {
-			return 0, e.indexErr(x, d, v)
-		}
-		off = off*n + int64(v)
-	}
-	return off, nil
-}
-
-// indexErr reports why v is not a valid index in dimension d of x.
-func (e *Engine) indexErr(x *expr, d int, v float64) error {
+// indexErr panics with why v is not a valid index in dimension d of the
+// array name with extents ext.
+func (e *Engine) indexErr(pos minilang.Pos, name string, ext []int64, d int, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return e.errf(x.pos, "index %g is not finite in dimension %d of %q", v, d, x.name)
+		e.fail(pos, "index %g is not finite in dimension %d of %q", v, d, name)
 	}
-	return e.errf(x.pos, "index %.0f out of range [0,%d) in dimension %d of %q",
-		math.Trunc(v), x.arr.Extents[d], d, x.name)
-}
-
-func (e *Engine) eval(fr []float64, x *expr) (float64, error) {
-	switch x.kind {
-	case exConst:
-		return x.val, nil
-
-	case exLocal:
-		return fr[x.slot], nil
-
-	case exGlobal:
-		return e.globals[x.slot], nil
-
-	case exIndex:
-		off, err := e.element(fr, x)
-		if err != nil {
-			return 0, err
-		}
-		e.obs.Access(x.arr.Base+uint64(off)*uint64(x.arr.Elem), x.arr.Elem, false)
-		return x.arr.Data[off], nil
-
-	case exBinary:
-		l, err := e.eval(fr, x.x)
-		if err != nil {
-			return 0, err
-		}
-		r, err := e.eval(fr, x.y)
-		if err != nil {
-			return 0, err
-		}
-		e.obs.Op(x.class, x.vec)
-		v, err := applyBinary(x.op, x.isInt, l, r)
-		if err != nil {
-			return 0, e.errf(x.pos, "%v", err)
-		}
-		return v, nil
-
-	case exLogical:
-		l, err := e.eval(fr, x.x)
-		if err != nil {
-			return 0, err
-		}
-		e.obs.Op(OpInt, x.vec)
-		if x.op == minilang.OpAnd && l == 0 {
-			return 0, nil
-		}
-		if x.op == minilang.OpOr && l != 0 {
-			return 1, nil
-		}
-		r, err := e.eval(fr, x.y)
-		if err != nil {
-			return 0, err
-		}
-		return b2f(r != 0), nil
-
-	case exNot:
-		v, err := e.eval(fr, x.x)
-		if err != nil {
-			return 0, err
-		}
-		e.obs.Op(OpInt, x.vec)
-		return b2f(v == 0), nil
-
-	case exNeg:
-		v, err := e.eval(fr, x.x)
-		if err != nil {
-			return 0, err
-		}
-		e.obs.Op(x.class, x.vec)
-		return -v, nil
-
-	case exBuiltin:
-		var a, b float64
-		var err error
-		if x.x != nil {
-			if a, err = e.eval(fr, x.x); err != nil {
-				return 0, err
-			}
-		}
-		if x.y != nil {
-			if b, err = e.eval(fr, x.y); err != nil {
-				return 0, err
-			}
-		}
-		e.obs.LibCall(x.name, x.vec)
-		return e.callBuiltin(x, a, b)
-
-	case exExchange:
-		bytes, err := e.eval(fr, x.x)
-		if err != nil {
-			return 0, err
-		}
-		msgs, err := e.eval(fr, x.y)
-		if err != nil {
-			return 0, err
-		}
-		e.enter(x.block)
-		e.obs.Comm(bytes, msgs)
-		return 0, nil
-
-	case exCall:
-		// The callee's frame is its only allocation; arguments land in
-		// their parameter slots directly.
-		callee := x.fn
-		frame := make([]float64, callee.slots)
-		for i, a := range x.args {
-			v, err := e.eval(fr, a)
-			if err != nil {
-				return 0, err
-			}
-			p := callee.params[i]
-			if p.isInt {
-				v = math.Trunc(v)
-			}
-			frame[p.slot] = v
-		}
-		v, err := e.call(callee, frame)
-		// Attribution moved to the callee: force re-attribution on return.
-		e.cur = noBlock
-		return v, err
-	}
-	return 0, e.errf(x.pos, "unhandled expression kind %d", x.kind)
+	e.fail(pos, "index %.0f out of range [0,%d) in dimension %d of %q",
+		math.Trunc(v), ext[d], d, name)
 }
 
 func applyBinary(op minilang.BinOp, isInt bool, l, r float64) (float64, error) {
@@ -768,45 +464,43 @@ func b2f(b bool) float64 {
 	return 0
 }
 
-// callBuiltin applies an exBuiltin node's function to its evaluated
-// arguments (a and b; unused ones are zero).
-func (e *Engine) callBuiltin(x *expr, a, b float64) (float64, error) {
-	switch x.lib {
+// callBuiltin applies a math-library function to its evaluated arguments
+// (a and b; unused ones are zero).
+func (e *Engine) callBuiltin(lib builtin, pos minilang.Pos, a, b float64) float64 {
+	switch lib {
 	case libExp:
-		return math.Exp(a), nil
+		return math.Exp(a)
 	case libLog:
 		if a <= 0 {
-			return 0, e.errf(x.pos, "log of non-positive value %g", a)
+			e.fail(pos, "log of non-positive value %g", a)
 		}
-		return math.Log(a), nil
+		return math.Log(a)
 	case libSqrt:
 		if a < 0 {
-			return 0, e.errf(x.pos, "sqrt of negative value %g", a)
+			e.fail(pos, "sqrt of negative value %g", a)
 		}
-		return math.Sqrt(a), nil
+		return math.Sqrt(a)
 	case libSin:
-		return math.Sin(a), nil
+		return math.Sin(a)
 	case libCos:
-		return math.Cos(a), nil
+		return math.Cos(a)
 	case libAbs:
-		return math.Abs(a), nil
+		return math.Abs(a)
 	case libFloor:
-		return math.Floor(a), nil
+		return math.Floor(a)
 	case libPow:
-		return math.Pow(a, b), nil
+		return math.Pow(a, b)
 	case libMin:
-		return math.Min(a, b), nil
+		return math.Min(a, b)
 	case libMax:
-		return math.Max(a, b), nil
+		return math.Max(a, b)
 	case libMod:
 		if b == 0 {
-			return 0, e.errf(x.pos, "mod by zero")
+			e.fail(pos, "mod by zero")
 		}
-		return math.Mod(a, b), nil
-	case libRand:
-		return e.nextRand(), nil
+		return math.Mod(a, b)
 	}
-	return 0, e.errf(x.pos, "unknown builtin %q", x.name)
+	return e.nextRand()
 }
 
 // nextRand is a deterministic xorshift64* stream in [0, 1).

@@ -288,3 +288,71 @@ func TestEventStreamGolden(t *testing.T) {
 		t.Errorf("event stream drifted from %s\n--- want\n%s--- got\n%s", path, want, got.String())
 	}
 }
+
+// failingSrc stops with an index error after several branches and
+// completed inner loops, so its profile is partial.
+const failingSrc = `
+global a: [8]float;
+global s: float;
+func main() {
+  for i = 0 .. 20 {
+    for j = 0 .. i {
+      s = s + j;
+    }
+    if (i % 3 == 0) {
+      s = s + 1.0;
+    }
+    a[i] = s;
+  }
+}
+`
+
+// TestProfilerFastPathMatchesFullStream checks the profiler's path, which
+// compiles away every event the profiler ignores, against the full
+// stream: a type embedding *Profiler receives every event. Both must
+// produce the same profile, Steps() and final state on every golden case,
+// and the same error and partial profile on a program that fails mid-run.
+func TestProfilerFastPathMatchesFullStream(t *testing.T) {
+	cases := append(eventCases(), eventCase{name: "failing", src: failingSrc, seed: 1})
+	for _, c := range cases {
+		prog, err := minilang.Parse(c.name, c.src)
+		if err == nil {
+			err = minilang.Check(prog)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		type outcome struct {
+			profile, err string
+			steps        int64
+			state        uint64
+		}
+		profile := func(obs interp.Observer, p *interp.Profiler) outcome {
+			e, err := interp.New(prog, &interp.Options{Observer: obs, Seed: c.seed})
+			if err != nil {
+				t.Fatalf("%s: new: %v", c.name, err)
+			}
+			for g, v := range c.globals {
+				e.Globals[g] = v
+			}
+			var o outcome
+			if err := e.Run(); err != nil {
+				o.err = err.Error()
+			}
+			o.profile, o.steps, o.state = p.P.String(), e.Steps(), stateDigest(e)
+			return o
+		}
+		fastP, fullP := interp.NewProfiler(), interp.NewProfiler()
+		fast := profile(fastP, fastP)
+		full := profile(struct{ *interp.Profiler }{fullP}, fullP)
+		if fast != full {
+			t.Errorf("%s: profiler path and full stream differ\n--- profiler path\n%+v\n--- full stream\n%+v", c.name, fast, full)
+		}
+		if (c.name == "failing") != (fast.err != "") {
+			t.Errorf("%s: error %q", c.name, fast.err)
+		}
+		if fast.profile == "" {
+			t.Errorf("%s: empty profile", c.name)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"skope/internal/guard"
 	"skope/internal/minilang"
 )
 
@@ -175,32 +176,102 @@ func main() {
 }
 
 func TestRuntimeErrors(t *testing.T) {
-	// Each case maps to a substring its error must contain.
-	cases := map[string]struct{ src, want string }{
-		"oob":       {"global a: [4]float; func main() { a[7] = 1.0; }", "index 7 out of range [0,4) in dimension 0"},
-		"oob neg":   {"global a: [4]float; func main() { var i: int = 0 - 1; a[i] = 1.0; }", "index -1 out of range"},
-		"oob huge":  {"global a: [4]float; func main() { var x: float = a[1.0e30]; }", "index 1000000000000000019884624838656 out of range"},
-		"nan index": {"global a: [4]float; func main() { var z: float = 0.0; var x: float = a[z / z]; }", "index NaN is not finite in dimension 0"},
-		"inf index": {"global a: [2][4]float; func main() { var z: float = 0.0; a[1][1.0 / z] = 1.0; }", "index +Inf is not finite in dimension 1"},
-		"int div0":  {"global k: int; func main() { var z: int = 0; k = 1 / z; }", "integer division by zero"},
-		"rem0":      {"global k: int; func main() { var z: int = 0; k = 1 % z; }", "remainder by zero"},
-		"log0":      {"global x: float; func main() { x = log(0.0); }", "log of non-positive value 0"},
-		"sqrtneg":   {"global x: float; func main() { x = sqrt(0.0 - 1.0); }", "sqrt of negative value -1"},
-		"mod0":      {"global x: float; func main() { x = mod(1.0, 0.0); }", "mod by zero"},
-		"zerostep":  {"func main() { var s: int = 0; for i = 0 .. 4 step s { } }", "for step is zero"},
-		"nanstep":   {"func main() { var z: float = 0.0; for i = 0 .. 4 step z / z { } }", "for step is NaN"},
-		"nan start": {"func main() { var z: float = 0.0; for i = z / z .. 4 { } }", "for start is NaN"},
-		"nan bound": {"func main() { var z: float = 0.0; for i = 0 .. z / z { } }", "for bound is NaN"},
+	// Each case maps to a substring its error must contain and the scalar
+	// globals Run must leave written before the failure.
+	cases := map[string]struct {
+		src, want string
+		globals   map[string]float64
+	}{
+		"oob":       {src: "global a: [4]float; func main() { a[7] = 1.0; }", want: "index 7 out of range [0,4) in dimension 0"},
+		"oob neg":   {src: "global a: [4]float; func main() { var i: int = 0 - 1; a[i] = 1.0; }", want: "index -1 out of range"},
+		"oob huge":  {src: "global a: [4]float; func main() { var x: float = a[1.0e30]; }", want: "index 1000000000000000019884624838656 out of range"},
+		"nan index": {src: "global a: [4]float; func main() { var z: float = 0.0; var x: float = a[z / z]; }", want: "index NaN is not finite in dimension 0"},
+		"inf index": {src: "global a: [2][4]float; func main() { var z: float = 0.0; a[1][1.0 / z] = 1.0; }", want: "index +Inf is not finite in dimension 1"},
+		"int div0":  {src: "global k: int; func main() { var z: int = 0; k = 1 / z; }", want: "integer division by zero"},
+		"rem0":      {src: "global k: int; func main() { var z: int = 0; k = 1 % z; }", want: "remainder by zero"},
+		"log0":      {src: "global x: float; func main() { x = log(0.0); }", want: "log of non-positive value 0"},
+		"sqrtneg":   {src: "global x: float; func main() { x = sqrt(0.0 - 1.0); }", want: "sqrt of negative value -1"},
+		"mod0":      {src: "global x: float; func main() { x = mod(1.0, 0.0); }", want: "mod by zero"},
+		"zerostep":  {src: "func main() { var s: int = 0; for i = 0 .. 4 step s { } }", want: "for step is zero"},
+		"nanstep":   {src: "func main() { var z: float = 0.0; for i = 0 .. 4 step z / z { } }", want: "for step is NaN"},
+		"nan start": {src: "func main() { var z: float = 0.0; for i = z / z .. 4 { } }", want: "for start is NaN"},
+		"nan bound": {src: "func main() { var z: float = 0.0; for i = 0 .. z / z { } }", want: "for bound is NaN"},
+		"in callee from loop": {
+			src: `global a: [4]float; global done: int;
+func main() { for i = 0 .. 10 { done = i; poke(i); } }
+func poke(i: int) { a[i] = 1.0; }`,
+			want: `3:21: runtime: index 4 out of range [0,4) in dimension 0 of "a"`, globals: map[string]float64{"done": 4},
+		},
+		"in if condition": {
+			src:  "global k: int; global z: int; func main() { k = 5; if (k / z > 1) { k = 6; } }",
+			want: "runtime: integer division by zero", globals: map[string]float64{"k": 5},
+		},
+		"in while condition": {
+			src: `global n: int;
+func main() { var x: float = 3.0; while (log(x) < 5.0) { n = n + 1; x = x - 1.0; } }`,
+			want: "2:42: runtime: log of non-positive value 0", globals: map[string]float64{"n": 3},
+		},
+		"in nested for bound": {
+			src: `global a: [3]float; global s: int;
+func main() { for i = 0 .. 3 { s = s + 1; for j = 0 .. a[i * 2] { } } }`,
+			want: "runtime: index 4 out of range [0,3) in dimension 0", globals: map[string]float64{"s": 3},
+		},
+		"in call argument": {
+			src: `global r: float; global m: int;
+func main() { m = 2; r = twice(mod(1.0, 0.0)); }
+func twice(x: float): float { return x * 2.0; }`,
+			want: "2:32: runtime: mod by zero", globals: map[string]float64{"m": 2, "r": 0},
+		},
+	}
+	// The profiler compiles a program without the events it ignores; every
+	// other observer gets the full stream. Both must fail alike.
+	observers := map[string]func() Observer{
+		"full stream": func() Observer { return nil },
+		"profiler":    func() Observer { return NewProfiler() },
 	}
 	for name, c := range cases {
-		e := prep(t, c.src, nil)
-		err := e.Run()
-		if err == nil {
-			t.Errorf("%s: Run succeeded, want error", name)
-			continue
+		for oname, obs := range observers {
+			e := prep(t, c.src, &Options{Observer: obs()})
+			err := e.Run()
+			if err == nil {
+				t.Errorf("%s, %s: Run succeeded, want error", name, oname)
+				continue
+			}
+			want := c.want
+			if !strings.Contains(want, "runtime: ") {
+				want = "runtime: " + want
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, %s: error %q, want it to contain %q", name, oname, err, want)
+			}
+			for g, v := range c.globals {
+				if e.Globals[g] != v {
+					t.Errorf("%s, %s: global %s = %g after the failure, want %g", name, oname, g, e.Globals[g], v)
+				}
+			}
 		}
-		if !strings.Contains(err.Error(), "runtime: "+c.want) {
-			t.Errorf("%s: error %q, want it to contain %q", name, err, c.want)
+	}
+}
+
+// TestForeignPanicPassesThroughRun arms the interpreter's step fault point
+// with a panic: Run recovers only its own runtime errors, so the panic
+// must reach Run's caller as a panic, with its value, and not as an error.
+func TestForeignPanicPassesThroughRun(t *testing.T) {
+	disarm := guard.Arm("interp.step", func(string) { panic("injected") })
+	defer disarm()
+	for _, obs := range []Observer{nil, NewProfiler()} {
+		e := prep(t, "global x: int; func main() { for i = 0 .. 5000 { x = x + 1; } }", &Options{Observer: obs})
+		var err error
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			err = e.Run()
+			return nil
+		}()
+		if got != "injected" || err != nil {
+			t.Errorf("observer %T: Run panicked with %v and returned %v; want panic \"injected\" and no return", obs, got, err)
+		}
+		if e.Steps() != 1024 {
+			t.Errorf("observer %T: panic after %d steps, want 1024", obs, e.Steps())
 		}
 	}
 }

@@ -297,7 +297,7 @@ func Prepare(ctx context.Context, w *workloads.Workload, opts ...Option) (run *R
 	prof := o.prof
 	if prof == nil {
 		profiler := interp.NewProfiler()
-		eng, err := interp.New(prog, &interp.Options{Observer: profiler, Seed: w.Seed})
+		eng, err := interp.New(prog, &interp.Options{Observer: profiler, Seed: w.Seed, Ctx: ctx})
 		if err != nil {
 			if !o.lenient {
 				return nil, stage(ErrProfile, fmt.Errorf("pipeline: profile %s: %w", w.Name, err))

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"skope/internal/explore"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
+	"skope/internal/interp"
 	"skope/internal/profile"
 	"skope/internal/workloads"
 )
@@ -284,6 +286,77 @@ func TestPrepareCanceledContext(t *testing.T) {
 	}
 	if _, err := Prepare(ctx, w); !errors.Is(err, context.Canceled) {
 		t.Errorf("Prepare on canceled ctx = %v, want context.Canceled in chain", err)
+	}
+}
+
+// TestPrepareDeadlineStopsProfiling: the profiling run honours Prepare's
+// context, so a program whose loop never advances stops at the deadline
+// instead of at the interpreter's step budget, minutes later. Lenient mode
+// keeps a failed run's partial profile but still reports the deadline.
+func TestPrepareDeadlineStopsProfiling(t *testing.T) {
+	w := &workloads.Workload{Name: "spin", Seed: 1, Source: `
+global n: int = 10;
+func main() {
+  var i: int = 0;
+  while (i < n) {
+    i = i + 0;
+  }
+}
+`}
+	for _, lenient := range []bool{false, true} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		done := make(chan error, 1)
+		go func() {
+			_, err := Prepare(ctx, w, WithLenient(lenient))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("lenient=%v: Prepare = %v, want context.DeadlineExceeded in chain", lenient, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("lenient=%v: Prepare still running 2s after a 100ms deadline", lenient)
+		}
+		cancel()
+	}
+}
+
+// TestLenientPrepareKeepsPartialProfile: a profiling run that fails
+// mid-run leaves lenient Prepare the branch and loop statistics gathered
+// up to the failure, the same ones the full event stream yields.
+func TestLenientPrepareKeepsPartialProfile(t *testing.T) {
+	w := &workloads.Workload{Name: "fails-late", Seed: 1, Source: `
+global a: [8]float;
+global s: float;
+func main() {
+  for i = 0 .. 20 {
+    for j = 0 .. i {
+      s = s + j;
+    }
+    if (i % 3 == 0) {
+      s = s + 1.0;
+    }
+    a[i] = s;
+  }
+}
+`}
+	run, err := Prepare(context.Background(), w, WithLenient(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A type embedding *Profiler receives every event.
+	full := interp.NewProfiler()
+	e, err := interp.New(run.Prog, &interp.Options{Observer: struct{ *interp.Profiler }{full}, Seed: w.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err == nil {
+		t.Fatal("the program ran to completion; it must fail mid-run")
+	}
+	got, want := run.Profile.String(), full.P.String()
+	if got != want || !strings.Contains(got, "branch main@") || !strings.Contains(got, "loop main@") {
+		t.Errorf("lenient Prepare's profile\n%s\nwant the partial profile\n%s", got, want)
 	}
 }
 
