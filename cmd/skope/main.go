@@ -42,10 +42,7 @@
 //	skope -bench sord -sweep mem-bandwidth=16,32,64 -store results.cas
 //	skope -bench sord -sweep mem-bandwidth=16,32,64 -store results.cas   # zero recomputation
 //
-// A sweep runs in this one process. To distribute a grid across machines,
-// submit it to the skoped daemon as a shard job and run `skoped -worker`
-// on each machine (see cmd/skoped); harvesting the job fills the result
-// store a -store sweep then reads.
+// A sweep runs in this one process.
 //
 // -adaptive switches the sweep from exhaustive to surrogate-guided
 // search: a deterministic seed sample bootstraps an online least-squares

@@ -11,6 +11,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -378,4 +379,45 @@ func TestScrubberQuarantinesAndHeals(t *testing.T) {
 	if q, _ := st["quarantined"].(float64); q != 0 {
 		t.Errorf("quarantine survived the healing recompute: %v", st)
 	}
+}
+
+func TestDrainRefusesNewWork(t *testing.T) {
+	srv, ts := testServer(t, t.TempDir(), "", 1)
+
+	// A fabricated in-flight session: drain must wait for its done signal.
+	hang := &session{id: "s-hang", state: stateRunning, done: make(chan struct{})}
+	srv.mu.Lock()
+	srv.sessions[hang.id] = hang
+	srv.mu.Unlock()
+
+	srv.beginDrain()
+	if h := getJSON(t, ts.URL+"/v1/healthz"); h["status"] != "draining" {
+		t.Errorf("healthz during drain = %v", h["status"])
+	}
+	// New submissions are refused with 503...
+	resp, _ := postJSON(t, ts.URL+"/v1/sessions", sradSession())
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("session submit during drain: status %d, want 503", resp.StatusCode)
+	}
+	// ...while reads keep serving.
+	if p := getJSON(t, ts.URL+"/v1/params"); p["benchmarks"] == nil {
+		t.Error("params stopped serving during drain")
+	}
+
+	// awaitSessions times out while the session runs, succeeds once done.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if srv.awaitSessions(ctx) {
+		t.Error("awaitSessions reported drained with a session in flight")
+	}
+	close(hang.done)
+	if !srv.awaitSessions(context.Background()) {
+		t.Error("awaitSessions failed with all sessions done")
+	}
+
+	// Clean up the fabricated session so the shared Close path (which
+	// waits on done and calls cancel) stays happy.
+	srv.mu.Lock()
+	delete(srv.sessions, hang.id)
+	srv.mu.Unlock()
 }

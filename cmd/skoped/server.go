@@ -17,22 +17,19 @@ import (
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/shard"
 	"skope/internal/store"
 	"skope/internal/workloads"
 )
 
 // server holds the daemon's shared state: the content-addressed store,
-// the global worker-budget semaphore, the session table, and the shard
-// coordinator registry.
+// the global worker-budget semaphore, and the session table.
 type server struct {
-	cfg    daemonConfig
-	store  *store.Store   // nil when -store is empty
-	sem    chan struct{}  // counting semaphore: one token per busy worker
-	shards *shard.Service // sharded-job registry + worker protocol
+	cfg   daemonConfig
+	store *store.Store  // nil when -store is empty
+	sem   chan struct{} // counting semaphore: one token per busy worker
 
-	// draining flips on SIGTERM/SIGINT: new submissions (sessions and
-	// shard jobs) are refused with 503 while in-flight work finishes.
+	// draining flips on SIGTERM/SIGINT: new sessions are refused with 503
+	// while in-flight work finishes.
 	draining atomic.Bool
 
 	// stop ends the maintenance loops (session GC, store scrub); loops
@@ -41,16 +38,11 @@ type server struct {
 	stopOnce sync.Once
 	loops    sync.WaitGroup
 
-	// recoveredJobs counts shard jobs rebuilt from coordinator logs at
-	// startup (written once in newServer, read-only after).
-	recoveredJobs int
-
-	mu        sync.Mutex
-	sessions  map[string]*session
-	order     []string
-	nextID    int
-	active    int // sessions queued or running — the -max-sessions gauge
-	shardJobs map[string]*shardJob
+	mu       sync.Mutex
+	sessions map[string]*session
+	order    []string
+	nextID   int
+	active   int // sessions queued or running — the -max-sessions gauge
 }
 
 func newServer(cfg daemonConfig) (*server, error) {
@@ -62,12 +54,10 @@ func newServer(cfg daemonConfig) (*server, error) {
 		budget = defaultBudget()
 	}
 	srv := &server{
-		cfg:       cfg,
-		sem:       make(chan struct{}, budget),
-		sessions:  make(map[string]*session),
-		shards:    shard.NewService(),
-		shardJobs: make(map[string]*shardJob),
-		stop:      make(chan struct{}),
+		cfg:      cfg,
+		sem:      make(chan struct{}, budget),
+		sessions: make(map[string]*session),
+		stop:     make(chan struct{}),
 	}
 	if cfg.storePath != "" {
 		st, err := store.Open(cfg.storePath)
@@ -76,7 +66,6 @@ func newServer(cfg daemonConfig) (*server, error) {
 		}
 		srv.store = st
 	}
-	srv.recoverShardJobs()
 	if cfg.serve.SessionTTL > 0 {
 		srv.loops.Add(1)
 		go srv.gcLoop()
@@ -103,22 +92,9 @@ func (srv *server) Close() {
 	for _, sess := range srv.sessions {
 		sessions = append(sessions, sess)
 	}
-	jobs := make([]*shardJob, 0, len(srv.shardJobs))
-	for _, job := range srv.shardJobs {
-		jobs = append(jobs, job)
-	}
 	srv.mu.Unlock()
 	for _, sess := range sessions {
 		<-sess.done
-	}
-	// Coordinator logs fsync on every append, so closing here loses
-	// nothing — it just releases the file handles for unharvested jobs.
-	for _, job := range jobs {
-		job.mu.Lock()
-		if job.log != nil {
-			job.log.Close()
-		}
-		job.mu.Unlock()
 	}
 	if srv.store != nil {
 		srv.store.Close()
@@ -135,16 +111,12 @@ func (srv *server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sessions/{id}", srv.handleInspect)
 	mux.HandleFunc("GET /v1/sessions/{id}/results", srv.handleResults)
 	mux.HandleFunc("POST /v1/sessions/{id}/cancel", srv.handleCancel)
-	mux.HandleFunc("POST /v1/shards", srv.handleShardSubmit)
-	mux.HandleFunc("POST /v1/shards/{job}/harvest", srv.handleShardHarvest)
-	srv.shards.Mount(mux)
 	return mux
 }
 
 // beginDrain flips the server into drain mode: healthz reports it, and
-// new session or shard-job submissions are refused with 503. Running
-// sessions, result streams, and the shard worker protocol keep serving —
-// a coordinated job's workers must be able to finish their shards.
+// new session submissions are refused with 503. Running sessions and
+// result streams keep serving.
 func (srv *server) beginDrain() { srv.draining.Store(true) }
 
 // awaitSessions blocks until every session has reached a terminal state
@@ -269,10 +241,6 @@ func (srv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	srv.mu.Lock()
 	n := len(srv.sessions)
 	active := srv.active
-	coords := make([]*shard.Coordinator, 0, len(srv.shardJobs))
-	for _, job := range srv.shardJobs {
-		coords = append(coords, job.coord)
-	}
 	srv.mu.Unlock()
 	status := "ok"
 	if srv.draining.Load() {
@@ -287,27 +255,6 @@ func (srv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if max := srv.cfg.serve.MaxSessions; max > 0 {
 		resp["max_sessions"] = max
-	}
-	if len(coords) > 0 || srv.recoveredJobs > 0 {
-		var done, staleFenced, recRecords int
-		degraded := false
-		for _, c := range coords {
-			st := c.Status()
-			if st.Done {
-				done++
-			}
-			staleFenced += st.StaleFenced
-			recRecords += st.RecoveredRecords
-			degraded = degraded || st.LogDegraded
-		}
-		resp["shards"] = map[string]any{
-			"jobs":              len(coords),
-			"done":              done,
-			"stale_fenced":      staleFenced,
-			"recovered_jobs":    srv.recoveredJobs,
-			"recovered_records": recRecords,
-			"log_degraded":      degraded,
-		}
 	}
 	if srv.store != nil {
 		stats := srv.store.Stats()

@@ -168,19 +168,6 @@ func (s *Serve) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&s.StreamWriteTimeout, "stream-write-timeout", 30*time.Second, "per-write deadline on NDJSON result streams: a client that stalls longer than this is disconnected instead of pinning the stream (0 = none)")
 }
 
-// Net is the shard worker's network surface: the per-attempt RPC
-// deadline applied to every coordinator call. Retried calls get a fresh
-// deadline each attempt, so one stalled connection costs one attempt,
-// not the whole call.
-type Net struct {
-	RPCTimeout time.Duration
-}
-
-// Register installs the network flags on fs.
-func (n *Net) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&n.RPCTimeout, "rpc-timeout", 0, "worker mode: deadline per coordinator RPC attempt (0 = 30s default, negative = no deadline)")
-}
-
 // Variants expands the collected axes into the variant grid around base.
 func (s *Sweep) Variants(base *hw.Machine) ([]*hw.Machine, error) {
 	axes, err := s.Axes.Axes()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -165,51 +166,59 @@ func TestFig9(t *testing.T) {
 	}
 }
 
+// TestBETSizes pins each benchmark's BET node count, source statement
+// count and size ratio exactly (paper: average ratio 0.88, never above 2).
 func TestBETSizes(t *testing.T) {
-	tab, err := BETSizes(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
+	want := map[string][2]int{ // nodes, statements
+		"sord":     {109, 120},
+		"chargei":  {51, 55},
+		"srad":     {41, 45},
+		"cfd":      {48, 56},
+		"stassuij": {41, 45},
 	}
-	// Five benchmarks + average row.
-	if len(tab.Rows) != 6 {
-		t.Fatalf("BETSizes rows = %d", len(tab.Rows))
+	if names := workloads.Names(); len(names) != len(want) {
+		t.Fatalf("benchmarks %v, want the five of the paper", names)
 	}
-	for _, row := range tab.Rows[:5] {
-		var ratio float64
-		if _, err := sscanf(row[3], &ratio); err != nil {
-			t.Fatalf("bad ratio cell %q", row[3])
+	for _, name := range workloads.Names() {
+		run, err := sharedCtx.Run(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ratio <= 0 || ratio > 2 {
-			t.Errorf("%s: BET size ratio %.2f outside (0, 2]", row[0], ratio)
+		nodes, stmts := run.BET.NumNodes(), run.BET.Tree.Prog.StaticStatements()
+		w, ok := want[name]
+		if !ok || nodes != w[0] || stmts != w[1] || run.BET.SizeRatio() != float64(w[0])/float64(w[1]) {
+			t.Errorf("%s: BET %d nodes over %d statements (ratio %v), want %d over %d (paper: average ratio 0.88)",
+				name, nodes, stmts, run.BET.SizeRatio(), w[0], w[1])
 		}
 	}
 }
 
+// TestQualitySummaryMeetsPaperClaims pins the top-10 selection quality
+// over the 10 benchmark x machine cases at full precision: the average and
+// minimum the benchmark ledger reports as quality_avg and quality_min.
 func TestQualitySummaryMeetsPaperClaims(t *testing.T) {
-	tab, err := QualitySummary(sharedCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 11 { // 10 cases + average
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows[:10] {
-		var q float64
-		if _, err := sscanf(row[2], &q); err != nil {
-			t.Fatalf("bad quality cell %q", row[2])
-		}
-		if q < 0.80 {
-			t.Errorf("%s on %s: top-10 quality %.3f < 0.80", row[0], row[1], q)
+	const wantAvg, wantMin = 0.9845385249851603, 0.9305480679487831
+	sum, min, n := 0.0, math.Inf(1), 0
+	for _, name := range workloads.Names() {
+		for _, mach := range []string{"bgq", "xeon"} {
+			ev, err := sharedCtx.Eval(name, mach)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += ev.Quality
+			min = math.Min(min, ev.Quality)
+			n++
 		}
 	}
-	var avg float64
-	if _, err := sscanf(tab.Rows[10][2], &avg); err != nil {
-		t.Fatal(err)
+	if n != 10 {
+		t.Fatalf("%d cases, want 10", n)
 	}
-	if avg < 0.90 {
-		t.Errorf("average quality %.3f < 0.90", avg)
+	if avg := sum / float64(n); avg != wantAvg {
+		t.Errorf("average top-10 selection quality %v, want %v (paper: 0.958)", avg, wantAvg)
 	}
-	t.Logf("average top-10 selection quality: %.3f (paper: 0.958)", avg)
+	if min != wantMin {
+		t.Errorf("minimum top-10 selection quality %v, want %v (paper: never below 0.80)", min, wantMin)
+	}
 }
 
 func TestAblationsShrinkErrors(t *testing.T) {

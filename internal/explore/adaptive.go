@@ -29,62 +29,49 @@ import (
 // evaluations and is asserted against it in the parity tests.
 
 // AdaptiveOptions configures the acquisition loop. The zero value asks
-// for defaults everywhere, which the planner resolves against the grid's
-// dimensionality.
+// for an uncapped search with seed 0.
 type AdaptiveOptions struct {
 	// Seed keys the deterministic seed subsample: the first round
-	// evaluates the SeedSize variants whose sha256(seed || machine
+	// evaluates the seed-sample variants whose sha256(seed || machine
 	// fingerprint) digests sort lowest. Changing the seed changes which
 	// variants bootstrap the surrogate; a fixed seed makes the whole
 	// adaptive run — round trace included — deterministic.
 	Seed uint64
-	// SeedSize is the size of the bootstrap sample. Default
-	// max(8, 2·axes+3): enough samples that the ridge fit over 2·axes
-	// features starts from a determined-ish system.
-	SeedSize int
-	// RoundFraction is the fraction of the grid evaluated per acquisition
-	// round (the "top quantile"). Default 0.01, minimum one variant.
-	RoundFraction float64
-	// MinRounds is the minimum number of rounds (seed round included)
-	// before convergence can be declared. Default 3.
-	MinRounds int
-	// Patience is how many consecutive rounds the incumbent must survive
-	// unimproved before the search stops. Default 2.
-	Patience int
 	// MaxEvals caps the total evaluations spent (seed sample included).
 	// 0 means no cap beyond the grid itself. The cap is a hard budget:
 	// rounds shrink to fit and the search stops when it is exhausted.
 	MaxEvals int
-	// Explore scales the exploration bonus: a candidate's score is its
-	// predicted objective minus Explore·sd(y)·(normalized distance to the
-	// nearest evaluated variant), so under-sampled regions get evaluated
-	// even when the surrogate ranks them mid-pack. Default 0.3.
-	Explore float64
 	// OnRound, if set, receives each round's trace as it completes.
 	OnRound func(RoundTrace)
 }
 
-// withDefaults resolves zero-valued options against the grid
-// dimensionality.
-func (o AdaptiveOptions) withDefaults(dims int) AdaptiveOptions {
-	if o.SeedSize <= 0 {
-		o.SeedSize = 2*dims + 3
-		if o.SeedSize < 8 {
-			o.SeedSize = 8
-		}
-	}
-	if o.RoundFraction <= 0 || o.RoundFraction > 1 {
-		o.RoundFraction = 0.01
-	}
-	if o.MinRounds <= 0 {
-		o.MinRounds = 3
-	}
-	if o.Patience <= 0 {
-		o.Patience = 2
-	}
-	if o.Explore <= 0 {
-		o.Explore = 0.3
-	}
+// The search's fixed tuning.
+const (
+	// roundFraction is the fraction of the grid evaluated per acquisition
+	// round (the "top quantile"), at least one variant.
+	roundFraction = 0.01
+	// minRounds is the minimum number of rounds (seed round included)
+	// before convergence can be declared.
+	minRounds = 3
+	// patience is how many consecutive rounds the incumbent must survive
+	// unimproved before the search stops.
+	patience = 2
+	// exploreWeight scales the exploration bonus: a candidate's score is
+	// its predicted objective minus exploreWeight·sd(y)·(normalized
+	// distance to the nearest evaluated variant), so under-sampled regions
+	// get evaluated even when the surrogate ranks them mid-pack.
+	exploreWeight = 0.3
+)
+
+// seedSize is the size of the bootstrap sample over dims axes:
+// max(8, 2·dims+3), enough samples that the ridge fit over 2·dims
+// features starts from a determined-ish system.
+func seedSize(dims int) int {
+	return max(8, 2*dims+3)
+}
+
+// withDefaults clamps a negative evaluation cap to none.
+func (o AdaptiveOptions) withDefaults() AdaptiveOptions {
 	if o.MaxEvals < 0 {
 		o.MaxEvals = 0
 	}
@@ -126,6 +113,7 @@ type RoundTrace struct {
 // drivers serialize rounds.
 type AdaptivePlanner struct {
 	opt      AdaptiveOptions
+	seedSize int
 	variants []*hw.Machine
 	feats    [][]float64 // per-variant raw axis values
 	norm     [][]float64 // per-variant range-normalized axis coords
@@ -185,7 +173,8 @@ func NewAdaptivePlanner(variants []*hw.Machine, axes []Axis, opt AdaptiveOptions
 		}
 	}
 	p := &AdaptivePlanner{
-		opt:      opt.withDefaults(dims),
+		opt:      opt.withDefaults(),
+		seedSize: seedSize(dims),
 		variants: variants,
 		feats:    make([][]float64, len(variants)),
 		norm:     make([][]float64, len(variants)),
@@ -261,12 +250,12 @@ func (p *AdaptivePlanner) NextRound() []int {
 	return batch
 }
 
-// seedBatch picks the bootstrap sample: the SeedSize variants whose
+// seedBatch picks the bootstrap sample: the seedSize variants whose
 // sha256(seed || fingerprint) digests sort lowest — a deterministic,
 // well-scattered subsample keyed only on stable identities, so the same
 // seed re-picks the same variants across processes and resumes.
 func (p *AdaptivePlanner) seedBatch(budget int) []int {
-	n := p.opt.SeedSize
+	n := p.seedSize
 	if budget >= 0 && n > budget {
 		n = budget
 	}
@@ -307,11 +296,11 @@ func (p *AdaptivePlanner) seedBatch(budget int) []int {
 
 // rankedBatch picks the next acquisition round: every unevaluated
 // candidate is scored by predicted objective minus the exploration bonus,
-// and the RoundFraction quantile with the lowest (best) scores is
+// and the roundFraction quantile with the lowest (best) scores is
 // returned. Ties break on grid index, so ranking is a deterministic
 // function of the observations.
 func (p *AdaptivePlanner) rankedBatch(budget int) []int {
-	size := int(p.opt.RoundFraction * float64(len(p.variants)))
+	size := int(roundFraction * float64(len(p.variants)))
 	if size < 1 {
 		size = 1
 	}
@@ -335,8 +324,8 @@ func (p *AdaptivePlanner) rankedBatch(budget int) []int {
 			continue
 		}
 		score := p.sur.Predict(p.feats[g])
-		if p.opt.Explore > 0 && sd > 0 {
-			score -= p.opt.Explore * sd * p.exploreBonus(p.norm[g], evaluated)
+		if sd > 0 {
+			score -= exploreWeight * sd * p.exploreBonus(p.norm[g], evaluated)
 		}
 		cands = append(cands, scored{score, g})
 	}
@@ -425,7 +414,7 @@ func (p *AdaptivePlanner) EndRound() RoundTrace {
 	} else {
 		p.stale++
 	}
-	conv := p.round >= p.opt.MinRounds && p.stale >= p.opt.Patience
+	conv := p.round >= minRounds && p.stale >= patience
 	if conv {
 		p.done = true
 		p.converged = true

@@ -23,12 +23,9 @@ import (
 // patterns (math.Float64bits), never as decimal text, so round-tripping
 // cannot perturb a single ulp.
 
-// MetaLayoutKey is the journal meta key that binds a sweep journal to the
-// layout fingerprint of the workload that wrote it. Exported for tools
-// that handle sweep journals without an engine — the shard coordinator
-// merges worker journals under the same binding, so a merged journal is
-// directly resumable through the Journal option.
-const MetaLayoutKey = "layout"
+// metaLayoutKey is the journal meta key that binds a sweep journal to the
+// layout fingerprint of the workload that wrote it.
+const metaLayoutKey = "layout"
 
 // ErrJournalDegraded marks a sweep whose analyses are all intact but
 // whose journal stopped accepting writes mid-run: results are complete,
@@ -94,7 +91,7 @@ func decodeTimes(in []recTimes) []hotspot.BlockTimes {
 // otherwise — the workload, profile, or translation changed since the
 // journal was written).
 func (e *Engine) bindJournal(j *journal.Journal) error {
-	if err := j.SetMeta(map[string]string{MetaLayoutKey: e.layout.Fingerprint()}); err != nil {
+	if err := j.SetMeta(map[string]string{metaLayoutKey: e.layout.Fingerprint()}); err != nil {
 		return fmt.Errorf("explore: journal not resumable for this workload: %w", err)
 	}
 	replay := make(map[string]replayEntry)

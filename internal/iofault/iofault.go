@@ -1,10 +1,9 @@
 // Package iofault is the file-I/O seam under skope's durability layers.
-// The journal (and with it the content-addressed store and the per-shard
-// worker journals) opens its files through the FS interface; production
-// code passes Disk, a zero-cost passthrough to the os package, and tests
-// pass a Faulty FS scripted to fail the Nth write, fail an fsync,
-// short-write a frame and then error, run out of disk after a byte
-// budget, or refuse an open outright.
+// The journal (and with it the content-addressed store) opens its files
+// through the FS interface; production code passes Disk, a zero-cost
+// passthrough to the os package, and tests pass a Faulty FS scripted to
+// fail the Nth write, fail an fsync, short-write a frame and then error,
+// run out of disk after a byte budget, or refuse an open outright.
 //
 // The point is falsifiability: "fsync failure degrades the sweep without
 // voiding results", "a torn write recovers cleanly on reopen", and

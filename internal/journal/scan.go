@@ -44,15 +44,11 @@ type ScanReport struct {
 // corruption before the end of the file fails with an error wrapping
 // ErrCorrupt. An error from fn aborts the walk and is returned as-is.
 func Scan(path string, fn func(key string, payload []byte) error) (ScanReport, error) {
-	return ScanFS(iofault.Disk, path, fn)
+	return scanFS(iofault.Disk, path, fn)
 }
 
-// ScanFS is Scan through an explicit file abstraction (nil = the disk),
-// mirroring OpenFS for read-only walks.
-func ScanFS(fsys iofault.FS, path string, fn func(key string, payload []byte) error) (ScanReport, error) {
-	if fsys == nil {
-		fsys = iofault.Disk
-	}
+// scanFS is Scan through an explicit file abstraction, for RepairFS.
+func scanFS(fsys iofault.FS, path string, fn func(key string, payload []byte) error) (ScanReport, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return ScanReport{}, fmt.Errorf("journal: %w", err)
@@ -134,7 +130,7 @@ func RepairFS(fsys iofault.FS, path string) (records int, repaired bool, err err
 	if fsys == nil {
 		fsys = iofault.Disk
 	}
-	rep, err := ScanFS(fsys, path, nil)
+	rep, err := scanFS(fsys, path, nil)
 	if err != nil {
 		return 0, false, err
 	}

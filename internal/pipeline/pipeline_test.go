@@ -322,6 +322,27 @@ func main() {
 	}
 }
 
+// TestPrepareRareBranch: a branch taken once in 40,001 trips has a
+// profiled probability below 1e-4, which the generated skeleton prints
+// with an exponent (2.5e-05). Both modes must parse it back.
+func TestPrepareRareBranch(t *testing.T) {
+	w := &workloads.Workload{Name: "rare", Seed: 1, Source: `
+global s: float;
+func main() {
+  for i = 0 .. 40000 {
+    if (i == 7) {
+      s = s + 1.0;
+    }
+  }
+}
+`}
+	for _, lenient := range []bool{false, true} {
+		if _, err := Prepare(context.Background(), w, WithLenient(lenient)); err != nil {
+			t.Errorf("lenient=%v: %v", lenient, err)
+		}
+	}
+}
+
 // TestLenientPrepareKeepsPartialProfile: a profiling run that fails
 // mid-run leaves lenient Prepare the branch and loop statistics gathered
 // up to the failure, the same ones the full event stream yields.

@@ -1,17 +1,6 @@
 package resilience
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-)
-
-// ErrOpen marks work refused because its failure class tripped the
-// circuit breaker: the class failed deterministically often enough that
-// further retries would only burn the sweep's time budget.
-var ErrOpen = errors.New("circuit open")
+import "sync"
 
 // Breaker is a per-class circuit breaker. A class is any string the
 // caller uses to bucket failures that share a deterministic cause — the
@@ -19,59 +8,26 @@ var ErrOpen = errors.New("circuit open")
 // so a grid full of variants that all die the same way stops burning its
 // retry budget after the first few.
 //
-// Semantics: Failure(class) increments the class's counter; once it
-// reaches Threshold the class is open and Allow(class) reports false.
-// Success(class) before the trip resets the counter (failures must be
-// consecutive to prove determinism).
-//
-// Without a Cooldown an opened class stays open for the breaker's
-// lifetime — the right call for a finite batch sweep, where an open class
-// means a deterministic fault the operator fixes before rerunning. With a
-// Cooldown the breaker serves long-lived callers (the shard coordinator
-// quarantining workers): once the cooldown has elapsed after the trip,
-// Allow grants exactly one half-open probe for the class; Success on the
-// probe closes the circuit, Failure re-opens it and restarts the cooldown.
+// Semantics: Failure(class) increments the class's failure count; once it
+// reaches Threshold the class is open and Allow(class) reports false for
+// the breaker's lifetime. Successes are not recorded, so the count is of
+// all failures of the class, not of consecutive ones. That suits a finite
+// batch sweep, where an open class means a deterministic fault the
+// operator fixes before rerunning.
 type Breaker struct {
-	// Threshold is the number of consecutive failures per class that
-	// opens the circuit. Values < 1 mean the default of 3.
+	// Threshold is the number of failures per class that opens the
+	// circuit. Values < 1 mean the default of 3.
 	Threshold int
-	// Cooldown is how long an open class stays hard-open before one
-	// half-open probe is allowed. Zero (the default) disables probing:
-	// an open class stays open forever.
-	Cooldown time.Duration
 
-	// Clock is the breaker's time source (nil means time.Now). Callers
-	// that already run under an injected clock — the shard coordinator,
-	// tests — set it so cooldowns observe the same time as everything
-	// else.
-	Clock func() time.Time
-
-	mu      sync.Mutex
-	fails   map[string]int
-	open    map[string]bool
-	opened  map[string]time.Time // when the class (re-)tripped
-	probing map[string]bool      // a half-open probe is in flight
+	mu    sync.Mutex
+	fails map[string]int
 }
 
 // NewBreaker returns a breaker that opens a class after threshold
-// consecutive failures (threshold < 1 selects the default of 3) and, once
-// open, keeps it open for the breaker's lifetime.
+// failures (threshold < 1 selects the default of 3) and, once open, keeps
+// it open for the breaker's lifetime.
 func NewBreaker(threshold int) *Breaker {
 	return &Breaker{Threshold: threshold}
-}
-
-// NewProbingBreaker returns a breaker with half-open recovery: an open
-// class allows one probe after cooldown; the probe's Success closes the
-// circuit, its Failure re-opens it for another cooldown.
-func NewProbingBreaker(threshold int, cooldown time.Duration) *Breaker {
-	return &Breaker{Threshold: threshold, Cooldown: cooldown}
-}
-
-func (b *Breaker) clock() time.Time {
-	if b.Clock != nil {
-		return b.Clock()
-	}
-	return time.Now()
 }
 
 func (b *Breaker) threshold() int {
@@ -82,102 +38,30 @@ func (b *Breaker) threshold() int {
 }
 
 // Allow reports whether work of the given class should still be
-// attempted (or retried). A nil breaker allows everything. With a
-// Cooldown configured, the first Allow after an open class's cooldown
-// elapses returns true exactly once — the half-open probe — and further
-// calls stay false until that probe reports Success or Failure.
+// attempted (or retried). A nil breaker allows everything.
 func (b *Breaker) Allow(class string) bool {
 	if b == nil {
 		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.open[class] {
-		return true
-	}
-	if b.Cooldown <= 0 || b.probing[class] {
-		return false
-	}
-	if b.clock().Sub(b.opened[class]) < b.Cooldown {
-		return false
-	}
-	if b.probing == nil {
-		b.probing = make(map[string]bool)
-	}
-	b.probing[class] = true
-	return true
+	return b.fails[class] < b.threshold()
 }
 
 // Failure records one failure of the class and reports whether this
-// failure tripped the circuit open. A failed half-open probe re-opens
-// the class and restarts its cooldown.
+// failure tripped the circuit open.
 func (b *Breaker) Failure(class string) (opened bool) {
 	if b == nil {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.open[class] {
-		if b.probing[class] {
-			// The probe failed: back to hard-open for another cooldown.
-			delete(b.probing, class)
-			b.opened[class] = b.clock()
-		}
+	if b.fails[class] >= b.threshold() {
 		return false
 	}
 	if b.fails == nil {
 		b.fails = make(map[string]int)
 	}
 	b.fails[class]++
-	if b.fails[class] >= b.threshold() {
-		if b.open == nil {
-			b.open = make(map[string]bool)
-		}
-		b.open[class] = true
-		if b.opened == nil {
-			b.opened = make(map[string]time.Time)
-		}
-		b.opened[class] = b.clock()
-		return true
-	}
-	return false
-}
-
-// Success records one success of the class, resetting its consecutive
-// failure counter. A successful half-open probe closes the circuit; an
-// open class with no probe in flight stays open (the success belongs to
-// work admitted before the trip).
-func (b *Breaker) Success(class string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.fails, class)
-	if b.probing[class] {
-		delete(b.probing, class)
-		delete(b.open, class)
-		delete(b.opened, class)
-	}
-}
-
-// Open returns the currently open classes, sorted.
-func (b *Breaker) Open() []string {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]string, 0, len(b.open))
-	for c := range b.open {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OpenError returns an error wrapping ErrOpen for the given class,
-// suitable for attaching to refused work.
-func OpenError(class string) error {
-	return fmt.Errorf("failure class %q: %w", class, ErrOpen)
+	return b.fails[class] == b.threshold()
 }

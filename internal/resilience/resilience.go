@@ -5,9 +5,7 @@
 //
 // The package is deliberately mechanism-only: it does not know about
 // machines, sweeps, or journals. Package explore composes these primitives
-// around its per-variant evaluation — the one evaluation retry loop — and
-// package shard reuses the policy for worker RPCs and the breaker for
-// worker quarantine.
+// around its per-variant evaluation — the one evaluation retry loop.
 package resilience
 
 import (

@@ -165,21 +165,6 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	} else {
 		t.Error("unrelated class tripped")
 	}
-	if got := b.Open(); len(got) != 1 || got[0] != "panic" {
-		t.Errorf("Open() = %v", got)
-	}
-}
-
-func TestBreakerSuccessResetsConsecutiveCount(t *testing.T) {
-	b := resilience.NewBreaker(2)
-	b.Failure("flaky")
-	b.Success("flaky")
-	if opened := b.Failure("flaky"); opened {
-		t.Error("non-consecutive failures opened the circuit")
-	}
-	if !b.Allow("flaky") {
-		t.Error("circuit open after interleaved success")
-	}
 }
 
 func TestBreakerNilIsNoOp(t *testing.T) {
@@ -189,17 +174,6 @@ func TestBreakerNilIsNoOp(t *testing.T) {
 	}
 	if b.Failure("x") {
 		t.Error("nil breaker opened")
-	}
-	b.Success("x")
-	if b.Open() != nil {
-		t.Error("nil breaker has open classes")
-	}
-}
-
-func TestOpenError(t *testing.T) {
-	err := resilience.OpenError("validate")
-	if !errors.Is(err, resilience.ErrOpen) {
-		t.Errorf("OpenError not Is(ErrOpen): %v", err)
 	}
 }
 

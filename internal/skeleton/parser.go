@@ -125,8 +125,14 @@ func (p *sparser) scanLine(lineNo int, s string) ([]ltok, error) {
 			i = j + 1
 		case isWordChar(c):
 			j := i
-			for j < len(s) && isWordChar(s[j]) {
-				j++
+			for j < len(s) {
+				if isWordChar(s[j]) {
+					j++
+				} else if isExponentSign(s, i, j) {
+					j += 2
+				} else {
+					break
+				}
 			}
 			toks = append(toks, ltok{text: s[i:j]})
 			i = j
@@ -146,6 +152,17 @@ func (p *sparser) scanLine(lineNo int, s string) ([]ltok, error) {
 	}
 	return toks, nil
 }
+
+// isExponentSign reports whether s[j] is the sign of a number's exponent
+// in the word starting at s[i]: the word starts with a digit, ends in e or
+// E, and a digit follows the sign. The translator prints small branch
+// probabilities as 2.5e-05, which must stay one token.
+func isExponentSign(s string, i, j int) bool {
+	return (s[j] == '-' || s[j] == '+') && isDigit(s[i]) &&
+		(s[j-1] == 'e' || s[j-1] == 'E') && j+1 < len(s) && isDigit(s[j+1])
+}
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isWordChar(c byte) bool {
 	return c == '_' || c == '.' ||

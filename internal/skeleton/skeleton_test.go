@@ -320,6 +320,24 @@ func TestAttributesWithSpaces(t *testing.T) {
 	}
 }
 
+func TestExponentNumbers(t *testing.T) {
+	p, err := Parse("t", "def main(n)\nif prob=2.5e-05\ncomp flops=1E+20 loads=n-1\nend\nend\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := p.Funcs[0].Body[0].(*If)
+	if v := expr.MustEval(br.Cases[0].Cond.X, nil); v != 2.5e-05 {
+		t.Errorf("prob = %g, want 2.5e-05", v)
+	}
+	c := br.Cases[0].Body[0].(*Comp)
+	if v := expr.MustEval(c.M.FLOPs, nil); v != 1e20 {
+		t.Errorf("flops = %g, want 1e20", v)
+	}
+	if v := expr.MustEval(c.M.Loads, expr.Env{"n": 10}); v != 9 {
+		t.Errorf("loads = %g, want 9", v)
+	}
+}
+
 func TestForWithStep(t *testing.T) {
 	p, err := Parse("t", "def main(n)\nfor i = 0 : n : 2\ncomp flops=1\nend\nend\n")
 	if err != nil {
