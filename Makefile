@@ -52,12 +52,13 @@ bench-adaptive:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepCached' -benchtime 1x ./internal/pipeline/
 
-# The durability layers under disk fire: the scriptable-fault suites of
-# iofault, journal, and store, the pipeline chaos-disk scenarios (failing
-# fsync, ENOSPC mid-sweep, torn final record, EIO on reopen — all five
-# workloads, bit-identical-or-explicitly-degraded), and the daemon
-# robustness tests (overload shedding, session GC, stalled streams, the
-# self-healing scrubber), all under the race detector.
+# The durability layer under disk fire: the scriptable-fault suites of
+# iofault, journal (the store's log) and store, the pipeline chaos-disk
+# scenarios against the store (failing fsync, ENOSPC mid-sweep, torn final
+# record, EIO on reopen — all five workloads, bit-identical-or-explicitly-
+# degraded, and a rerun on the healed disk served the durable prefix), and
+# the daemon robustness tests (overload shedding, session GC, stalled
+# streams, the self-healing scrubber), all under the race detector.
 chaos-disk:
 	$(GO) test -race -count=1 ./internal/iofault/ ./internal/journal/ ./internal/store/
 	$(GO) test -race -count=1 -run 'TestChaosDisk' ./internal/pipeline/

@@ -8,9 +8,9 @@
 // switches to design-space exploration: the flag (repeatable) spans a grid
 // of machine variants around the base machine, evaluated analytically
 // through the bounded, memoizing exploration engine. Every sweep, adaptive
-// or exhaustive, evaluates the base machine as one more variant —
-// journaled, cached and held to the -min-confidence floor like the grid —
-// and every speedup is relative to it.
+// or exhaustive, evaluates the base machine as one more variant — cached
+// and held to the -min-confidence floor like the grid — and every speedup
+// is relative to it.
 //
 // Usage:
 //
@@ -18,26 +18,22 @@
 //	skope -source app.ml -machine xeon -validate     # your own minilang file
 //	skope -bench sord -machine bgq -sweep mem-bandwidth=16,32,64 -sweep net-latency-us=1,2,4
 //
-// Long-running sweeps can be made durable and fault-tolerant:
+// Sweeps can be made fault-tolerant:
 //
-//	skope -bench sord -sweep mem-bandwidth=16,32,64 -journal sweep.journal \
-//	      -retries 3 -variant-timeout 30s
-//	skope -bench sord -sweep mem-bandwidth=16,32,64 -journal sweep.journal -resume
+//	skope -bench sord -sweep mem-bandwidth=16,32,64 -retries 3 -variant-timeout 30s
 //
-// -journal appends every completed variant to a crash-safe journal
-// (fsync per record); -resume replays the journaled variants of an
-// interrupted sweep bit-identically instead of recomputing them.
 // -retries re-attempts transiently failing variants with exponential
 // backoff, and -variant-timeout bounds each attempt.
 //
-// -store goes further than the per-sweep journal: it names a
-// content-addressed result store shared across runs, processes, and the
-// skoped daemon. Results are keyed by what they are — workload model
-// fingerprint × machine fingerprint × evaluation settings — so repeating a
-// sweep over the same grid is served entirely from the store: the workload
-// is not even re-prepared (no parsing, no profiling, no model
-// construction), and the served results are bit-identical to the computed
-// ones.
+// -store names a content-addressed result store shared across runs,
+// processes, and the skoped daemon. Results are keyed by what they are —
+// workload model fingerprint × machine fingerprint × evaluation settings —
+// so repeating a sweep over the same grid is served entirely from the
+// store: the workload is not even re-prepared (no parsing, no profiling,
+// no model construction), and the served results are bit-identical to the
+// computed ones. Every fresh result is written through with its own
+// fsync, so a sweep killed mid-run and run again with the same -store
+// recomputes only the variants it had not finished.
 //
 //	skope -bench sord -sweep mem-bandwidth=16,32,64 -store results.cas
 //	skope -bench sord -sweep mem-bandwidth=16,32,64 -store results.cas   # zero recomputation
@@ -52,7 +48,7 @@
 // workload suite this finds the exhaustive optimum with ≤5% of the
 // evaluations (the parity tests enforce it). Every evaluation still runs
 // the exact engine — the surrogate only chooses what to evaluate — and
-// journal, store, retries and confidence floors compose unchanged:
+// the store, retries and confidence floors compose unchanged:
 //
 //	skope -bench sord -sweep freq-ghz=1,1.5,2,2.5 -sweep mem-bandwidth=16,32,64 \
 //	      -sweep hit-l1=0.90,0.95,0.99 -adaptive -adaptive-budget 50 -adaptive-seed 7
@@ -94,7 +90,6 @@ import (
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/journal"
 	"skope/internal/pipeline"
 	"skope/internal/report"
 	"skope/internal/resilience"
@@ -315,27 +310,9 @@ func sweepOptions(cfg config, lim *guard.Limits) []pipeline.Option {
 	}
 }
 
-// openJournal opens the -journal file of a sweep (nil without -journal).
-// An existing non-empty journal is refused without -resume before it is
-// opened, because opening truncates a torn tail.
-func openJournal(cfg config) (*journal.Journal, error) {
-	if cfg.sw.Journal == "" {
-		if cfg.sw.Resume {
-			return nil, fmt.Errorf("-resume needs -journal to resume from")
-		}
-		return nil, nil
-	}
-	if !cfg.sw.Resume {
-		if fi, err := os.Stat(cfg.sw.Journal); err == nil && fi.Size() > 0 {
-			return nil, fmt.Errorf("journal %s already exists; pass -resume to replay it or remove the file", cfg.sw.Journal)
-		}
-	}
-	return journal.Open(cfg.sw.Journal)
-}
-
 // tolerable reports whether a failed sweep still left usable results —
-// poisoned variants, or a journal or store that stopped accepting writes —
-// and warns about what was lost. Any other error voids the sweep.
+// poisoned variants, or a store that stopped accepting writes — and warns
+// about what was lost. Any other error voids the sweep.
 func tolerable(err error) bool {
 	ok := false
 	var sweepErr *explore.SweepError
@@ -347,7 +324,7 @@ func tolerable(err error) bool {
 			fmt.Fprintln(os.Stderr, "skope: warning:", v)
 		}
 	}
-	if errors.Is(err, explore.ErrJournalDegraded) || errors.Is(err, store.ErrDegraded) {
+	if errors.Is(err, store.ErrDegraded) {
 		ok = true
 		fmt.Fprintln(os.Stderr, "skope: warning:", err)
 	}
@@ -370,12 +347,12 @@ func reportPreparation(out io.Writer, conf float64, diags []guard.Diagnostic) {
 // pipeline.SweepCached — or, with -adaptive, only where
 // pipeline.SweepAdaptive's surrogate-guided search chooses — and reported
 // as a ranked table plus the time/cost Pareto frontier. The base machine
-// rides along as the last variant, so the baseline is evaluated,
-// journaled, cached and held to the -min-confidence floor exactly like
-// the grid. With -store, warm (workload, variant, settings) triples are
-// served bit-identically from earlier runs — a fully warm exhaustive grid
-// skips even the preparation — and fresh results are written through for
-// the next run.
+// rides along as the last variant, so the baseline is evaluated, cached
+// and held to the -min-confidence floor exactly like the grid. With
+// -store, warm (workload, variant, settings) triples are served
+// bit-identically from earlier runs — a fully warm exhaustive grid skips
+// even the preparation — and fresh results are written through for the
+// next run.
 func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload, base *hw.Machine, lim *guard.Limits) (degraded bool, err error) {
 	axes, err := cfg.sw.Axes.Axes()
 	if err != nil {
@@ -397,17 +374,6 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 	var last explore.Progress
 	opts := append(sweepOptions(cfg, lim),
 		pipeline.WithProgress(func(p explore.Progress) { last = p }))
-	j, err := openJournal(cfg)
-	if err != nil {
-		return false, err
-	}
-	replayable := 0
-	if j != nil {
-		defer j.Close()
-		// Every record found at open is a variant the sweep can replay.
-		replayable = j.Len()
-		opts = append(opts, pipeline.WithJournal(j))
-	}
 
 	all := append(append([]*hw.Machine{}, variants...), base)
 	start := time.Now()
@@ -472,22 +438,10 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 			stats := last.Cache
 			fmt.Fprintf(out, ", cache hit rate %.1f%% (%d hits / %d misses)", 100*stats.HitRate(), stats.Hits, stats.Misses)
 		}
-		if sum.FromJournal > 0 {
-			fmt.Fprintf(out, ", %d replayed from journal", sum.FromJournal)
-		}
 		if last.Retried > 0 {
 			fmt.Fprintf(out, ", %d retries", last.Retried)
 		}
 		fmt.Fprintln(out)
-	}
-	if j != nil {
-		if n, torn := j.Recovered(); n > 0 || torn {
-			fmt.Fprintf(out, "journal %s: %d completed variants to replay", cfg.sw.Journal, replayable)
-			if torn {
-				fmt.Fprint(out, " (torn tail from an interrupted run discarded)")
-			}
-			fmt.Fprintln(out)
-		}
 	}
 	if sum.Confidence < 1 || len(sum.Diagnostics) > 0 {
 		degraded = true

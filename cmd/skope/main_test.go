@@ -3,8 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,7 +12,6 @@ import (
 	"skope/internal/cliflags"
 	"skope/internal/guard"
 	"skope/internal/hw"
-	"skope/internal/journal"
 )
 
 func TestRunList(t *testing.T) {
@@ -118,59 +115,6 @@ func tableOf(t *testing.T, out string) string {
 		t.Fatalf("output missing sweep table or stats:\n%s", out)
 	}
 	return out[i:j]
-}
-
-// TestRunSweepJournal pins the plain (no -store) sweep's journal contract:
-// a cold -journal run records every variant and the baseline, a rerun
-// without -resume is refused rather than clobbering the journal, a -resume
-// rerun replays all of them and renders the identical sweep, and another
-// workload's journal is refused as a meta mismatch.
-func TestRunSweepJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	cfg := config{
-		bench: "sord", scale: 1,
-		mach: cliflags.Machine{Preset: "bgq"},
-		crit: cliflags.Criteria{Coverage: 0.9, Leanness: 0.5, MaxSpots: 10},
-		sw: cliflags.Sweep{
-			Journal: path,
-			Axes:    cliflags.AxisList{"mem-bandwidth=16,32", "net-latency-us=1,2"},
-		},
-	}
-	var cold bytes.Buffer
-	if _, err := run(context.Background(), &cold, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(cold.String(), "replayed from journal") {
-		t.Errorf("cold run replayed:\n%s", cold.String())
-	}
-
-	if _, err := run(context.Background(), &bytes.Buffer{}, cfg); err == nil ||
-		!strings.Contains(err.Error(), "-resume") {
-		t.Errorf("rerun without -resume: err = %v, want a -resume hint", err)
-	}
-
-	cfg.sw.Resume = true
-	var resumed bytes.Buffer
-	if _, err := run(context.Background(), &resumed, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := tableOf(t, resumed.String()), tableOf(t, cold.String()); got != want {
-		t.Errorf("resumed sweep rendered differently:\n--- resumed ---\n%s\n--- cold ---\n%s", got, want)
-	}
-	for _, want := range []string{
-		fmt.Sprintf("journal %s: 5 completed variants to replay", path),
-		", 5 replayed from journal",
-	} {
-		if !strings.Contains(resumed.String(), want) {
-			t.Errorf("resumed output missing %q:\n%s", want, resumed.String())
-		}
-	}
-
-	other := cfg
-	other.bench = "srad"
-	if _, err := run(context.Background(), &bytes.Buffer{}, other); !errors.Is(err, journal.ErrMetaMismatch) {
-		t.Errorf("another workload's journal: err = %v, want journal.ErrMetaMismatch", err)
-	}
 }
 
 // lenientSource profiles only up to a division by zero, so a -lenient
@@ -511,32 +455,6 @@ func TestHelperStoreSweep(t *testing.T) {
 	}
 	if err := os.WriteFile(os.Getenv("SKOPE_STORE_OUT"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunSweepStoreWithJournal: -store and -journal compose; the journal
-// records the cold sweep and a -resume run replays it.
-func TestRunSweepStoreWithJournal(t *testing.T) {
-	dir := t.TempDir()
-	cfg := sweepStoreConfig(filepath.Join(dir, "results.cas"))
-	cfg.sw.Journal = filepath.Join(dir, "sweep.journal")
-
-	var cold bytes.Buffer
-	if _, err := run(context.Background(), &cold, cfg); err != nil {
-		t.Fatal(err)
-	}
-	// A second run without -resume must refuse to clobber the journal.
-	if _, err := run(context.Background(), &bytes.Buffer{}, cfg); err == nil ||
-		!strings.Contains(err.Error(), "-resume") {
-		t.Errorf("existing journal not rejected: %v", err)
-	}
-	cfg.sw.Resume = true
-	var warm bytes.Buffer
-	if _, err := run(context.Background(), &warm, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if stableSweepOutput(cold.String()) != stableSweepOutput(warm.String()) {
-		t.Errorf("resumed sweep differs from cold")
 	}
 }
 

@@ -11,22 +11,19 @@
 // while running, then the ranked variants, then a summary trailer with the
 // Pareto frontier. A session sweeps the full grid, or with mode
 // "adaptive" only the variants a surrogate-guided search chooses; in both
-// modes the base machine is swept as the last variant — journaled, stored
-// and held to the confidence floor like the grid — so a baseline below
-// the floor fails the session.
+// modes the base machine is swept as the last variant — stored and held
+// to the confidence floor like the grid — so a baseline below the floor
+// fails the session.
 //
 // Every result the daemon computes is written through to the
 // content-addressed store (-store). Results are keyed by what they are —
 // workload model fingerprint x machine fingerprint x evaluation settings —
 // so a session repeating a sweep any other session, process, or CLI run
 // has done is served with zero recomputation: the workload is not even
-// re-prepared, and the streamed results are bit-identical.
-//
-// Sessions that name a journal_id additionally append every completed
-// variant to a crash-safe journal under -data-dir. After a daemon kill, a
-// new session with the same journal_id resumes the sweep: journaled
-// variants are replayed bit-identically in their original completion
-// order, and only the remainder is computed.
+// re-prepared, and the streamed results are bit-identical. Each result is
+// fsync'd as it completes, so after a daemon kill the same session
+// submitted again recomputes only the variants the killed one had not
+// finished.
 //
 // The daemon sheds load instead of falling over: -max-sessions bounds the
 // sessions queued or running at once (excess submissions get 503 with a
@@ -45,7 +42,7 @@
 //
 // Usage:
 //
-//	skoped -addr :8080 -store skoped.cas -data-dir /var/lib/skoped \
+//	skoped -addr :8080 -store skoped.cas \
 //	       [-max-workers 16] [-max-sessions 64] [-session-ttl 1h] \
 //	       [-scrub-interval 10m] [-stream-write-timeout 30s] \
 //	       [-limits ...] [-lenient] \
@@ -84,8 +81,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "skoped:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("skoped: listening on %s (store %s, data dir %s, worker budget %d)\n",
-		cfg.addr, cfg.storePath, cfg.dataDir, cfg.maxWorkers)
+	fmt.Printf("skoped: listening on %s (store %s, worker budget %d)\n",
+		cfg.addr, cfg.storePath, cap(srv.sem))
 
 	// Header/read/idle timeouts bound what a slow or hostile client can
 	// pin (slowloris, abandoned keep-alives). WriteTimeout deliberately
@@ -141,7 +138,6 @@ type daemonConfig struct {
 
 	addr         string
 	storePath    string
-	dataDir      string
 	machine      string
 	maxWorkers   int
 	drainTimeout time.Duration
@@ -153,7 +149,7 @@ func (c *daemonConfig) register(fs *flag.FlagSet) {
 	c.serve.Register(fs)
 	fs.StringVar(&c.addr, "addr", "localhost:8080", "listen address")
 	fs.StringVar(&c.storePath, "store", "skoped.cas", "content-addressed result store file shared by all sessions (empty = no store)")
-	fs.StringVar(&c.dataDir, "data-dir", ".", "directory for session journals (resume by journal_id)")
+	fs.String("data-dir", "", "ignored: accepted so existing command lines still start; will be removed")
 	fs.StringVar(&c.machine, "machine", "bgq", "default base machine preset for sessions that name none")
 	fs.IntVar(&c.maxWorkers, "max-workers", 0, "global worker budget shared by all sessions (0 = GOMAXPROCS)")
 	fs.DurationVar(&c.drainTimeout, "drain-timeout", 30*time.Second, "on SIGTERM/SIGINT: refuse new submissions and wait this long for running sessions before shutting down")

@@ -13,17 +13,15 @@ import (
 	"time"
 
 	"skope/internal/guard"
-	"skope/internal/journal"
 )
 
-// testServer builds a daemon around a temp data dir. storePath == "" runs
-// without the shared store.
-func testServer(t *testing.T, dataDir, storePath string, budget int) (*server, *httptest.Server) {
+// testServer builds a daemon over the store at storePath; storePath == ""
+// runs without the shared store.
+func testServer(t *testing.T, storePath string, budget int) (*server, *httptest.Server) {
 	t.Helper()
 	cfg := daemonConfig{
 		addr:       "unused",
 		storePath:  storePath,
-		dataDir:    dataDir,
 		machine:    "bgq",
 		maxWorkers: budget,
 	}
@@ -140,7 +138,7 @@ func sradSession() sessionRequest {
 }
 
 func TestHealthzAndParams(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), filepath.Join(t.TempDir(), "cas"), 2)
+	_, ts := testServer(t, filepath.Join(t.TempDir(), "cas"), 2)
 	h := getJSON(t, ts.URL+"/v1/healthz")
 	if h["status"] != "ok" {
 		t.Errorf("healthz = %v", h)
@@ -157,7 +155,7 @@ func TestHealthzAndParams(t *testing.T) {
 }
 
 func TestSessionLifecycle(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), "", 2)
+	_, ts := testServer(t, "", 2)
 	id := submit(t, ts.URL, sradSession())
 	info := waitState(t, ts.URL, id)
 	if info["state"] != stateDone {
@@ -205,7 +203,7 @@ func TestSessionLifecycle(t *testing.T) {
 // NDJSON stream carries the round trace, and the summary reports the
 // evaluation savings against the grid size.
 func TestAdaptiveSession(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), "", 2)
+	_, ts := testServer(t, "", 2)
 	id := submit(t, ts.URL, sessionRequest{
 		Bench: "sord",
 		Sweep: []string{"freq-ghz=1.2,1.6,2.0,2.4", "mem-latency=80,110,150", "hit-l1=0.9,0.95,0.99"},
@@ -302,7 +300,7 @@ func TestAdaptiveSession(t *testing.T) {
 // 0.99 it completes: the baseline is evaluated by the engine, never by
 // the simulator, which cannot run this source to completion.
 func TestAdaptiveSessionBaselineBelowFloor(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), filepath.Join(t.TempDir(), "cas"), 2)
+	_, ts := testServer(t, filepath.Join(t.TempDir(), "cas"), 2)
 	lenient := true
 	session := func(minConf float64) string {
 		return submit(t, ts.URL, sessionRequest{
@@ -341,7 +339,7 @@ func main() {
 }
 
 func TestSessionValidation(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), "", 1)
+	_, ts := testServer(t, "", 1)
 	bad := []sessionRequest{
 		{},              // no workload
 		{Bench: "srad"}, // no axes
@@ -351,7 +349,6 @@ func TestSessionValidation(t *testing.T) {
 		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, Machine: "vax"},
 		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, Limits: "nosuch=1"},
 		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, VariantTimeout: "soon"},
-		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, JournalID: "../escape"},
 	}
 	for i, req := range bad {
 		resp, out := postJSON(t, ts.URL+"/v1/sessions", req)
@@ -362,6 +359,14 @@ func TestSessionValidation(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"bogus": true})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: %d", resp.StatusCode)
+	}
+	// A request for the removed journaled sessions is refused, not run
+	// without the durability it asked for.
+	resp, out := postJSON(t, ts.URL+"/v1/sessions", map[string]any{
+		"bench": "srad", "sweep": []string{"mem-bandwidth=16,32"}, "journal_id": "run1",
+	})
+	if want := `body: json: unknown field "journal_id"`; resp.StatusCode != http.StatusBadRequest || out["error"] != want {
+		t.Errorf("journal_id request: status %d, error %v; want 400, %q", resp.StatusCode, out["error"], want)
 	}
 	if r, err := http.Get(ts.URL + "/v1/sessions/s-999999"); err != nil || r.StatusCode != http.StatusNotFound {
 		t.Errorf("missing session lookup: %v %v", r.StatusCode, err)
@@ -375,7 +380,7 @@ func TestSessionValidation(t *testing.T) {
 // limits isolating one deliberately broken session — and all reach a
 // terminal state with correct results.
 func TestConcurrentSessions(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), filepath.Join(t.TempDir(), "cas"), 8)
+	_, ts := testServer(t, filepath.Join(t.TempDir(), "cas"), 8)
 	reqs := []sessionRequest{
 		{Bench: "srad", Sweep: []string{"mem-bandwidth=16,32,64"}, Workers: 2},
 		{Bench: "sord", Sweep: []string{"net-latency-us=1,2,4"}, Workers: 2},
@@ -417,7 +422,7 @@ func TestConcurrentSessions(t *testing.T) {
 // TestCancelQueuedSession: a session waiting on the worker budget can be
 // canceled before it ever runs.
 func TestCancelQueuedSession(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), "", 1)
+	_, ts := testServer(t, "", 1)
 	// Occupy the whole budget with a real sweep...
 	first := submit(t, ts.URL, sessionRequest{
 		Bench: "srad", Sweep: []string{"mem-bandwidth=8,12,16,24,32,48,64,96"},
@@ -444,7 +449,7 @@ func TestCancelQueuedSession(t *testing.T) {
 // entirely from the store the first one populated — preparation skipped,
 // zero model builds, bit-identical result lines.
 func TestSharedStoreAcrossSessions(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), filepath.Join(t.TempDir(), "cas"), 4)
+	_, ts := testServer(t, filepath.Join(t.TempDir(), "cas"), 4)
 	req := sradSession()
 
 	cold := submit(t, ts.URL, req)
@@ -493,72 +498,10 @@ func TestSharedStoreAcrossSessions(t *testing.T) {
 	}
 }
 
-// TestResumeAfterRestart is the durability acceptance: a journaled session
-// on one daemon, the daemon dies, and a fresh daemon over the same data
-// dir resumes the sweep by journal ID — every journaled variant replayed
-// (zero recomputation) in its original completion order, with identical
-// results.
-func TestResumeAfterRestart(t *testing.T) {
-	dataDir := t.TempDir()
-	req := sradSession()
-	req.JournalID = "night-run"
-
-	srvA, tsA := testServer(t, dataDir, "", 4)
-	id := submit(t, tsA.URL, req)
-	if info := waitState(t, tsA.URL, id); info["state"] != stateDone {
-		t.Fatalf("first session ended %v (%v)", info["state"], info["error"])
-	}
-	firstResults, _ := streamLines(t, tsA.URL, id, "")
-	tsA.Close()
-	srvA.Close() // the daemon "kill"
-
-	srvB, tsB := testServer(t, dataDir, "", 4)
-	defer srvB.Close()
-	id2 := submit(t, tsB.URL, req)
-	info := waitState(t, tsB.URL, id2)
-	if info["state"] != stateDone {
-		t.Fatalf("resumed session ended %v (%v)", info["state"], info["error"])
-	}
-	results, summary := streamLines(t, tsB.URL, id2, "")
-	if n := int(summary["from_journal"].(float64)); n < len(results) {
-		t.Errorf("only %d of %d variants replayed from journal", n, len(results))
-	}
-	for i := range firstResults {
-		if results[i]["provenance"] != "journal" {
-			t.Errorf("resumed result %d provenance %v", i, results[i]["provenance"])
-		}
-		for _, key := range []string{"variant", "total_time_s", "confidence"} {
-			if firstResults[i][key] != results[i][key] {
-				t.Errorf("resumed result %d field %s drifted", i, key)
-			}
-		}
-	}
-
-	// The resumed session reports the journal's original completion order.
-	order, ok := summary["replay_order"].([]any)
-	if !ok || len(order) == 0 {
-		t.Fatalf("resumed summary has no replay_order: %v", summary)
-	}
-	j, err := journal.Open(filepath.Join(dataDir, "night-run.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	entries := j.Entries()
-	if len(entries) != len(order) {
-		t.Fatalf("replay_order has %d keys, journal %d", len(order), len(entries))
-	}
-	for i, e := range entries {
-		if order[i].(string) != e.Key {
-			t.Errorf("replay_order[%d] = %v, journal order %s", i, order[i], e.Key)
-		}
-	}
-}
-
 // TestSubmittedSource: sessions can carry minilang source instead of a
 // named benchmark.
 func TestSubmittedSource(t *testing.T) {
-	_, ts := testServer(t, t.TempDir(), "", 2)
+	_, ts := testServer(t, "", 2)
 	id := submit(t, ts.URL, sessionRequest{
 		Source: `
 global n: int = 64;

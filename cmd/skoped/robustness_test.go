@@ -29,12 +29,11 @@ import (
 
 // robustServer is testServer with a config hook for the -max-sessions /
 // -session-ttl / -scrub-interval / -stream-write-timeout knobs.
-func robustServer(t *testing.T, dataDir, storePath string, budget int, mutate func(*daemonConfig)) (*server, *httptest.Server) {
+func robustServer(t *testing.T, storePath string, budget int, mutate func(*daemonConfig)) (*server, *httptest.Server) {
 	t.Helper()
 	cfg := daemonConfig{
 		addr:       "unused",
 		storePath:  storePath,
-		dataDir:    dataDir,
 		machine:    "bgq",
 		maxWorkers: budget,
 	}
@@ -83,7 +82,7 @@ func retryAfterSeconds(t *testing.T, resp *http.Response) int {
 // once the session finishes, capacity frees and submissions succeed again.
 func TestOverloadShedding(t *testing.T) {
 	release := blockEvaluations(t)
-	_, ts := robustServer(t, t.TempDir(), "", 1, func(cfg *daemonConfig) {
+	_, ts := robustServer(t, "", 1, func(cfg *daemonConfig) {
 		cfg.serve.MaxSessions = 1
 	})
 
@@ -139,7 +138,7 @@ func TestOverloadShedding(t *testing.T) {
 // the table stays bounded on a long-lived daemon; queued and running
 // sessions are immune regardless of age.
 func TestSessionGC(t *testing.T) {
-	_, ts := robustServer(t, t.TempDir(), "", 4, func(cfg *daemonConfig) {
+	_, ts := robustServer(t, "", 4, func(cfg *daemonConfig) {
 		cfg.serve.SessionTTL = 400 * time.Millisecond
 	})
 	small := sessionRequest{Bench: "sord", Sweep: []string{"mem-bandwidth=16,32"}}
@@ -236,7 +235,7 @@ func (w *stalledWriter) SetWriteDeadline(d time.Time) error {
 // into a dead socket for the lifetime of the session.
 func TestStalledStreamReader(t *testing.T) {
 	release := blockEvaluations(t)
-	srv, ts := robustServer(t, t.TempDir(), "", 1, func(cfg *daemonConfig) {
+	srv, ts := robustServer(t, "", 1, func(cfg *daemonConfig) {
 		cfg.serve.StreamWriteTimeout = 100 * time.Millisecond
 	})
 	id := submit(t, ts.URL, sradSession())
@@ -277,12 +276,11 @@ func TestStalledStreamReader(t *testing.T) {
 // that key — results bit-identical to the pre-corruption run — and the
 // healing write lifts the quarantine.
 func TestScrubberQuarantinesAndHeals(t *testing.T) {
-	dataDir := t.TempDir()
-	storePath := filepath.Join(dataDir, "cas")
+	storePath := filepath.Join(t.TempDir(), "cas")
 	req := sradSession()
 
 	// Daemon A populates the store.
-	srvA, tsA := robustServer(t, dataDir, storePath, 4, nil)
+	srvA, tsA := robustServer(t, storePath, 4, nil)
 	cold := submit(t, tsA.URL, req)
 	if info := waitState(t, tsA.URL, cold); info["state"] != stateDone {
 		t.Fatalf("cold session ended %v (%v)", info["state"], info["error"])
@@ -316,7 +314,7 @@ func TestScrubberQuarantinesAndHeals(t *testing.T) {
 	j.Close()
 
 	// Daemon B scrubs on startup and keeps scrubbing on a short interval.
-	_, tsB := robustServer(t, dataDir, storePath, 4, func(cfg *daemonConfig) {
+	_, tsB := robustServer(t, storePath, 4, func(cfg *daemonConfig) {
 		cfg.serve.ScrubInterval = 20 * time.Millisecond
 	})
 	deadline := time.Now().Add(10 * time.Second)
@@ -382,7 +380,7 @@ func TestScrubberQuarantinesAndHeals(t *testing.T) {
 }
 
 func TestDrainRefusesNewWork(t *testing.T) {
-	srv, ts := testServer(t, t.TempDir(), "", 1)
+	srv, ts := testServer(t, "", 1)
 
 	// A fabricated in-flight session: drain must wait for its done signal.
 	hang := &session{id: "s-hang", state: stateRunning, done: make(chan struct{})}

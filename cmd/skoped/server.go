@@ -398,43 +398,33 @@ type wireSession struct {
 	Variants int    `json:"variants"`
 	Mode     string `json:"mode,omitempty"` // "adaptive" for surrogate-guided sessions
 	Workers  int    `json:"workers"`
-	Journal  string `json:"journal_id,omitempty"`
 	Created  string `json:"created"`
 
-	Done     int `json:"done"`
-	Replayed int `json:"replayed,omitempty"`
-	Stored   int `json:"stored,omitempty"`
-	Retried  int `json:"retried,omitempty"`
+	Done    int `json:"done"`
+	Stored  int `json:"stored,omitempty"`
+	Retried int `json:"retried,omitempty"`
 
 	Degraded bool   `json:"degraded,omitempty"`
 	Error    string `json:"error,omitempty"`
-
-	// ReplayOrder lists, for a resumed session, the journaled variant
-	// keys in their original completion order — the order they are
-	// replayed and reported in.
-	ReplayOrder []string `json:"replay_order,omitempty"`
 }
 
 func (srv *server) sessionInfo(sess *session) *wireSession {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return &wireSession{
-		ID:          sess.id,
-		State:       sess.state,
-		Workload:    sess.workload.Name,
-		Machine:     sess.base.Name,
-		Variants:    len(sess.variants),
-		Mode:        sess.req.Mode,
-		Workers:     sess.workers,
-		Journal:     sess.req.JournalID,
-		Created:     sess.created.UTC().Format(time.RFC3339),
-		Done:        sess.progress.Done,
-		Replayed:    sess.progress.Replayed,
-		Stored:      sess.progress.Stored,
-		Retried:     sess.progress.Retried,
-		Degraded:    sess.degraded,
-		Error:       sess.errMsg,
-		ReplayOrder: sess.replayOrder,
+		ID:       sess.id,
+		State:    sess.state,
+		Workload: sess.workload.Name,
+		Machine:  sess.base.Name,
+		Variants: len(sess.variants),
+		Mode:     sess.req.Mode,
+		Workers:  sess.workers,
+		Created:  sess.created.UTC().Format(time.RFC3339),
+		Done:     sess.progress.Done,
+		Stored:   sess.progress.Stored,
+		Retried:  sess.progress.Retried,
+		Degraded: sess.degraded,
+		Error:    sess.errMsg,
 	}
 }
 
@@ -443,12 +433,11 @@ func (srv *server) sessionInfo(sess *session) *wireSession {
 // healthy variant in rank order, and a summary trailer carrying the
 // Pareto frontier.
 type wireProgress struct {
-	Type     string `json:"type"` // "progress"
-	State    string `json:"state"`
-	Done     int    `json:"done"`
-	Total    int    `json:"total"`
-	Replayed int    `json:"replayed,omitempty"`
-	Stored   int    `json:"stored,omitempty"`
+	Type   string `json:"type"` // "progress"
+	State  string `json:"state"`
+	Done   int    `json:"done"`
+	Total  int    `json:"total"`
+	Stored int    `json:"stored,omitempty"`
 }
 
 // wireResult is one ranked variant — the session's pipeline.Eval on the
@@ -499,7 +488,6 @@ type wireSummary struct {
 	LayoutFingerprint string       `json:"layout_fingerprint,omitempty"`
 	Total             int          `json:"total"`
 	Computed          int          `json:"computed"`
-	FromJournal       int          `json:"from_journal"`
 	FromStore         int          `json:"from_store"`
 	SkippedPrepare    bool         `json:"skipped_prepare"`
 	Confidence        float64      `json:"confidence"`
@@ -509,7 +497,6 @@ type wireSummary struct {
 	BaselineTimeS     float64      `json:"baseline_time_s"`
 	Best              string       `json:"best,omitempty"`
 	Pareto            []wirePareto `json:"pareto"`
-	ReplayOrder       []string     `json:"replay_order,omitempty"`
 
 	// Adaptive-mode trailer fields: the evaluation spend against the full
 	// grid, the round count, and whether the search converged on patience
@@ -587,8 +574,7 @@ wait:
 			}
 			if !send(wireProgress{
 				Type: "progress", State: state,
-				Done: p.Done, Total: len(sess.variants) + 1,
-				Replayed: p.Replayed, Stored: p.Stored,
+				Done: p.Done, Total: len(sess.variants) + 1, Stored: p.Stored,
 			}) {
 				return
 			}
@@ -650,7 +636,6 @@ wait:
 		LayoutFingerprint: sess.summary.LayoutFingerprint,
 		Total:             len(sess.variants),
 		Computed:          sess.summary.Computed,
-		FromJournal:       sess.summary.FromJournal,
 		FromStore:         sess.summary.FromStore,
 		SkippedPrepare:    sess.summary.SkippedPrepare,
 		Confidence:        sess.summary.Confidence,
@@ -658,7 +643,6 @@ wait:
 		Error:             sess.errMsg,
 		Baseline:          sess.base.Name,
 		BaselineTimeS:     baseline,
-		ReplayOrder:       sess.replayOrder,
 	}
 	if ad := sess.summary.Adaptive; ad != nil {
 		sum.Mode = modeAdaptive

@@ -3,8 +3,6 @@ package main
 import (
 	"context"
 	"errors"
-	"path/filepath"
-	"regexp"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +12,6 @@ import (
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/journal"
 	"skope/internal/pipeline"
 	"skope/internal/resilience"
 	"skope/internal/store"
@@ -64,12 +61,6 @@ type sessionRequest struct {
 	MinConfidence  float64 `json:"min_confidence,omitempty"`
 	Retries        int     `json:"retries,omitempty"`
 	VariantTimeout string  `json:"variant_timeout,omitempty"`
-
-	// JournalID makes the sweep durable: completed variants are appended
-	// to <data-dir>/<journal_id>.journal, and a later session with the
-	// same ID — same daemon or a restarted one — resumes it, replaying
-	// journaled variants in their original completion order.
-	JournalID string `json:"journal_id,omitempty"`
 }
 
 // Session states.
@@ -100,21 +91,19 @@ type session struct {
 	axes     []explore.Axis
 	workers  int
 	opts     []pipeline.Option
-	jpath    string
 
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu          sync.Mutex
-	state       string
-	finished    time.Time // when the terminal state was reached (GC clock)
-	errMsg      string
-	degraded    bool
-	progress    explore.Progress
-	evals       []*pipeline.Eval // index-aligned with variants
-	baseEval    *pipeline.Eval
-	summary     *pipeline.SweepSummary
-	replayOrder []string // journal keys in original completion order (resumed sessions)
+	mu       sync.Mutex
+	state    string
+	finished time.Time // when the terminal state was reached (GC clock)
+	errMsg   string
+	degraded bool
+	progress explore.Progress
+	evals    []*pipeline.Eval // index-aligned with variants
+	baseEval *pipeline.Eval
+	summary  *pipeline.SweepSummary
 	// rounds is an adaptive session's round trace, grown as rounds
 	// complete (the result stream tails it live); the final search
 	// outcome is summary.Adaptive.
@@ -126,9 +115,6 @@ func (s *session) setState(state string) {
 	s.state = state
 	s.mu.Unlock()
 }
-
-// jid validates journal IDs: they become file names under -data-dir.
-var jid = regexp.MustCompile(`^[a-zA-Z0-9._-]{1,64}$`)
 
 // newSession validates the request against the daemon defaults and
 // assembles everything the runner needs. Validation failures surface as
@@ -247,20 +233,14 @@ func (srv *server) newSession(id string, req sessionRequest) (*session, error) {
 			sess.mu.Unlock()
 		}),
 	}
-	if req.JournalID != "" {
-		if !jid.MatchString(req.JournalID) {
-			return nil, badRequest("journal_id must match " + jid.String())
-		}
-		sess.jpath = filepath.Join(srv.cfg.dataDir, req.JournalID+".journal")
-	}
 	return sess, nil
 }
 
 // run executes the session: acquire the worker budget, run the sweep —
-// exhaustive or adaptive — through the shared store (and the session
-// journal when named), record the outcome. The base machine is swept as
-// the last variant, so a baseline below the confidence floor fails the
-// session in either mode. run owns the session's terminal state.
+// exhaustive or adaptive — through the shared store, record the outcome.
+// The base machine is swept as the last variant, so a baseline below the
+// confidence floor fails the session in either mode. run owns the
+// session's terminal state.
 func (srv *server) run(ctx context.Context, sess *session) {
 	defer func() {
 		// Terminal bookkeeping: stamp the finish time (the -session-ttl GC
@@ -294,26 +274,6 @@ func (srv *server) run(ctx context.Context, sess *session) {
 	}
 	sess.setState(stateRunning)
 
-	opts := sess.opts
-	if sess.jpath != "" {
-		j, err := journal.Open(sess.jpath)
-		if err != nil {
-			sess.fail(err)
-			return
-		}
-		defer j.Close()
-		// Original completion order of the resumed run — the order the
-		// replayed variants are reported in.
-		var order []string
-		for _, e := range j.Entries() {
-			order = append(order, e.Key)
-		}
-		sess.mu.Lock()
-		sess.replayOrder = order
-		sess.mu.Unlock()
-		opts = append(opts, pipeline.WithJournal(j))
-	}
-
 	all := append(append([]*hw.Machine{}, sess.variants...), sess.base)
 	var evals []*pipeline.Eval
 	var sum *pipeline.SweepSummary
@@ -327,9 +287,9 @@ func (srv *server) run(ctx context.Context, sess *session) {
 				sess.rounds = append(sess.rounds, tr)
 				sess.mu.Unlock()
 			},
-		}, opts...)
+		}, sess.opts...)
 	} else {
-		evals, sum, err = pipeline.SweepCached(ctx, sess.workload, all, srv.store, opts...)
+		evals, sum, err = pipeline.SweepCached(ctx, sess.workload, all, srv.store, sess.opts...)
 	}
 	if err != nil && !tolerable(err) || evals == nil {
 		if ctx.Err() != nil {
@@ -357,8 +317,7 @@ func (srv *server) run(ctx context.Context, sess *session) {
 		done, total = ad.Evals, ad.GridSize
 	}
 	sess.progress = explore.Progress{
-		Done: done, Total: total,
-		Replayed: sum.FromJournal, Stored: sum.FromStore,
+		Done: done, Total: total, Stored: sum.FromStore,
 		Retried: sess.progress.Retried, Elapsed: time.Since(sess.created),
 	}
 	if sess.baseEval == nil {
@@ -377,13 +336,11 @@ func (s *session) fail(err error) {
 }
 
 // tolerable reports whether a sweep error leaves usable results: poisoned
-// variants (reported per-variant), or journal/store degradation (results
-// complete, durability partial).
+// variants (reported per-variant), or store degradation (results
+// complete, cache coverage partial).
 func tolerable(err error) bool {
 	var sweepErr *explore.SweepError
-	return errors.As(err, &sweepErr) ||
-		errors.Is(err, explore.ErrJournalDegraded) ||
-		errors.Is(err, store.ErrDegraded)
+	return errors.As(err, &sweepErr) || errors.Is(err, store.ErrDegraded)
 }
 
 // ranked returns the indices of the session's healthy evals in ascending

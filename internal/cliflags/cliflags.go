@@ -113,15 +113,13 @@ func (a AxisList) Axes() ([]explore.Axis, error) {
 }
 
 // Sweep is the design-space exploration flag set: the grid axes plus the
-// durability (journal, store), resilience (retries, timeout), and quality
-// (confidence floor) knobs shared by cmd/skope's sweep mode and the skoped
-// daemon's per-session defaults.
+// result store, resilience (retries, timeout), and quality (confidence
+// floor) knobs shared by cmd/skope's sweep mode and the skoped daemon's
+// per-session defaults.
 type Sweep struct {
 	Axes           AxisList
 	Workers        int
 	Top            int
-	Journal        string
-	Resume         bool
 	Store          string
 	Retries        int
 	VariantTimeout time.Duration
@@ -136,8 +134,6 @@ func (s *Sweep) Register(fs *flag.FlagSet) {
 	fs.Var(&s.Axes, "sweep", "design-space axis param=v1,v2,... (repeatable; switches to sweep mode)")
 	fs.IntVar(&s.Workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&s.Top, "top", 10, "sweep mode: variants to print (0 = all)")
-	fs.StringVar(&s.Journal, "journal", "", "sweep mode: append completed variants to this crash-safe journal file")
-	fs.BoolVar(&s.Resume, "resume", false, "sweep mode: replay variants already recorded in -journal instead of recomputing them")
 	fs.StringVar(&s.Store, "store", "", "content-addressed result store file: serve identical (workload, variant, criteria) results from earlier runs with zero recomputation, and record fresh ones")
 	fs.IntVar(&s.Retries, "retries", 0, "sweep mode: retries per variant for transient failures (exponential backoff with jitter)")
 	fs.DurationVar(&s.VariantTimeout, "variant-timeout", 0, "sweep mode: deadline per evaluation attempt, e.g. 30s (0 = none)")

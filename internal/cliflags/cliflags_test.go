@@ -10,8 +10,10 @@ import (
 )
 
 // TestRegisteredNames freezes the shared flag surface: these are the names
-// the three tools have always exposed, and renaming any of them is a
-// breaking change to every script driving skope.
+// the three tools expose, and renaming any of them is a breaking change to
+// every script driving skope. The removed -journal and -resume stay
+// unregistered, so a script that asks for a journaled sweep fails on an
+// unknown flag instead of running without one.
 func TestRegisteredNames(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	var m Machine
@@ -27,12 +29,17 @@ func TestRegisteredNames(t *testing.T) {
 	for _, name := range []string{
 		"machine", "machine-file", "limits", "lenient",
 		"coverage", "leanness", "spots",
-		"sweep", "workers", "top", "journal", "resume", "store",
+		"sweep", "workers", "top", "store",
 		"retries", "variant-timeout", "min-confidence",
 		"max-sessions", "session-ttl", "scrub-interval", "stream-write-timeout",
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
+		}
+	}
+	for _, name := range []string{"journal", "resume"} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("removed flag -%s is registered", name)
 		}
 	}
 }
@@ -149,14 +156,13 @@ func TestSweepParsesFromFlagSet(t *testing.T) {
 	s.Register(fs)
 	err := fs.Parse([]string{
 		"-sweep", "mem-bandwidth=16,32", "-sweep", "freq-ghz=1.6,2.4",
-		"-store", "results.cas", "-journal", "sweep.journal", "-resume",
+		"-store", "results.cas",
 		"-retries", "2", "-variant-timeout", "30s", "-min-confidence", "0.5",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Axes) != 2 || s.Store != "results.cas" || s.Journal != "sweep.journal" ||
-		!s.Resume || s.Retries != 2 || s.VariantTimeout != 30*time.Second || s.MinConfidence != 0.5 {
+	if len(s.Axes) != 2 || s.Store != "results.cas" || s.Retries != 2 || s.VariantTimeout != 30*time.Second || s.MinConfidence != 0.5 {
 		t.Errorf("parsed sweep = %+v", s)
 	}
 }

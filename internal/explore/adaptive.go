@@ -20,11 +20,11 @@ import (
 // survived a configured number of rounds unimproved.
 //
 // The AdaptivePlanner is pure bookkeeping — which grid indices to
-// evaluate next, what has been observed, when to stop — with no engine,
-// journal, or store dependency. Its driver is pipeline.SweepAdaptive,
-// which evaluates each round's batch through Engine.Stream, so
-// journaling, CAS store hits, retries, breakers, and MinConfidence all
-// compose with adaptive search unchanged. Exact (exhaustive) mode remains
+// evaluate next, what has been observed, when to stop — with no engine
+// or store dependency. Its driver is pipeline.SweepAdaptive, which
+// evaluates each round's batch through Engine.Stream, so CAS store hits
+// and write-through, retries, breakers, and MinConfidence all compose
+// with adaptive search unchanged. Exact (exhaustive) mode remains
 // the golden reference; adaptive mode trades completeness for
 // evaluations and is asserted against it in the parity tests.
 
@@ -253,7 +253,7 @@ func (p *AdaptivePlanner) NextRound() []int {
 // seedBatch picks the bootstrap sample: the seedSize variants whose
 // sha256(seed || fingerprint) digests sort lowest — a deterministic,
 // well-scattered subsample keyed only on stable identities, so the same
-// seed re-picks the same variants across processes and resumes.
+// seed re-picks the same variants across processes and reruns.
 func (p *AdaptivePlanner) seedBatch(budget int) []int {
 	n := p.seedSize
 	if budget >= 0 && n > budget {

@@ -18,7 +18,6 @@ import (
 	"skope/internal/explore"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/journal"
 	"skope/internal/pipeline"
 	"skope/internal/store"
 	"skope/internal/workloads"
@@ -192,42 +191,44 @@ func adaptiveVariants(t testing.TB) []*hw.Machine {
 }
 
 // TestAdaptiveDeterministicTrace: a fixed seed makes the whole run a pure
-// function of the inputs — two independent sweeps (each with its own
-// journal) must produce byte-identical round traces and byte-identical
-// journal files.
+// function of the inputs — two independent sweeps must produce
+// byte-identical round traces and evaluate the same variants to
+// byte-identical analyses.
 func TestAdaptiveDeterministicTrace(t *testing.T) {
 	w, all := adaptiveInputs(t, "sord", adaptiveVariants(t))
 
-	runOnce := func(dir string) ([]byte, []byte) {
-		path := filepath.Join(dir, "adaptive.journal")
-		jnl, err := journal.Open(path)
+	runOnce := func() ([]byte, [][]byte) {
+		evals, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, adaptiveAxes(),
+			explore.AdaptiveOptions{Seed: 7}, pipeline.WithWorkers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sum, err := pipeline.SweepAdaptive(context.Background(), w, all, nil, adaptiveAxes(),
-			explore.AdaptiveOptions{Seed: 7}, pipeline.WithJournal(jnl), pipeline.WithWorkers(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		jnl.Close()
 		trace, err := json.Marshal(sum.Adaptive.Rounds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
+		analyses := make([][]byte, len(evals))
+		for i, ev := range evals {
+			if ev == nil {
+				continue
+			}
+			if analyses[i], err = hotspot.EncodeAnalysis(ev.Analysis); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return trace, raw
+		return trace, analyses
 	}
 
-	trace1, jnl1 := runOnce(t.TempDir())
-	trace2, jnl2 := runOnce(t.TempDir())
+	trace1, analyses1 := runOnce()
+	trace2, analyses2 := runOnce()
 	if !bytes.Equal(trace1, trace2) {
 		t.Errorf("round traces differ across identical seeds:\n%s\n%s", trace1, trace2)
 	}
-	if !bytes.Equal(jnl1, jnl2) {
-		t.Error("journals differ across identical seeds")
+	for i := range analyses1 {
+		if !bytes.Equal(analyses1[i], analyses2[i]) {
+			t.Errorf("variant %d: evaluated analyses differ across identical seeds (evaluated: %t, %t)",
+				i, analyses1[i] != nil, analyses2[i] != nil)
+		}
 	}
 
 	// A different seed picks a different bootstrap sample.

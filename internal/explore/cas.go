@@ -9,28 +9,19 @@ import (
 )
 
 // This file connects the engine to the content-addressed result store
-// (internal/store) — the cross-sweep, cross-process complement of the
-// sweep journal:
-//
-//   - the journal is per-sweep state: bound to one layout fingerprint,
-//     replayed in full at bind time, usually deleted when its sweep ends;
-//   - the store is shared state: keyed by (layout, machine, mode)
-//     fingerprints, it serves any sweep of any workload that hashes to the
-//     same identity, indefinitely.
-//
-// The lookup order inside a worker is journal → store → evaluate: the
-// journal is authoritative for this sweep (its entries already passed this
-// sweep's meta binding), the store is the global fallback, and only a miss
-// on both computes. Fresh evaluations and journal replays are both written
-// through to the store (best-effort, sticky failure — identical contract
-// to journal writes), so finishing a journaled sweep also warms the store.
+// (internal/store). The store is shared state: keyed by (layout, machine,
+// mode) fingerprints, it serves any sweep of any workload that hashes to
+// the same identity, across sessions, processes and crashes. A worker
+// looks each variant up in the store and computes only on a miss; every
+// fresh evaluation is written through (best-effort, sticky failure), so a
+// sweep killed mid-run and run again is served every variant it finished.
 
 // CAS attaches a content-addressed result store to the engine. mode is the
 // evaluation-mode digest (store.ModeDigest) under which this engine's
 // results are addressed — the caller owns folding its criteria, lenient
-// flag, and confidence floor into it. The store is consulted after the
-// sweep journal and before any computation; hits are grafted onto the
-// engine's layout, so they carry Node links like freshly computed analyses.
+// flag, and confidence floor into it. The store is consulted before any
+// computation; hits are grafted onto the engine's layout, so they carry
+// Node links like freshly computed analyses.
 // The store is owned by the caller (Close it after the sweep).
 func CAS(s *store.Store, mode string) Option {
 	return func(e *Engine) {
@@ -66,9 +57,9 @@ func (e *Engine) casGet(m *hw.Machine) (*hotspot.Analysis, bool) {
 	return a, true
 }
 
-// casPut writes one completed variant through to the store. Like
-// journalAppend, a write failure never fails the variant: it disables
-// further store writes and surfaces once from the sweep's wait error.
+// casPut writes one completed variant through to the store. A write
+// failure never fails the variant: it disables further store writes and
+// surfaces once from the sweep's wait error.
 func (e *Engine) casPut(m *hw.Machine, a *hotspot.Analysis) {
 	if e.cas == nil {
 		return

@@ -13,13 +13,17 @@ import (
 	"skope/internal/store"
 )
 
-// casEngine builds an engine over the shared prepared run with a store
-// attached under the default evaluation mode.
+// storeMode is the default evaluation mode: default criteria, strict, no
+// confidence floor — the mode pipeline files a default sweep's results
+// under.
+var storeMode = store.ModeDigest(hotspot.DefaultCriteria(), false, 0)
+
+// casEngine builds an engine over the shared prepared srad run with a
+// store attached under the default evaluation mode.
 func casEngine(t *testing.T, s *store.Store, opts ...explore.Option) *explore.Engine {
 	t.Helper()
 	run := prepared(t, "srad")
-	mode := store.ModeDigest(hotspot.DefaultCriteria(), false, 0)
-	eng, err := explore.New(run.BET, run.Libs, append(opts, explore.CAS(s, mode))...)
+	eng, err := explore.New(run.BET, run.Libs, append(opts, explore.CAS(s, storeMode))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +45,9 @@ func casGrid(t *testing.T) []*hw.Machine {
 
 // TestCASWarmSweepSkipsEvaluation proves the store contract end to end:
 // a cold sweep populates the store; a second sweep — fresh engine, no
-// journal, no shared memo cache — is served entirely from it, with zero
-// evaluations (enforced by arming the evaluate fault point) and
-// bit-identical analyses.
+// shared memo cache — is served entirely from it, with zero evaluations
+// (enforced by arming the evaluate fault point) and bit-identical
+// analyses.
 func TestCASWarmSweepSkipsEvaluation(t *testing.T) {
 	s, err := store.Open(filepath.Join(t.TempDir(), "cas.journal"))
 	if err != nil {
@@ -146,40 +150,5 @@ func TestCASModeIsolation(t *testing.T) {
 	}
 	if err := wait(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestCASJournalWriteThrough: replaying a sweep journal also warms the
-// store, so a journaled sweep's results become globally addressable.
-func TestCASJournalWriteThrough(t *testing.T) {
-	dir := t.TempDir()
-	run := prepared(t, "srad")
-	variants := casGrid(t)[:3]
-
-	// Sweep 1: journal only.
-	eng1, jnl := journaledEngine(t, run, filepath.Join(dir, "sweep.journal"))
-	if _, err := sweep(context.Background(), eng1, variants); err != nil {
-		t.Fatal(err)
-	}
-	jnl.Close()
-
-	// Sweep 2: resume the journal with a store attached; every variant is
-	// replayed from the journal and written through.
-	s, err := store.Open(filepath.Join(dir, "cas.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	eng2, jnl2 := journaledEngine(t, run, filepath.Join(dir, "sweep.journal"),
-		explore.CAS(s, store.ModeDigest(hotspot.DefaultCriteria(), false, 0)))
-	defer jnl2.Close()
-	if jnl2.Len() != len(variants) {
-		t.Fatalf("journal holds %d records, want %d", jnl2.Len(), len(variants))
-	}
-	if _, err := sweep(context.Background(), eng2, variants); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Puts != len(variants) {
-		t.Fatalf("journal replay wrote %d results through, want %d", st.Puts, len(variants))
 	}
 }

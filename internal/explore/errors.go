@@ -26,14 +26,14 @@ type VariantError struct {
 	Machine *hw.Machine
 	// MachineName and Fingerprint identify the variant independently of
 	// the (possibly re-generated) input slice: the name for humans, the
-	// fingerprint as the durable identity a journaled re-run keys on —
+	// fingerprint as the durable identity the result store keys on —
 	// together they make a degraded-sweep report actionable without the
 	// original grid in hand.
 	MachineName string
 	Fingerprint string
 	// Attempts is how many evaluation attempts the variant consumed
 	// (1 without a retry policy; 0 for failures that never evaluated,
-	// such as journal replay of a corrupt record).
+	// such as a store hit below the confidence floor).
 	Attempts int
 	// Err is the underlying cause.
 	Err error

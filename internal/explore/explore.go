@@ -35,7 +35,6 @@ import (
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/journal"
 	"skope/internal/resilience"
 	"skope/internal/store"
 )
@@ -98,11 +97,8 @@ func (s CacheStats) HitRate() float64 {
 type Progress struct {
 	// Done and Total count variants.
 	Done, Total int
-	// Replayed counts variants served from the sweep journal (a subset
-	// of Done): completed in an earlier run and not recomputed.
-	Replayed int
 	// Stored counts variants served from the content-addressed result
-	// store (also a subset of Done): computed by some earlier sweep —
+	// store (a subset of Done): computed by some earlier sweep —
 	// possibly another session or process — and not recomputed.
 	Stored int
 	// Retried counts evaluation attempts beyond each variant's first —
@@ -122,15 +118,13 @@ type Result struct {
 	Index    int
 	Machine  *hw.Machine
 	Analysis *hotspot.Analysis
-	// Replayed marks an analysis served from the sweep journal: assembled
-	// from the durable per-block times of an earlier run, not recomputed.
-	Replayed bool
 	// Stored marks an analysis served from the content-addressed result
 	// store: decoded bit-identically from an earlier sweep's record, not
 	// recomputed.
 	Stored bool
 	// Attempts is the number of evaluation attempts the variant consumed
-	// (0 when replayed, 1 on a first-try success or without retries).
+	// (0 when served from the store, 1 on a first-try success or without
+	// retries).
 	Attempts int
 	// Err is the variant's failure (validation, modeling, timeout, or a
 	// recovered panic), nil on success.
@@ -157,11 +151,6 @@ type Engine struct {
 	// minConf is the confidence floor (see MinConfidence); 0 disables it.
 	minConf float64
 
-	// Journal state (see Journal): jnl receives completed variants;
-	// replay holds the decoded records found at bind time.
-	jnl    *journal.Journal
-	replay map[string]replayEntry
-
 	// Content-addressed store state (see CAS in cas.go): cas serves and
 	// receives results under the casMode digest.
 	cas     *store.Store
@@ -170,7 +159,6 @@ type Engine struct {
 	mu     sync.Mutex
 	comp   map[compKey]*memoEntry
 	comm   map[commKey]*memoEntry
-	jnlErr error
 	casErr error
 
 	hits, misses atomic.Int64
@@ -241,22 +229,11 @@ func BreakerThreshold(n int) Option {
 // variants whose assembled analysis carries Confidence below c fail with
 // an error wrapping ErrLowConfidence instead of ranking alongside
 // trustworthy projections. The filter applies identically to fresh
-// evaluations and journal replays, so a resumed sweep flags the same
+// evaluations and store hits, so a rerun over the store flags the same
 // variants an uninterrupted one would. c <= 0 (the default) disables the
-// floor. Low-confidence variants are still journaled — their per-block
-// times are valid — so re-running with a lower floor replays them for free.
+// floor.
 func MinConfidence(c float64) Option {
 	return func(e *Engine) { e.minConf = c }
-}
-
-// Journal attaches a sweep journal (see journal.Open) to the engine. The
-// journal must be compatible with the engine's layout (New fails with
-// journal.ErrMetaMismatch otherwise); variants whose machine fingerprint
-// is already recorded are replayed — bit-identically, with zero
-// recomputation — and fresh completions are durably appended. The journal
-// stays owned by the caller, who closes it after the engine's sweeps.
-func Journal(j *journal.Journal) Option {
-	return func(e *Engine) { e.jnl = j }
 }
 
 // New builds an exploration engine for one modeled workload: the BET and
@@ -279,13 +256,6 @@ func New(bet *core.BET, libs hotspot.LibModeler, opts ...Option) (*Engine, error
 	if e.breaker == nil {
 		e.breaker = resilience.NewBreaker(0)
 	}
-	if e.jnl != nil {
-		j := e.jnl
-		e.jnl = nil
-		if err := e.bindJournal(j); err != nil {
-			return nil, err
-		}
-	}
 	return e, nil
 }
 
@@ -299,56 +269,49 @@ func (e *Engine) CacheStats() CacheStats {
 // below (a poisoned model constructor, a corrupted cache entry) is recovered
 // into an error wrapping guard.ErrPanic — the worker pool stays alive. The
 // guard.Hit call is a fault-injection point (no-op unless a test arms
-// "explore.evaluate"). Alongside the analysis it returns the per-block
-// times it assembled from, so a successful evaluation can be journaled
-// without recomputation. Validation rejections come back marked
+// "explore.evaluate"). Validation rejections come back marked
 // resilience.Permanent: re-running an invalid machine cannot help.
-func (e *Engine) evaluate(m *hw.Machine) (a *hotspot.Analysis, comp, comm []hotspot.BlockTimes, err error) {
+func (e *Engine) evaluate(m *hw.Machine) (a *hotspot.Analysis, err error) {
 	defer guard.Recover(&err, "evaluate %s", m.Name)
 	guard.Hit("explore.evaluate", m.Name)
 	if verr := m.Validate(); verr != nil {
-		return nil, nil, nil, resilience.Permanent(verr)
+		return nil, resilience.Permanent(verr)
 	}
-	comp = memoize(e, e.comp, compKeyOf(m), func() []hotspot.BlockTimes {
+	comp := memoize(e, e.comp, compKeyOf(m), func() []hotspot.BlockTimes {
 		return e.layout.CompTimes(e.newModel(m))
 	})
-	comm = memoize(e, e.comm, commKeyOf(m), func() []hotspot.BlockTimes {
+	comm := memoize(e, e.comm, commKeyOf(m), func() []hotspot.BlockTimes {
 		return e.layout.CommTimes(m)
 	})
-	a, err = e.layout.Assemble(m, comp, comm)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return a, comp, comm, nil
+	return e.layout.Assemble(m, comp, comm)
 }
 
 // evaluateOnce is evaluate under the engine's per-attempt deadline. The
 // evaluation runs on its own goroutine; on timeout (or sweep
 // cancellation) the attempt is abandoned — the goroutine drains into a
 // buffered channel and its result is discarded.
-func (e *Engine) evaluateOnce(ctx context.Context, m *hw.Machine) (*hotspot.Analysis, []hotspot.BlockTimes, []hotspot.BlockTimes, error) {
+func (e *Engine) evaluateOnce(ctx context.Context, m *hw.Machine) (*hotspot.Analysis, error) {
 	if e.timeout <= 0 {
 		return e.evaluate(m)
 	}
 	type outcome struct {
-		a          *hotspot.Analysis
-		comp, comm []hotspot.BlockTimes
-		err        error
+		a   *hotspot.Analysis
+		err error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		a, comp, comm, err := e.evaluate(m)
-		ch <- outcome{a, comp, comm, err}
+		a, err := e.evaluate(m)
+		ch <- outcome{a, err}
 	}()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.a, o.comp, o.comm, o.err
+		return o.a, o.err
 	case <-timer.C:
-		return nil, nil, nil, fmt.Errorf("explore: variant %s: %w (limit %v)", m.Name, resilience.ErrAttemptTimeout, e.timeout)
+		return nil, fmt.Errorf("explore: variant %s: %w (limit %v)", m.Name, resilience.ErrAttemptTimeout, e.timeout)
 	case <-ctx.Done():
-		return nil, nil, nil, fmt.Errorf("explore: variant %s: %w", m.Name, ctx.Err())
+		return nil, fmt.Errorf("explore: variant %s: %w", m.Name, ctx.Err())
 	}
 }
 
@@ -375,7 +338,7 @@ func failureClass(err error) string {
 // attempts under the per-attempt deadline, retried per the engine's
 // policy for transient failures, gated by the circuit breaker (an open
 // failure class gets its first attempt but no retries).
-func (e *Engine) evaluateVariant(ctx context.Context, m *hw.Machine) (a *hotspot.Analysis, comp, comm []hotspot.BlockTimes, attempts int, err error) {
+func (e *Engine) evaluateVariant(ctx context.Context, m *hw.Machine) (a *hotspot.Analysis, attempts int, err error) {
 	p := e.retry
 	classify := p.Classify
 	if classify == nil {
@@ -385,14 +348,14 @@ func (e *Engine) evaluateVariant(ctx context.Context, m *hw.Machine) (a *hotspot
 		return classify(err) && e.breaker.Allow(failureClass(err))
 	}
 	attempts, err = p.Do(ctx, func(int) error {
-		a, comp, comm, err = e.evaluateOnce(ctx, m)
+		a, err = e.evaluateOnce(ctx, m)
 		return err
 	})
 	if err != nil {
 		e.breaker.Failure(failureClass(err))
-		return nil, nil, nil, attempts, err
+		return nil, attempts, err
 	}
-	return a, comp, comm, attempts, nil
+	return a, attempts, nil
 }
 
 // memoize returns the memoized per-block times for key, running compute
@@ -483,19 +446,15 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 
 	start := time.Now()
 	var (
-		doneMu   sync.Mutex
-		done     int
-		replayed int
-		stored   int
-		retried  int
+		doneMu  sync.Mutex
+		done    int
+		stored  int
+		retried int
 	)
 	finish := func(r Result) {
 		doneMu.Lock()
 		defer doneMu.Unlock()
 		done++
-		if r.Replayed {
-			replayed++
-		}
 		if r.Stored {
 			stored++
 		}
@@ -505,7 +464,7 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 		if e.progress != nil {
 			e.progress(Progress{
 				Done: done, Total: len(variants),
-				Replayed: replayed, Stored: stored, Retried: retried,
+				Stored: stored, Retried: retried,
 				Cache:   e.CacheStats(),
 				Elapsed: time.Since(start),
 			})
@@ -515,32 +474,7 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 	poolWait := Pool(sctx, len(variants), e.workers, func(i int) {
 		m := variants[i]
 		r := Result{Index: i, Machine: m}
-		if entry, ok := e.replayEntry(m); ok {
-			// Journaled in an earlier run: assemble from the durable
-			// per-block times, zero recomputation.
-			a, err := e.layout.Assemble(m, entry.comp, entry.comm)
-			if err != nil {
-				r.Err = e.variantError(i, m, 0, err)
-			} else {
-				if entry.conf != nil {
-					// The journal persisted the confidence the original
-					// run assembled with; replaying it keeps resumed
-					// sweeps bit-identical even if the scoring formula
-					// evolves.
-					a.Confidence = *entry.conf
-				}
-				// Write replays through to the store (before the
-				// confidence gate, like fresh completions), so finishing
-				// a journaled sweep also warms it.
-				e.casPut(m, a)
-				if lcErr := e.confidenceErr(a); lcErr != nil {
-					r.Err = e.variantError(i, m, 0, lcErr)
-				} else {
-					r.Analysis = a
-					r.Replayed = true
-				}
-			}
-		} else if a, ok := e.casGet(m); ok {
+		if a, ok := e.casGet(m); ok {
 			// Stored by an earlier sweep — possibly another session or
 			// process — under the same (layout, machine, mode)
 			// identity: decoded bit-identically, zero recomputation.
@@ -553,7 +487,7 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 				r.Stored = true
 			}
 		} else {
-			a, comp, comm, attempts, err := e.evaluateVariant(sctx, m)
+			a, attempts, err := e.evaluateVariant(sctx, m)
 			r.Attempts = attempts
 			if err != nil {
 				// Cancellation of the sweep is not a variant failure:
@@ -563,10 +497,9 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 				}
 				r.Err = e.variantError(i, m, attempts, err)
 			} else {
-				// Journal and store before the confidence gate: the
-				// results are valid either way, and a re-run with a
-				// lower floor replays them for free.
-				e.journalAppend(m, comp, comm, a.Confidence)
+				// Store before the confidence gate: the result is valid
+				// either way, and a rerun gates the stored score the
+				// same way.
 				e.casPut(m, a)
 				if lcErr := e.confidenceErr(a); lcErr != nil {
 					r.Err = e.variantError(i, m, attempts, lcErr)
@@ -591,9 +524,6 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 		var errs []error
 		if err := ctx.Err(); err != nil {
 			errs = append(errs, fmt.Errorf("explore: sweep canceled: %w", err))
-		}
-		if jerr := e.journalError(); jerr != nil {
-			errs = append(errs, jerr)
 		}
 		if cerr := e.casError(); cerr != nil {
 			errs = append(errs, cerr)

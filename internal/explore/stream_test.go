@@ -15,8 +15,7 @@ import (
 
 // sweep collects eng.Stream into analyses index-aligned with variants.
 // Failed variants stay nil and come back in a *explore.SweepError sorted
-// by index, joined with wait's error (cancellation, journal or store
-// degradation).
+// by index, joined with wait's error (cancellation or store degradation).
 func sweep(ctx context.Context, eng *explore.Engine, variants []*hw.Machine) ([]*hotspot.Analysis, error) {
 	out := make([]*hotspot.Analysis, len(variants))
 	var failures []*explore.VariantError

@@ -62,8 +62,8 @@ type Layout struct {
 	byID map[string]*layoutBlock
 	// confidence and betDiags carry the BET's measured-vs-assumed score
 	// and prior-substitution record into every assembled analysis (and
-	// into the fingerprint, so a journal written by a lenient run never
-	// replays into a strict one).
+	// into the fingerprint, so a result stored by a lenient run is never
+	// served to a strict one).
 	confidence float64
 	betDiags   []guard.Diagnostic
 	// fp is the Fingerprint, computed once: a Layout never changes after
@@ -136,18 +136,13 @@ func NewLayout(bet *core.BET, libs LibModeler) (*Layout, error) {
 	return l, nil
 }
 
-// NumComp and NumComm report how many comp/lib and comm blocks the layout
-// holds — the lengths CompTimes and CommTimes return and Assemble expects.
-func (l *Layout) NumComp() int { return len(l.comp) }
-func (l *Layout) NumComm() int { return len(l.comm) }
-
 // Fingerprint digests the layout's full machine-independent content:
 // block identities and order, every leaf's per-invocation workload
 // (bit-level for floats), ENR scaling, and comm volumes. Two layouts
 // fingerprint equal iff CompTimes/CommTimes/Assemble would produce
 // identical results for any machine — which makes the digest the right
-// binding between a sweep journal and the workload that wrote it: replay
-// is refused the moment the source, profile, or translation changed.
+// first component of a stored result's key: a stored result stops being
+// served the moment the source, profile, or translation changed.
 func (l *Layout) Fingerprint() string { return l.fp }
 
 // fingerprint computes the digest Fingerprint returns.

@@ -10,12 +10,12 @@ import (
 // Fingerprint returns a stable 64-bit hex digest of every parameter of
 // the machine (including its name). Two machines fingerprint equal iff
 // every field — compared at the bit level for floats — is equal, so the
-// digest is a durable identity for a design-space variant: the sweep
-// journal keys completed work on it, and resumed sweeps use it to decide
-// which variants can be replayed instead of recomputed.
+// digest is a durable identity for a design-space variant: the result
+// store keys completed work on it, and a sweep run again over the store
+// uses it to decide which variants are served instead of recomputed.
 //
-// The field order below is part of the on-disk journal contract; append
-// new fields at the end rather than reordering.
+// The field order below is part of the store's key contract; append new
+// fields at the end rather than reordering.
 func (m *Machine) Fingerprint() string {
 	h := fnv.New64a()
 	buf := make([]byte, 8)

@@ -20,9 +20,9 @@ type SweepSummary struct {
 	// otherwise.
 	Workload          string
 	LayoutFingerprint string
-	// Total counts variants; Computed, FromJournal and FromStore partition
-	// the successful ones by provenance (failed variants are in none).
-	Total, Computed, FromJournal, FromStore int
+	// Total counts variants; Computed and FromStore partition the
+	// successful ones by provenance (failed variants are in neither).
+	Total, Computed, FromStore int
 	// SkippedPrepare marks a fully warm run: every variant was served from
 	// the store and the workload was never parsed, profiled, or modeled —
 	// zero core.Build calls.
@@ -42,8 +42,6 @@ func (s *SweepSummary) tally(evals []*Eval) {
 	for _, ev := range evals {
 		switch {
 		case ev == nil:
-		case ev.Provenance == FromJournal:
-			s.FromJournal++
 		case ev.Provenance == FromStore:
 			s.FromStore++
 		default:
@@ -94,8 +92,8 @@ func SweepCached(ctx context.Context, w *workloads.Workload, variants []*hw.Mach
 // explore.AdaptivePlanner: each round's batch of grid indices is collected
 // like an exhaustive sweep's variants and fed back to the planner in
 // ascending grid order, and the base machine is collected last, on the
-// same engine — journaled, stored and held to WithMinConfidence like an
-// exhaustive sweep's. Round traces arrive on aopt.OnRound; progress
+// same engine — stored and held to WithMinConfidence like an exhaustive
+// sweep's. Round traces arrive on aopt.OnRound; progress
 // snapshots count across all batches, so Done ends at the search's
 // evaluations plus one. Evals are nil where the search never evaluated;
 // the search outcome is on SweepSummary.Adaptive. Errors come back as
@@ -111,7 +109,7 @@ func SweepAdaptive(ctx context.Context, w *workloads.Workload, variants []*hw.Ma
 	if report := buildOptions(opts).progress; report != nil {
 		opts = append(opts, WithProgress(func(p explore.Progress) {
 			p.Done, p.Total = p.Done+before.Done, len(variants)
-			p.Replayed, p.Stored = p.Replayed+before.Replayed, p.Stored+before.Stored
+			p.Stored += before.Stored
 			p.Retried += before.Retried
 			p.Elapsed = time.Since(start)
 			last = p

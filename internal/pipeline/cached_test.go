@@ -13,7 +13,6 @@ import (
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
-	"skope/internal/journal"
 	"skope/internal/store"
 	"skope/internal/workloads"
 )
@@ -227,85 +226,11 @@ func adaptiveGrid(t *testing.T) ([]*hw.Machine, []explore.Axis) {
 	return append(variants, base), axes
 }
 
-// TestSweepAdaptiveJournalResume: a journaled adaptive sweep records the
-// searched variants and the base machine; a resumed run retraces the same
-// search and replays every one of them — FromJournal is the search's
-// evaluations plus the baseline — bit-identically.
-func TestSweepAdaptiveJournalResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.journal")
-	w, err := workloads.Get("sord", workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	variants, axes := adaptiveGrid(t)
-	var last explore.Progress
-	sweep := func() ([]*Eval, *SweepSummary) {
-		t.Helper()
-		j, err := journal.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer j.Close()
-		evals, sum, err := SweepAdaptive(context.Background(), w, variants, nil, axes,
-			explore.AdaptiveOptions{Seed: 13}, WithJournal(j), WithWorkers(4),
-			WithProgress(func(p explore.Progress) { last = p }))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return evals, sum
-	}
-
-	cold, coldSum := sweep()
-	searched := coldSum.Adaptive.Evals
-	if searched <= 0 || searched >= len(variants)-1 {
-		t.Fatalf("search spent %d of %d evaluations", searched, len(variants)-1)
-	}
-	if coldSum.Computed != searched+1 || coldSum.FromJournal != 0 {
-		t.Errorf("cold run: %d computed, %d from journal; want %d, 0", coldSum.Computed, coldSum.FromJournal, searched+1)
-	}
-
-	resumed, sum := sweep()
-	if sum.Adaptive.Evals != searched || len(sum.Adaptive.Rounds) != len(coldSum.Adaptive.Rounds) {
-		t.Errorf("resumed search spent %d evals in %d rounds, cold %d in %d",
-			sum.Adaptive.Evals, len(sum.Adaptive.Rounds), searched, len(coldSum.Adaptive.Rounds))
-	}
-	if sum.FromJournal != searched+1 || sum.Computed != 0 {
-		t.Errorf("resumed run: %d from journal, %d computed; want %d, 0", sum.FromJournal, sum.Computed, searched+1)
-	}
-	// The base machine's progress snapshot continues the search's counts.
-	if last.Done != searched+1 || last.Replayed != searched+1 {
-		t.Errorf("final progress %d done, %d replayed; want %d", last.Done, last.Replayed, searched+1)
-	}
-	var got, want []*Eval
-	for i := range cold {
-		if (cold[i] == nil) != (resumed[i] == nil) {
-			t.Fatalf("variant %d: evaluated in one run only", i)
-		}
-		if cold[i] != nil {
-			want, got = append(want, cold[i]), append(got, resumed[i])
-			if resumed[i].Provenance != FromJournal {
-				t.Errorf("variant %d: provenance %v, want FromJournal", i, resumed[i].Provenance)
-			}
-		}
-	}
-	if got[len(got)-1] != resumed[len(resumed)-1] {
-		t.Fatal("the base machine was not evaluated")
-	}
-	assertEvalsBitIdentical(t, got, want)
-	for i := range got {
-		if math.Float64bits(got[i].Confidence) != math.Float64bits(want[i].Confidence) ||
-			!reflect.DeepEqual(got[i].SpotIDs(), want[i].SpotIDs()) {
-			t.Errorf("evaluated variant %d: confidence or selection drifted on replay", i)
-		}
-	}
-}
-
 // TestSweepAdaptiveProgress: an adaptive sweep's progress snapshots count
 // across all of its batches. Done rises by one per evaluated variant, out
 // of every variant, and ends at the search's evaluations plus the
-// baseline; the final Replayed and Stored match the summary's provenance.
-// Checked at one worker and at four, on a cold run, a journal resume and
-// a run served from the store.
+// baseline; the final Stored matches the summary's provenance. Checked at
+// one worker and at four, on a cold run and a run served from the store.
 func TestSweepAdaptiveProgress(t *testing.T) {
 	w, err := workloads.Get("sord", workloads.ScaleTest)
 	if err != nil {
@@ -320,20 +245,10 @@ func TestSweepAdaptiveProgress(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			for _, run := range []string{"cold", "resumed", "stored"} {
+			for _, run := range []string{"cold", "stored"} {
 				var snaps []explore.Progress
 				opts := []Option{WithWorkers(workers), WithProgress(func(p explore.Progress) { snaps = append(snaps, p) })}
-				var j *journal.Journal
-				if run != "stored" {
-					if j, err = journal.Open(filepath.Join(dir, "sweep.journal")); err != nil {
-						t.Fatal(err)
-					}
-					opts = append(opts, WithJournal(j))
-				}
 				_, sum, err := SweepAdaptive(context.Background(), w, variants, s, axes, explore.AdaptiveOptions{Seed: 13}, opts...)
-				if j != nil {
-					j.Close()
-				}
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -346,9 +261,8 @@ func TestSweepAdaptiveProgress(t *testing.T) {
 				if last.Done != sum.Adaptive.Evals+1 {
 					t.Errorf("%s: final Done %d, want the search's %d evaluations plus the baseline", run, last.Done, sum.Adaptive.Evals)
 				}
-				if last.Replayed != sum.FromJournal || last.Stored != sum.FromStore {
-					t.Errorf("%s: final progress %d replayed, %d stored; summary %d from journal, %d from store",
-						run, last.Replayed, last.Stored, sum.FromJournal, sum.FromStore)
+				if last.Stored != sum.FromStore {
+					t.Errorf("%s: final progress %d stored; summary %d from store", run, last.Stored, sum.FromStore)
 				}
 			}
 		})

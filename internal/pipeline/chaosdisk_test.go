@@ -12,24 +12,22 @@ import (
 	"syscall"
 	"testing"
 
-	"skope/internal/explore"
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
 	"skope/internal/iofault"
-	"skope/internal/journal"
 	"skope/internal/store"
 	"skope/internal/workloads"
 )
 
-// The chaos-disk suite drives the pipeline's durability layers (sweep
-// journal and content-addressed store) through iofault's scriptable disk:
-// a failing fsync, a disk that runs out of space mid-sweep, a torn final
-// record, and an open that returns EIO. The invariant under test is zero
-// silent corruption: every sweep either produces results bit-identical to
-// a fault-free golden or reports the degradation explicitly
-// (explore.ErrJournalDegraded / store.ErrDegraded) — never wrong numbers,
-// and a resume on healed hardware recomputes only what the fault lost.
+// The chaos-disk suite drives the pipeline's one durability layer, the
+// content-addressed store, through iofault's scriptable disk: a failing
+// fsync, a disk that runs out of space mid-sweep, a torn final record, and
+// an open that returns EIO. The invariant under test is zero silent
+// corruption: every sweep either produces results bit-identical to a
+// fault-free golden or reports the degradation explicitly
+// (store.ErrDegraded, or an error from the open) — never wrong numbers,
+// and a rerun on healed hardware recomputes only what the fault lost.
 
 // chaosDiskGrid is the sweep grid every scenario runs: mem-bandwidth
 // {16, 32} x freq-ghz {1.6, 2.4} over the BG/Q base.
@@ -98,7 +96,7 @@ func assertEvalsBitIdentical(t *testing.T, got, want []*Eval) {
 }
 
 // assertProvenancePrefix fails unless the first n evals were served from
-// source and the rest were recomputed — the "resume recomputes only the
+// source and the rest were recomputed — the "a rerun recomputes only the
 // lost suffix" contract (sweeps run with Workers(1), so the durable
 // prefix is exactly the first n variants).
 func assertProvenancePrefix(t *testing.T, evals []*Eval, n int, source Provenance) {
@@ -114,29 +112,29 @@ func assertProvenancePrefix(t *testing.T, evals []*Eval, n int, source Provenanc
 	}
 }
 
-// TestChaosDiskFsyncFailure: the journal's fsync starts failing mid-sweep.
+// TestChaosDiskFsyncFailure: the store's fsync starts failing mid-sweep.
 // The sweep must complete with every analysis intact and bit-identical,
-// reporting explore.ErrJournalDegraded — and a resume on healed disk
-// replays the durable prefix, recomputing only what was never acknowledged.
+// reporting store.ErrDegraded — and a rerun on healed disk is served the
+// durable prefix, recomputing only what was never acknowledged.
 func TestChaosDiskFsyncFailure(t *testing.T) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
 			run := prepared(t, name)
 			variants := chaosDiskGrid()
 			want := chaosDiskGolden(t, name)
-			path := filepath.Join(t.TempDir(), "sweep.journal")
+			path := filepath.Join(t.TempDir(), "cas.store")
 
-			// Sync 1 = journal header; syncs 2-3 = records; sync 4 (the
+			// Sync 1 = store header; syncs 2-3 = records; sync 4 (the
 			// third record's) fails, so exactly 2 records are durable.
 			ff := iofault.New(nil, iofault.Plan{FailSyncAt: 4})
-			j, err := journal.OpenFS(ff, path)
+			st, err := store.OpenFS(ff, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, serr := Sweep(context.Background(), run, variants, WithJournal(j), WithWorkers(1))
-			j.Close()
-			if !errors.Is(serr, explore.ErrJournalDegraded) {
-				t.Fatalf("sweep with failing fsync = %v; want ErrJournalDegraded", serr)
+			got, serr := Sweep(context.Background(), run, variants, WithStore(st), WithWorkers(1))
+			st.Close()
+			if !errors.Is(serr, store.ErrDegraded) {
+				t.Fatalf("sweep with failing fsync = %v; want store.ErrDegraded", serr)
 			}
 			if errors.Is(serr, context.Canceled) {
 				t.Fatalf("degradation reported as cancellation: %v", serr)
@@ -145,21 +143,21 @@ func TestChaosDiskFsyncFailure(t *testing.T) {
 			assertEvalsBitIdentical(t, got, want)
 
 			// Healed disk: the rollback removed the unacknowledged record,
-			// so the journal reopens clean with the 2 durable records.
-			j2, err := journal.Open(path)
+			// so the store reopens clean with the 2 durable records.
+			s2, err := store.Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer j2.Close()
-			if n, torn := j2.Recovered(); n != 2 || torn {
+			defer s2.Close()
+			if n, torn := s2.Recovered(); n != 2 || torn {
 				t.Fatalf("Recovered = (%d, %v); want (2, false)", n, torn)
 			}
-			resumed, err := Sweep(context.Background(), run, variants, WithJournal(j2), WithWorkers(1))
+			rerun, err := Sweep(context.Background(), run, variants, WithStore(s2), WithWorkers(1))
 			if err != nil {
-				t.Fatalf("resumed sweep: %v", err)
+				t.Fatalf("rerun on healed disk: %v", err)
 			}
-			assertEvalsBitIdentical(t, resumed, want)
-			assertProvenancePrefix(t, resumed, 2, FromJournal)
+			assertEvalsBitIdentical(t, rerun, want)
+			assertProvenancePrefix(t, rerun, 2, FromStore)
 		})
 	}
 }
@@ -220,20 +218,20 @@ func TestChaosDiskENOSPCStore(t *testing.T) {
 			if persisted <= 0 || persisted >= len(variants) {
 				t.Fatalf("store holds %d of %d records; the budget did not land mid-sweep", persisted, len(variants))
 			}
-			resumed, err := Sweep(context.Background(), run, variants, WithStore(s2), WithWorkers(1))
+			rerun, err := Sweep(context.Background(), run, variants, WithStore(s2), WithWorkers(1))
 			if err != nil {
 				t.Fatalf("rerun on healed disk: %v", err)
 			}
-			assertEvalsBitIdentical(t, resumed, want)
-			assertProvenancePrefix(t, resumed, persisted, FromStore)
+			assertEvalsBitIdentical(t, rerun, want)
+			assertProvenancePrefix(t, rerun, persisted, FromStore)
 		})
 	}
 }
 
 // TestChaosDiskTornFinalRecord: a write fails half-way through the final
-// journal append and the rollback truncate is blocked too, leaving a torn
+// store append and the rollback truncate is blocked too, leaving a torn
 // frame on disk. The sweep stays correct and reports the degradation;
-// reopening recovers the intact prefix (discarding the tear) and a resume
+// reopening recovers the intact prefix (discarding the tear) and a rerun
 // recomputes only the torn-off suffix.
 func TestChaosDiskTornFinalRecord(t *testing.T) {
 	for _, name := range workloads.Names() {
@@ -241,45 +239,45 @@ func TestChaosDiskTornFinalRecord(t *testing.T) {
 			run := prepared(t, name)
 			variants := chaosDiskGrid()
 			want := chaosDiskGolden(t, name)
-			path := filepath.Join(t.TempDir(), "sweep.journal")
+			path := filepath.Join(t.TempDir(), "cas.store")
 
 			// Write 1 = header, writes 2-4 = records; write 5 (the final
 			// record) tears and the rollback truncate fails.
 			ff := iofault.New(nil, iofault.Plan{FailWriteAt: 5, ShortWrite: true, FailTruncate: true})
-			j, err := journal.OpenFS(ff, path)
+			st, err := store.OpenFS(ff, path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, serr := Sweep(context.Background(), run, variants, WithJournal(j), WithWorkers(1))
-			j.Close()
-			if !errors.Is(serr, explore.ErrJournalDegraded) || !errors.Is(serr, syscall.EIO) {
-				t.Fatalf("sweep with torn append = %v; want ErrJournalDegraded wrapping EIO", serr)
+			got, serr := Sweep(context.Background(), run, variants, WithStore(st), WithWorkers(1))
+			st.Close()
+			if !errors.Is(serr, store.ErrDegraded) || !errors.Is(serr, syscall.EIO) {
+				t.Fatalf("sweep with torn append = %v; want store.ErrDegraded wrapping EIO", serr)
 			}
 			assertEvalsBitIdentical(t, got, want)
 
 			// Recovery discards the torn frame and keeps the 3 intact
 			// records.
-			j2, err := journal.Open(path)
+			s2, err := store.Open(path)
 			if err != nil {
 				t.Fatalf("reopen over torn tail: %v", err)
 			}
-			defer j2.Close()
-			if n, torn := j2.Recovered(); n != 3 || !torn {
+			defer s2.Close()
+			if n, torn := s2.Recovered(); n != 3 || !torn {
 				t.Fatalf("Recovered = (%d, %v); want (3, true)", n, torn)
 			}
-			resumed, err := Sweep(context.Background(), run, variants, WithJournal(j2), WithWorkers(1))
+			rerun, err := Sweep(context.Background(), run, variants, WithStore(s2), WithWorkers(1))
 			if err != nil {
-				t.Fatalf("resumed sweep: %v", err)
+				t.Fatalf("rerun over the recovered store: %v", err)
 			}
-			assertEvalsBitIdentical(t, resumed, want)
-			assertProvenancePrefix(t, resumed, 3, FromJournal)
+			assertEvalsBitIdentical(t, rerun, want)
+			assertProvenancePrefix(t, rerun, 3, FromStore)
 		})
 	}
 }
 
-// TestChaosDiskReopenEIO: a journal whose open fails surfaces an explicit
-// error — never a silently empty journal that would quietly recompute a
-// finished sweep. Once the fault clears, the resume replays everything
+// TestChaosDiskReopenEIO: a store whose open fails surfaces an explicit
+// error — never a silently empty store that would quietly recompute a
+// finished sweep. Once the fault clears, a rerun is served everything
 // with zero recomputation.
 func TestChaosDiskReopenEIO(t *testing.T) {
 	for _, name := range workloads.Names() {
@@ -287,23 +285,23 @@ func TestChaosDiskReopenEIO(t *testing.T) {
 			run := prepared(t, name)
 			variants := chaosDiskGrid()
 			want := chaosDiskGolden(t, name)
-			path := filepath.Join(t.TempDir(), "sweep.journal")
+			path := filepath.Join(t.TempDir(), "cas.store")
 
-			j, err := journal.Open(path)
+			st, err := store.Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Sweep(context.Background(), run, variants, WithJournal(j), WithWorkers(1)); err != nil {
+			if _, err := Sweep(context.Background(), run, variants, WithStore(st), WithWorkers(1)); err != nil {
 				t.Fatal(err)
 			}
-			j.Close()
+			st.Close()
 
 			ff := iofault.New(nil, iofault.Plan{FailOpenAt: 1})
-			if _, err := journal.OpenFS(ff, path); !errors.Is(err, iofault.ErrInjected) {
+			if _, err := store.OpenFS(ff, path); !errors.Is(err, iofault.ErrInjected) {
 				t.Fatalf("faulty reopen = %v; want an explicit injected error", err)
 			}
 
-			// The fault clears; every variant replays, none recompute.
+			// The fault clears; every variant is served, none recompute.
 			var mu sync.Mutex
 			evaluated := 0
 			disarm := guard.Arm("explore.evaluate", func(string) {
@@ -312,24 +310,24 @@ func TestChaosDiskReopenEIO(t *testing.T) {
 				mu.Unlock()
 			})
 			t.Cleanup(disarm)
-			j2, err := journal.Open(path)
+			s2, err := store.Open(path)
 			if err != nil {
 				t.Fatalf("clean reopen: %v", err)
 			}
-			defer j2.Close()
-			if n, torn := j2.Recovered(); n != len(variants) || torn {
+			defer s2.Close()
+			if n, torn := s2.Recovered(); n != len(variants) || torn {
 				t.Fatalf("Recovered = (%d, %v); want (%d, false)", n, torn, len(variants))
 			}
-			resumed, err := Sweep(context.Background(), run, variants, WithJournal(j2), WithWorkers(1))
+			rerun, err := Sweep(context.Background(), run, variants, WithStore(s2), WithWorkers(1))
 			if err != nil {
-				t.Fatalf("resumed sweep: %v", err)
+				t.Fatalf("rerun: %v", err)
 			}
-			assertEvalsBitIdentical(t, resumed, want)
-			assertProvenancePrefix(t, resumed, len(variants), FromJournal)
+			assertEvalsBitIdentical(t, rerun, want)
+			assertProvenancePrefix(t, rerun, len(variants), FromStore)
 			mu.Lock()
 			defer mu.Unlock()
 			if evaluated != 0 {
-				t.Errorf("fully journaled resume recomputed %d variants", evaluated)
+				t.Errorf("fully stored rerun recomputed %d variants", evaluated)
 			}
 		})
 	}

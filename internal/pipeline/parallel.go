@@ -50,9 +50,9 @@ func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ..
 // Explorer builds a design-space exploration engine over the prepared
 // workload's BET and library model — the entry point for co-design studies
 // that need the engine's streaming or cache-statistics API directly.
-// WithModelFunc, WithWorkers, WithProgress, WithRetry, WithVariantTimeout,
-// WithJournal and WithStore carry over (the store is keyed under this
-// configuration's criteria, lenient flag, and confidence floor).
+// WithModelFunc, WithWorkers, WithProgress, WithRetry, WithVariantTimeout
+// and WithStore carry over (the store is keyed under this configuration's
+// criteria, lenient flag, and confidence floor).
 func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 	o := buildOptions(opts)
 	eopts := []explore.Option{
@@ -67,9 +67,6 @@ func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 	if o.minConf > 0 {
 		eopts = append(eopts, explore.MinConfidence(o.minConf))
 	}
-	if o.jnl != nil {
-		eopts = append(eopts, explore.Journal(o.jnl))
-	}
 	if o.st != nil && !o.customModel {
 		eopts = append(eopts, explore.CAS(o.st, o.modeDigest()))
 	}
@@ -83,12 +80,12 @@ func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 // Sweep projects a prepared workload over a set of machine variants purely
 // analytically (no simulation) — the co-design design-space exploration
 // loop. It runs on the exploration engine: a bounded worker pool with
-// memoized per-block characterization, plus the sweep journal (WithJournal)
-// and the content-addressed store (WithStore) as zero-recompute sources.
+// memoized per-block characterization, plus the content-addressed store
+// (WithStore) as a zero-recompute source.
 //
 // It returns the unified Eval type: per variant, the analysis, the hot-spot
 // selection under this configuration's criteria, the merged diagnostics,
-// the end-to-end confidence, and the provenance (computed, journal, store).
+// the end-to-end confidence, and the provenance (computed or store).
 // The measured fields (Sim, Modl/Prof, quality, HotPath) stay zero — sweeps
 // never simulate — so cached and computed sweep results are interchangeable.
 // Evals are index-aligned with the variants; failed variants (see
@@ -114,7 +111,7 @@ func Sweep(ctx context.Context, run *Run, variants []*hw.Machine, opts ...Option
 // into their Evals, index-aligned with variants, and returns every Eval
 // collected so far, with every failure so far as a *VariantError at its
 // variant index, sorted in one *explore.SweepError and joined with any
-// journal or store degradation; on cancellation, nil Evals and the
+// store degradation; on cancellation, nil Evals and the
 // context's error.
 func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ctx context.Context, idx []int) ([]*Eval, error), err error) {
 	eng, err := Explorer(run, opts...)
@@ -159,8 +156,8 @@ func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ct
 			errs = append(errs, &explore.SweepError{Variants: fails})
 		}
 		if werr != nil {
-			// Journal or store degradation: results are complete, only
-			// durability/cache coverage is partial.
+			// Store degradation: results are complete, only cache
+			// coverage is partial.
 			errs = append(errs, werr)
 		}
 		return evals, errors.Join(errs...)
@@ -182,10 +179,7 @@ func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result,
 		conf = a.Confidence
 	}
 	prov := Computed
-	switch {
-	case r.Replayed:
-		prov = FromJournal
-	case r.Stored:
+	if r.Stored {
 		prov = FromStore
 	}
 	return &Eval{

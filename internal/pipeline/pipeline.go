@@ -27,7 +27,6 @@ import (
 	"skope/internal/hotspot"
 	"skope/internal/hw"
 	"skope/internal/interp"
-	"skope/internal/journal"
 	"skope/internal/libmodel"
 	"skope/internal/minilang"
 	"skope/internal/profile"
@@ -134,7 +133,6 @@ type options struct {
 	lim         *guard.Limits
 	retry       resilience.Policy
 	timeout     time.Duration
-	jnl         *journal.Journal
 	st          *store.Store
 	lenient     bool
 	minConf     float64
@@ -239,23 +237,14 @@ func WithProfile(p *interp.Profile) Option {
 	return func(o *options) { o.prof = p }
 }
 
-// WithJournal attaches a sweep journal to Sweep and Explorer-built
-// engines: variants recorded by an earlier run are replayed instead of
-// recomputed, and fresh completions are durably appended (fsync per
-// record). The journal must belong to the same prepared workload —
-// Explorer and Sweep fail with journal.ErrMetaMismatch otherwise.
-func WithJournal(j *journal.Journal) Option {
-	return func(o *options) { o.jnl = j }
-}
-
 // WithStore attaches a content-addressed result store to Sweep and
 // Explorer-built engines; SweepCached and SweepAdaptive take it as an
 // argument. Results whose identity — layout, machine and evaluation-mode
 // fingerprints — is already stored are served bit-identically with zero
-// recomputation, across sessions, processes, and restarts; fresh results
-// are durably written through. WithModelFunc bypasses the store (a
-// foreign model constructor is not part of any fingerprint). The caller
-// owns the store.
+// recomputation, across sessions, processes, restarts and crashes; fresh
+// results are durably written through, one fsync'd record per variant.
+// WithModelFunc bypasses the store (a foreign model constructor is not
+// part of any fingerprint). The caller owns the store.
 func WithStore(s *store.Store) Option {
 	return func(o *options) { o.st = s }
 }
@@ -427,9 +416,6 @@ type Provenance int
 const (
 	// Computed marks a freshly computed analysis.
 	Computed Provenance = iota
-	// FromJournal marks an analysis assembled from a sweep journal record
-	// written by an earlier run of the same sweep.
-	FromJournal
 	// FromStore marks an analysis served from the content-addressed
 	// result store — possibly computed by another session or process.
 	FromStore
@@ -437,14 +423,10 @@ const (
 
 // String names the provenance for logs and wire encodings.
 func (p Provenance) String() string {
-	switch p {
-	case FromJournal:
-		return "journal"
-	case FromStore:
+	if p == FromStore {
 		return "store"
-	default:
-		return "computed"
 	}
+	return "computed"
 }
 
 // Eval is one machine-specific evaluation — the unified result type of
@@ -483,8 +465,8 @@ type Eval struct {
 	// Confidence is the end-to-end measured-vs-assumed coverage: the
 	// minimum of the preparation's and the analysis's scores.
 	Confidence float64
-	// Provenance records whether the analysis was computed, replayed from
-	// a sweep journal, or served from the result store.
+	// Provenance records whether the analysis was computed or served from
+	// the result store.
 	Provenance Provenance
 }
 

@@ -4,7 +4,7 @@
 // stops re-attempting a failure class once it has proven deterministic.
 //
 // The package is deliberately mechanism-only: it does not know about
-// machines, sweeps, or journals. Package explore composes these primitives
+// machines, sweeps, or stores. Package explore composes these primitives
 // around its per-variant evaluation — the one evaluation retry loop.
 package resilience
 

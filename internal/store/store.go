@@ -28,8 +28,8 @@
 //
 // Durability rides on the journal package: one crc32c-framed, fsync-per-
 // append log with torn-tail recovery, safe for concurrent readers and
-// writers within a process. (Like the sweep journal, the file is owned by
-// one process at a time; cross-process sharing is sequential.)
+// writers within a process. (The file is owned by one process at a time;
+// cross-process sharing is sequential.)
 package store
 
 import (
