@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-profile bench-store bench-adaptive bench-smoke chaos-disk fuzz-short loc check
+.PHONY: all build vet fmt-check test race bench bench-profile bench-store bench-adaptive bench-smoke chaos-disk fuzz-short loc deadnames check
 
 all: check
 
@@ -74,13 +74,21 @@ fuzz-short:
 	$(GO) test ./internal/explore -run '^$$' -fuzz FuzzAdaptivePlannerAxes -fuzztime $(FUZZTIME)
 
 # Non-test Go lines per package of the root module, then the total
-# (bench/ is a module of its own and is not counted). CHANGES.md records
-# these figures before and after every deletion.
+# (bench/ is a module of its own and is not counted; a package of test
+# files only, such as internal/tools/deadnames, has none). CHANGES.md
+# records these figures before and after every deletion.
 loc:
 	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
 	while read -r pkg files; do \
+		[ -n "$$files" ] || continue; \
 		printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
 	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+
+# The dead-name check alone: fails, naming file:line, on every name of the
+# root module that no non-test file of the root module or of bench/ uses.
+# It also runs inside `go test ./...`.
+deadnames:
+	$(GO) test -count=1 ./internal/tools/deadnames/
 
 # bench/ is a module of its own, so `vet` does not reach it; vetting it
 # here keeps every root-module name it uses compiling.

@@ -266,7 +266,7 @@ func BenchmarkAnalyze(b *testing.B) {
 // loop bounds change by six orders of magnitude; the work does not).
 func BenchmarkModelInputInvariance(b *testing.B) {
 	prog, _ := workloads.Pedagogical()
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	for _, n := range []float64{1e3, 1e6, 1e9} {
 		input := expr.Env{"n": n, "m": n}
 		b.Run(expr.Const(n).String(), func(b *testing.B) {
@@ -376,7 +376,7 @@ func BenchmarkInterpreter(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog := minilang.MustCheck(minilang.MustParse(w.Name, w.Source))
+	prog := mustProgram(w.Name, w.Source)
 	b.ResetTimer()
 	var steps int64
 	for i := 0; i < b.N; i++ {
@@ -407,7 +407,7 @@ def main(nx, ny, nz, ranks, nt)
   end
 end
 `)
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	model := hw.NewModel(hw.BGQ())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -440,4 +440,25 @@ func BenchmarkEvaluateManyParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// mustProgram parses and checks a minilang program, panicking on error.
+func mustProgram(name, src string) *minilang.Program {
+	prog, err := minilang.Parse(name, src)
+	if err == nil {
+		err = minilang.Check(prog)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return prog
+}
+
+// mustBST builds the BST of prog, panicking on error.
+func mustBST(prog *skeleton.Program) *bst.Tree {
+	tree, err := bst.Build(prog)
+	if err != nil {
+		panic(err)
+	}
+	return tree
 }

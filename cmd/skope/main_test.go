@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -64,7 +65,11 @@ func TestRunMachineFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
 	m := hw.BGQ()
 	m.Name = "CustomQ"
-	if err := hw.SaveConfig(path, m); err != nil {
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -291,6 +296,23 @@ func TestAxisListRejectsBadSpec(t *testing.T) {
 	}
 	if err := a.Set("mem-bandwidth=14,28"); err != nil {
 		t.Errorf("valid axis rejected: %v", err)
+	}
+	// An axis the paper's model never reads is refused (skope exits 2 on
+	// the flag), naming it and, for a cache size, the hit ratio to sweep.
+	for spec, hint := range map[string]string{
+		"l1-size-kb=8,16,64,256": "sweep hit-l1",
+		"llc-size-mb=1,32":       "sweep hit-llc",
+		"issue-width=1,2,4,8":    "ablation",
+		"vector-width=1,4":       "ablation",
+		"div-latency=10,40":      "ablation",
+	} {
+		name, _, _ := strings.Cut(spec, "=")
+		if err := a.Set(spec); err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), hint) {
+			t.Errorf("-sweep %s: err = %v, want a refusal naming %s and %q", spec, err, name, hint)
+		}
+	}
+	if len(a) != 1 {
+		t.Errorf("refused specs were kept: %q", a)
 	}
 }
 

@@ -130,6 +130,29 @@ func streamLines(t *testing.T, base, id, query string) ([]map[string]any, map[st
 	return results, summary
 }
 
+// checkCounts holds a finished session's snapshot and summary trailer to
+// skoped's count rule: every count includes the base machine, so no done
+// exceeds its total, and a clean exhaustive session computed or served
+// every variant it counts.
+func checkCounts(t *testing.T, info, summary map[string]any, exhaustive bool) {
+	t.Helper()
+	count := func(m map[string]any, key string) int {
+		v, _ := m[key].(float64)
+		return int(v)
+	}
+	total := count(summary, "total")
+	if v := count(info, "variants"); v != total {
+		t.Errorf("snapshot counts %d variants, trailer total %d", v, total)
+	}
+	if d := count(info, "done"); d > total {
+		t.Errorf("snapshot done %d exceeds total %d", d, total)
+	}
+	served := count(summary, "computed") + count(summary, "from_store")
+	if served > total || exhaustive && served != total {
+		t.Errorf("trailer computed+from_store = %d, total %d", served, total)
+	}
+}
+
 func sradSession() sessionRequest {
 	return sessionRequest{
 		Bench: "srad",
@@ -188,9 +211,11 @@ func TestSessionLifecycle(t *testing.T) {
 	if summary["pareto"] == nil || summary["baseline"] != "BlueGene/Q" && summary["baseline"] == "" {
 		t.Errorf("summary incomplete: %v", summary)
 	}
-	if int(summary["total"].(float64)) != 6 {
+	// Six grid variants plus the base machine, swept as the last one.
+	if int(summary["total"].(float64)) != 7 {
 		t.Errorf("summary total %v", summary["total"])
 	}
+	checkCounts(t, info, summary, true)
 	// The session list knows it too.
 	l := getJSON(t, ts.URL+"/v1/sessions")
 	if n := len(l["sessions"].([]any)); n != 1 {
@@ -260,6 +285,10 @@ func TestAdaptiveSession(t *testing.T) {
 	}
 	if len(results) != evals {
 		t.Errorf("stream carried %d results for %d evaluations", len(results), evals)
+	}
+	checkCounts(t, info, summary, false)
+	if got := int(info["done"].(float64)); got != evals+1 {
+		t.Errorf("snapshot done %d, want the %d evaluations plus the base", got, evals)
 	}
 	if len(rounds) == 0 {
 		t.Fatal("no round lines on the adaptive stream")
@@ -359,6 +388,22 @@ func TestSessionValidation(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"bogus": true})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: %d", resp.StatusCode)
+	}
+	// Axes the paper's model never reads are refused, naming the axis and,
+	// for a cache size, the hit ratio to sweep instead.
+	for spec, hint := range map[string]string{
+		"l1-size-kb=8,16,64,256": "sweep hit-l1",
+		"llc-size-mb=1,32":       "sweep hit-llc",
+		"issue-width=1,2,4,8":    "ablation",
+		"vector-width=1,4":       "ablation",
+		"div-latency=10,40":      "ablation",
+	} {
+		resp, out := postJSON(t, ts.URL+"/v1/sessions", sessionRequest{Bench: "sord", Sweep: []string{"freq-ghz=1.6,2.4", spec}})
+		name, _, _ := strings.Cut(spec, "=")
+		msg, _ := out["error"].(string)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, name) || !strings.Contains(msg, hint) {
+			t.Errorf("sweep %s: status %d, error %q; want 400 naming %s and %q", spec, resp.StatusCode, msg, name, hint)
+		}
 	}
 	// A request for the removed journaled sessions is refused, not run
 	// without the durability it asked for.

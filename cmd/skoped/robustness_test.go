@@ -294,7 +294,7 @@ func TestScrubberQuarantinesAndHeals(t *testing.T) {
 	// (The store also holds the baseline machine's eval; keying on the
 	// result's fingerprint pins the corruption to a ranked variant.)
 	topFP := coldResults[0]["machine_fingerprint"].(string)
-	j, err := journal.Open(storePath)
+	j, err := journal.OpenFS(nil, storePath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,7 +281,8 @@ func (srv *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (srv *server) handleParams(w http.ResponseWriter, r *http.Request) {
 	type benchInfo struct {
-		Name, Description string
+		Name        string `json:"Name"`
+		Description string `json:"Description"`
 	}
 	var benches []benchInfo
 	for _, n := range workloads.Names() {
@@ -416,7 +417,7 @@ func (srv *server) sessionInfo(sess *session) *wireSession {
 		State:    sess.state,
 		Workload: sess.workload.Name,
 		Machine:  sess.base.Name,
-		Variants: len(sess.variants),
+		Variants: len(sess.variants) + 1,
 		Mode:     sess.req.Mode,
 		Workers:  sess.workers,
 		Created:  sess.created.UTC().Format(time.RFC3339),
@@ -634,7 +635,7 @@ wait:
 		Type: "summary", State: sess.state,
 		Workload:          sess.summary.Workload,
 		LayoutFingerprint: sess.summary.LayoutFingerprint,
-		Total:             len(sess.variants),
+		Total:             sess.summary.Total,
 		Computed:          sess.summary.Computed,
 		FromStore:         sess.summary.FromStore,
 		SkippedPrepare:    sess.summary.SkippedPrepare,

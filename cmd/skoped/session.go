@@ -310,15 +310,15 @@ func (srv *server) run(ctx context.Context, sess *session) {
 		sess.errMsg = err.Error()
 	}
 	// A fully warm run never invoked the engine, so synthesize the final
-	// progress from the summary; an adaptive session reports the search's
-	// spend against the grid.
-	done, total := sum.Total, sum.Total
+	// progress from the summary. Like every count skoped reports, it
+	// includes the base machine: an adaptive session evaluated the
+	// search's spend plus the base.
+	done := sum.Total
 	if ad := sum.Adaptive; ad != nil {
-		done, total = ad.Evals, ad.GridSize
+		done = ad.Evals + 1
 	}
 	sess.progress = explore.Progress{
-		Done: done, Total: total, Stored: sum.FromStore,
-		Retried: sess.progress.Retried, Elapsed: time.Since(sess.created),
+		Done: done, Stored: sum.FromStore, Retried: sess.progress.Retried,
 	}
 	if sess.baseEval == nil {
 		sess.state = stateFailed

@@ -60,8 +60,6 @@ func (k Kind) String() string {
 
 // Node is one BST node.
 type Node struct {
-	// ID is unique within the Tree, assigned in construction (pre-order).
-	ID   int
 	Kind Kind
 	// FuncName is the skeleton function this node belongs to.
 	FuncName string
@@ -115,11 +113,7 @@ type Tree struct {
 	Funcs map[string]*Node
 	// Order lists function roots in program order.
 	Order []*Node
-	nodes int
 }
-
-// NumNodes returns the total number of nodes in the tree.
-func (t *Tree) NumNodes() int { return t.nodes }
 
 // Func returns the BST root of the named function.
 func (t *Tree) Func(name string) (*Node, error) {
@@ -135,7 +129,7 @@ func Build(prog *skeleton.Program) (*Tree, error) {
 	t := &Tree{Prog: prog, Funcs: make(map[string]*Node, len(prog.Funcs))}
 	for _, f := range prog.Funcs {
 		root := &Node{
-			ID: t.nextID(), Kind: KindFunc, FuncName: f.Name, Line: f.Line, Fn: f,
+			Kind: KindFunc, FuncName: f.Name, Line: f.Line, Fn: f,
 		}
 		var err error
 		root.Children, err = t.buildBody(f.Name, f.Body)
@@ -148,24 +142,10 @@ func Build(prog *skeleton.Program) (*Tree, error) {
 	return t, nil
 }
 
-// MustBuild builds the BST and panics on error; for embedded fixtures.
-func MustBuild(prog *skeleton.Program) *Tree {
-	t, err := Build(prog)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-func (t *Tree) nextID() int {
-	t.nodes++
-	return t.nodes
-}
-
 func (t *Tree) buildBody(fn string, body []skeleton.Stmt) ([]*Node, error) {
 	var out []*Node
 	for _, s := range body {
-		n := &Node{ID: t.nextID(), FuncName: fn, Line: s.Pos(), Stmt: s}
+		n := &Node{FuncName: fn, Line: s.Pos(), Stmt: s}
 		switch st := s.(type) {
 		case *skeleton.Comp:
 			n.Kind = KindComp
@@ -192,7 +172,7 @@ func (t *Tree) buildBody(fn string, body []skeleton.Stmt) ([]*Node, error) {
 			for i := range st.Cases {
 				c := &st.Cases[i]
 				cn := &Node{
-					ID: t.nextID(), Kind: KindCase, FuncName: fn, Line: c.Line, Case: c,
+					Kind: KindCase, FuncName: fn, Line: c.Line, Case: c,
 				}
 				kids, err := t.buildBody(fn, c.Body)
 				if err != nil {
@@ -202,7 +182,7 @@ func (t *Tree) buildBody(fn string, body []skeleton.Stmt) ([]*Node, error) {
 				n.Children = append(n.Children, cn)
 			}
 			if st.Else != nil {
-				en := &Node{ID: t.nextID(), Kind: KindElse, FuncName: fn, Line: st.Pos()}
+				en := &Node{Kind: KindElse, FuncName: fn, Line: st.Pos()}
 				kids, err := t.buildBody(fn, st.Else)
 				if err != nil {
 					return nil, err

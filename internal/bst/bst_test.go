@@ -89,25 +89,6 @@ func TestBuildStructure(t *testing.T) {
 	}
 }
 
-func TestNodeIDsUniqueAndPreorder(t *testing.T) {
-	tree := build(t)
-	seen := make(map[int]bool)
-	count := 0
-	for _, root := range tree.Order {
-		Walk(root, func(n *Node) bool {
-			if seen[n.ID] {
-				t.Errorf("duplicate node ID %d", n.ID)
-			}
-			seen[n.ID] = true
-			count++
-			return true
-		})
-	}
-	if count != tree.NumNodes() {
-		t.Errorf("walk count %d != NumNodes %d", count, tree.NumNodes())
-	}
-}
-
 func TestWalkPrune(t *testing.T) {
 	tree := build(t)
 	main, _ := tree.Func("main")
@@ -179,7 +160,10 @@ func TestDumpContainsStructure(t *testing.T) {
 }
 
 func TestEvalAtOnesNegativeClamped(t *testing.T) {
-	e := expr.MustParse("0 - 5")
+	e, err := expr.Parse("0 - 5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if v := evalAtOnes(e); v != 0 {
 		t.Errorf("evalAtOnes(-5) = %g, want 0", v)
 	}

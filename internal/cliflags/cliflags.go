@@ -29,7 +29,7 @@ type Machine struct {
 // Register installs the machine flags on fs.
 func (m *Machine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&m.Preset, "machine", "bgq", "target machine preset (bgq, xeon)")
-	fs.StringVar(&m.File, "machine-file", "", "JSON machine description (overrides -machine; see hw.SaveConfig)")
+	fs.StringVar(&m.File, "machine-file", "", "JSON machine description (overrides -machine; see hw.ReadConfig)")
 }
 
 // Resolve returns the selected machine: the JSON description when
@@ -90,9 +90,15 @@ type AxisList []string
 // String joins the collected axis specs (flag.Value).
 func (a *AxisList) String() string { return strings.Join(*a, "; ") }
 
-// Set validates and appends one axis spec (flag.Value).
+// Set validates and appends one axis spec (flag.Value). It refuses an axis
+// the paper's model never reads (explore.CheckModeled): skope and skoped
+// sweep with that model, and such a sweep would answer silently wrong.
 func (a *AxisList) Set(v string) error {
-	if _, err := explore.ParseAxis(v); err != nil {
+	ax, err := explore.ParseAxis(v)
+	if err != nil {
+		return err
+	}
+	if err := explore.CheckModeled(ax); err != nil {
 		return err
 	}
 	*a = append(*a, v)

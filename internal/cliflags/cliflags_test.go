@@ -1,7 +1,9 @@
 package cliflags
 
 import (
+	"encoding/json"
 	"flag"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -57,7 +59,11 @@ func TestMachineResolve(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.json")
 	custom := hw.BGQ()
 	custom.Name = "CustomQ"
-	if err := hw.SaveConfig(path, custom); err != nil {
+	data, err := json.Marshal(custom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// -machine-file wins over -machine.

@@ -101,8 +101,6 @@ func (n *Node) Path() []*Node {
 type BET struct {
 	// Root is the dynamic execution of the entry function.
 	Root *Node
-	// Input is the initial context the tree was built with.
-	Input expr.Env
 	// Tree is the BST the BET was built from.
 	Tree *bst.Tree
 
@@ -177,36 +175,6 @@ func (b *BET) Dump() string {
 		}
 	}
 	rec(b.Root, 0)
-	return sb.String()
-}
-
-// DOT renders the BET in Graphviz dot syntax: loops annotated with their
-// expected iteration counts, edges with conditional probabilities — a
-// visual Figure 2(c).
-func (b *BET) DOT() string {
-	var sb strings.Builder
-	sb.WriteString("digraph bet {\n  node [shape=box, fontsize=10];\n")
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		label := fmt.Sprintf("%s %s", n.Kind(), n.Label())
-		switch n.Kind() {
-		case bst.KindLoop, bst.KindWhile:
-			label += fmt.Sprintf("\\nx%.4g", n.Iters)
-		case bst.KindComp:
-			label += fmt.Sprintf("\\n%g flops", n.Work.FLOPs)
-		}
-		fmt.Fprintf(&sb, "  n%d [label=%q];\n", n.ID, label)
-		for _, c := range n.Children {
-			edge := ""
-			if c.Prob != 1 {
-				edge = fmt.Sprintf(" [label=\"p=%.3g\"]", c.Prob)
-			}
-			fmt.Fprintf(&sb, "  n%d -> n%d%s;\n", n.ID, c.ID, edge)
-			rec(c)
-		}
-	}
-	rec(b.Root)
-	sb.WriteString("}\n")
 	return sb.String()
 }
 

@@ -83,7 +83,7 @@ func Build(ctx context.Context, tree *bst.Tree, input expr.Env, opts *Options) (
 		return nil, fmt.Errorf("bet: %s: %w", tree.Prog.Source, err)
 	}
 	b := &builder{
-		bet:   &BET{Input: input.Clone(), Tree: tree},
+		bet:   &BET{Tree: tree},
 		opts:  o,
 		input: input.Clone(),
 		ctx:   ctx,
@@ -101,15 +101,6 @@ func Build(ctx context.Context, tree *bst.Tree, input expr.Env, opts *Options) (
 	b.bet.computeENR()
 	b.bet.computeConfidence()
 	return b.bet, nil
-}
-
-// MustBuild builds a BET and panics on error; for fixtures and examples.
-func MustBuild(tree *bst.Tree, input expr.Env, opts *Options) *BET {
-	bet, err := Build(context.Background(), tree, input, opts)
-	if err != nil {
-		panic(err)
-	}
-	return bet
 }
 
 // ectx is a live execution context during construction: bindings plus the

@@ -591,7 +591,7 @@ def main(n, m)
 end
 `
 	prog := skeleton.MustParse("q", src)
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	ref, err := Build(context.Background(), tree, expr.Env{"n": 2, "m": 2}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -611,7 +611,7 @@ end
 func TestMaxNodesGuard(t *testing.T) {
 	src := "def main(n)\nfor i = 0:n\ncomp flops=1\ncomp flops=1\ncomp flops=1\nend\nend\n"
 	prog := skeleton.MustParse("g", src)
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	if _, err := Build(context.Background(), tree, expr.Env{"n": 5}, &Options{MaxNodes: 2}); err == nil {
 		t.Error("MaxNodes guard did not fire")
 	}
@@ -620,7 +620,7 @@ func TestMaxNodesGuard(t *testing.T) {
 func TestCustomEntry(t *testing.T) {
 	src := "def kernel(n)\ncomp flops=n name=\"k\"\nend\n"
 	prog := skeleton.MustParse("e", src)
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	bet, err := Build(context.Background(), tree, expr.Env{"n": 3}, &Options{Entry: "kernel"})
 	if err != nil {
 		t.Fatal(err)
@@ -634,20 +634,6 @@ func almostEq(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func ftoa(v float64) string {
 	return expr.Const(v).String()
-}
-
-func TestBETDOTWellFormed(t *testing.T) {
-	src := "def main(n)\nfor i = 0 : n\nif prob=0.4\ncomp flops=3 name=\"x\"\nend\nend\nend\n"
-	bet := buildBET(t, src, expr.Env{"n": 6})
-	d := bet.DOT()
-	if !strings.HasPrefix(d, "digraph bet {") || !strings.HasSuffix(d, "}\n") {
-		t.Errorf("DOT malformed:\n%s", d)
-	}
-	for _, want := range []string{"->", "x6", "p=0.4", "3 flops"} {
-		if !strings.Contains(d, want) {
-			t.Errorf("DOT missing %q:\n%s", want, d)
-		}
-	}
 }
 
 func TestCommNodeInBET(t *testing.T) {
@@ -665,8 +651,17 @@ func TestCommNodeInBET(t *testing.T) {
 func TestCommEvalErrors(t *testing.T) {
 	src := "def main()\ncomm bytes=q\nend\n"
 	prog := skeleton.MustParse("c", src)
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	if _, err := Build(context.Background(), tree, nil, nil); err == nil {
 		t.Error("unbound comm bytes accepted")
 	}
+}
+
+// mustBST builds the BST of prog, panicking on error.
+func mustBST(prog *skeleton.Program) *bst.Tree {
+	tree, err := bst.Build(prog)
+	if err != nil {
+		panic(err)
+	}
+	return tree
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"skope/internal/bst"
 	"skope/internal/expr"
 	"skope/internal/skeleton"
 )
@@ -25,7 +24,7 @@ func enrByBlock(bet *BET) map[string]float64 {
 func assertBETMatchesMC(t *testing.T, src string, input expr.Env, relTol float64) {
 	t.Helper()
 	prog := skeleton.MustParse("mc", src)
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	bet, err := Build(context.Background(), tree, input, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -197,12 +196,12 @@ end
 
 func TestMCErrors(t *testing.T) {
 	prog := skeleton.MustParse("e", "def main()\nfor i = 0 : q\ncomp flops=1\nend\nend\n")
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	if _, err := MonteCarlo(tree, nil, nil); err == nil {
 		t.Error("unbound loop bound accepted")
 	}
 	prog2 := skeleton.MustParse("e2", "def main()\nwhile iters=1000000\ncomp flops=1\nend\nend\n")
-	tree2 := bst.MustBuild(prog2)
+	tree2 := mustBST(prog2)
 	if _, err := MonteCarlo(tree2, nil, &MCOptions{Runs: 1000, MaxSteps: 1000}); err == nil {
 		t.Error("step budget not enforced")
 	}

@@ -470,8 +470,7 @@ func TestAdaptiveConcurrentSearches(t *testing.T) {
 	if !touched {
 		t.Error("memo cache untouched by three concurrent searches")
 	}
-	st := s.Stats()
-	if st.Puts == 0 {
+	if s.Len() == 0 {
 		t.Error("no results written through to the CAS store")
 	}
 }

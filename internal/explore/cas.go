@@ -30,11 +30,6 @@ func CAS(s *store.Store, mode string) Option {
 	}
 }
 
-// LayoutFingerprint exposes the engine's layout identity — the first
-// component of the store's eval keys, and the value daemon sessions report
-// so a client can correlate a session with store contents.
-func (e *Engine) LayoutFingerprint() string { return e.layout.Fingerprint() }
-
 // casGet looks the variant up in the attached store. A hit is grafted onto
 // the engine's layout; a record that fails to decode or graft (version
 // skew, fingerprint collision) is treated as a miss and recorded as the

@@ -61,8 +61,8 @@ func TestCASWarmSweepSkipsEvaluation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Puts != len(variants) {
-		t.Fatalf("cold sweep stored %d results, want %d", st.Puts, len(variants))
+	if n := s.Len(); n != len(variants) {
+		t.Fatalf("cold sweep stored %d results, want %d", n, len(variants))
 	}
 
 	// Any evaluation during the warm sweep is a hard failure.

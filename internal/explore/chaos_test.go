@@ -306,7 +306,11 @@ func TestChaosKillAndResume(t *testing.T) {
 	if len(completed) == 0 || len(completed) >= len(variants) {
 		t.Fatalf("killed sweep completed %d of %d variants; kill did not land mid-sweep", len(completed), len(variants))
 	}
-	stored := storedVariants(t, path, eng1.LayoutFingerprint(), variants)
+	l, err := prepared(t, "srad").Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := storedVariants(t, path, l.Fingerprint(), variants)
 	for fp := range completed {
 		if !stored[fp] {
 			t.Errorf("completed variant %s is not in the reopened store", fp)
@@ -520,7 +524,6 @@ func TestChaosBreakerStopsHammering(t *testing.T) {
 
 	eng, err := explore.New(run.BET, run.Libs,
 		explore.Retry(fastRetry(4)),
-		explore.BreakerThreshold(2),
 		explore.Workers(1))
 	if err != nil {
 		t.Fatal(err)
@@ -530,13 +533,13 @@ func TestChaosBreakerStopsHammering(t *testing.T) {
 	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 4 {
 		t.Fatalf("err = %v, want 4-variant SweepError", err)
 	}
-	// Workers(1) walks variants in order: v2 and v4 exhaust the budget
-	// (4 attempts each), opening the "panic" class; v6 and v8 get one
-	// attempt, no retries.
+	// Workers(1) walks variants in order: v2, v4 and v6 exhaust the
+	// budget (4 attempts each), opening the "panic" class at the default
+	// threshold of 3; v8 gets one attempt, no retries.
 	for _, c := range []struct {
 		name string
 		want int
-	}{{"v2", 4}, {"v4", 4}, {"v6", 1}, {"v8", 1}, {"v0", 1}, {"v9", 1}} {
+	}{{"v2", 4}, {"v4", 4}, {"v6", 4}, {"v8", 1}, {"v0", 1}, {"v9", 1}} {
 		if got := attempts[c.name]; got != c.want {
 			t.Errorf("%s evaluated %d times, want %d", c.name, got, c.want)
 		}

@@ -95,8 +95,8 @@ func (s CacheStats) HitRate() float64 {
 // sweep in several batches, as an adaptive search does, offsets the counts
 // so that they run across all of them.
 type Progress struct {
-	// Done and Total count variants.
-	Done, Total int
+	// Done counts completed variants.
+	Done int
 	// Stored counts variants served from the content-addressed result
 	// store (a subset of Done): computed by some earlier sweep —
 	// possibly another session or process — and not recomputed.
@@ -106,8 +106,6 @@ type Progress struct {
 	Retried int
 	// Cache aggregates memoization counters over the engine's lifetime.
 	Cache CacheStats
-	// Elapsed is the wall time since the sweep started.
-	Elapsed time.Duration
 }
 
 // Result is one evaluated variant, streamed as soon as it completes.
@@ -216,15 +214,6 @@ func VariantTimeout(d time.Duration) Option {
 	return func(e *Engine) { e.timeout = d }
 }
 
-// BreakerThreshold opens the engine's circuit breaker for a failure class
-// (panic, timeout, limit, model) after n failed variants of that class:
-// once open, further variants failing the same way are not retried, so a
-// deterministic fault does not multiply by the retry budget across a
-// large grid. n < 1 keeps the default of 3.
-func BreakerThreshold(n int) Option {
-	return func(e *Engine) { e.breaker = resilience.NewBreaker(n) }
-}
-
 // MinConfidence sets the confidence floor for the engine's sweeps:
 // variants whose assembled analysis carries Confidence below c fail with
 // an error wrapping ErrLowConfidence instead of ranking alongside
@@ -249,12 +238,10 @@ func New(bet *core.BET, libs hotspot.LibModeler, opts ...Option) (*Engine, error
 		newModel: hw.NewModel,
 		comp:     make(map[compKey]*memoEntry),
 		comm:     make(map[commKey]*memoEntry),
+		breaker:  resilience.NewBreaker(0),
 	}
 	for _, o := range opts {
 		o(e)
-	}
-	if e.breaker == nil {
-		e.breaker = resilience.NewBreaker(0)
 	}
 	return e, nil
 }
@@ -444,7 +431,6 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 	out := make(chan Result, len(variants))
 	sctx, cancel := context.WithCancel(ctx)
 
-	start := time.Now()
 	var (
 		doneMu  sync.Mutex
 		done    int
@@ -463,10 +449,8 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 		}
 		if e.progress != nil {
 			e.progress(Progress{
-				Done: done, Total: len(variants),
-				Stored: stored, Retried: retried,
-				Cache:   e.CacheStats(),
-				Elapsed: time.Since(start),
+				Done: done, Stored: stored, Retried: retried,
+				Cache: e.CacheStats(),
 			})
 		}
 	}

@@ -15,30 +15,36 @@ import (
 type param struct {
 	name string
 	desc string
-	set  func(*hw.Machine, float64)
+	// silent is empty when hw.NewModel, the paper's model that skope and
+	// skoped sweep with, reads the parameter; otherwise it says why the
+	// model ignores it and what to sweep instead.
+	silent string
+	set    func(*hw.Machine, float64)
 }
+
+const ablationOnly = "only the ablation models read it"
 
 // params is the sweepable-parameter registry. Integer-valued machine
 // fields are rounded to the nearest integer; hw.Machine.Validate still
 // guards every generated variant.
 var params = []param{
-	{"freq-ghz", "core clock (GHz)", func(m *hw.Machine, v float64) { m.FreqGHz = v }},
-	{"issue-width", "instructions issued per cycle", func(m *hw.Machine, v float64) { m.IssueWidth = round(v) }},
-	{"fp-per-cycle", "scalar FP ops per cycle", func(m *hw.Machine, v float64) { m.FPOpsPerCycle = v }},
-	{"int-per-cycle", "scalar fixed-point ops per cycle", func(m *hw.Machine, v float64) { m.IntOpsPerCycle = v }},
-	{"vector-width", "SIMD width in 64-bit lanes", func(m *hw.Machine, v float64) { m.VectorWidth = round(v) }},
-	{"div-latency", "FP division latency (cycles)", func(m *hw.Machine, v float64) { m.DivLatencyCyc = round(v) }},
-	{"l1-size-kb", "L1 data cache size (KB)", func(m *hw.Machine, v float64) { m.L1SizeB = round(v) << 10 }},
-	{"l1-latency", "L1 hit latency (cycles)", func(m *hw.Machine, v float64) { m.L1LatencyCyc = round(v) }},
-	{"llc-size-mb", "last-level cache size (MB)", func(m *hw.Machine, v float64) { m.LLCSizeB = round(v) << 20 }},
-	{"llc-latency", "LLC hit latency (cycles)", func(m *hw.Machine, v float64) { m.LLCLatencyCyc = round(v) }},
-	{"mem-latency", "DRAM access latency (cycles)", func(m *hw.Machine, v float64) { m.MemLatencyCyc = round(v) }},
-	{"mem-bandwidth", "peak DRAM bandwidth (GB/s)", func(m *hw.Machine, v float64) { m.MemBandwidthGBs = v }},
-	{"mem-concurrency", "overlapping outstanding memory accesses", func(m *hw.Machine, v float64) { m.MemConcurrency = v }},
-	{"hit-l1", "assumed L1 hit ratio", func(m *hw.Machine, v float64) { m.HitL1 = v }},
-	{"hit-llc", "assumed LLC hit ratio", func(m *hw.Machine, v float64) { m.HitLLC = v }},
-	{"net-latency-us", "interconnect message latency (us)", func(m *hw.Machine, v float64) { m.NetLatencyUs = v }},
-	{"net-bandwidth", "interconnect bandwidth (GB/s)", func(m *hw.Machine, v float64) { m.NetBandwidthGBs = v }},
+	{"freq-ghz", "core clock (GHz)", "", func(m *hw.Machine, v float64) { m.FreqGHz = v }},
+	{"issue-width", "instructions issued per cycle", ablationOnly, func(m *hw.Machine, v float64) { m.IssueWidth = round(v) }},
+	{"fp-per-cycle", "scalar FP ops per cycle", "", func(m *hw.Machine, v float64) { m.FPOpsPerCycle = v }},
+	{"int-per-cycle", "scalar fixed-point ops per cycle", "", func(m *hw.Machine, v float64) { m.IntOpsPerCycle = v }},
+	{"vector-width", "SIMD width in 64-bit lanes", ablationOnly, func(m *hw.Machine, v float64) { m.VectorWidth = round(v) }},
+	{"div-latency", "FP division latency (cycles)", ablationOnly, func(m *hw.Machine, v float64) { m.DivLatencyCyc = round(v) }},
+	{"l1-size-kb", "L1 data cache size (KB)", "cache geometry reaches no model; sweep hit-l1, the assumed L1 hit ratio, instead", func(m *hw.Machine, v float64) { m.L1SizeB = round(v) << 10 }},
+	{"l1-latency", "L1 hit latency (cycles)", "", func(m *hw.Machine, v float64) { m.L1LatencyCyc = round(v) }},
+	{"llc-size-mb", "last-level cache size (MB)", "cache geometry reaches no model; sweep hit-llc, the assumed LLC hit ratio, instead", func(m *hw.Machine, v float64) { m.LLCSizeB = round(v) << 20 }},
+	{"llc-latency", "LLC hit latency (cycles)", "", func(m *hw.Machine, v float64) { m.LLCLatencyCyc = round(v) }},
+	{"mem-latency", "DRAM access latency (cycles)", "", func(m *hw.Machine, v float64) { m.MemLatencyCyc = round(v) }},
+	{"mem-bandwidth", "peak DRAM bandwidth (GB/s)", "", func(m *hw.Machine, v float64) { m.MemBandwidthGBs = v }},
+	{"mem-concurrency", "overlapping outstanding memory accesses", "", func(m *hw.Machine, v float64) { m.MemConcurrency = v }},
+	{"hit-l1", "assumed L1 hit ratio", "", func(m *hw.Machine, v float64) { m.HitL1 = v }},
+	{"hit-llc", "assumed LLC hit ratio", "", func(m *hw.Machine, v float64) { m.HitLLC = v }},
+	{"net-latency-us", "interconnect message latency (us)", "", func(m *hw.Machine, v float64) { m.NetLatencyUs = v }},
+	{"net-bandwidth", "interconnect bandwidth (GB/s)", "", func(m *hw.Machine, v float64) { m.NetBandwidthGBs = v }},
 }
 
 func round(v float64) int { return int(math.Round(v)) }
@@ -99,6 +105,18 @@ func ParseAxis(spec string) (Axis, error) {
 		ax.Values = append(ax.Values, v)
 	}
 	return ax, nil
+}
+
+// CheckModeled refuses an axis whose parameter hw.NewModel never reads:
+// every variant of such a sweep projects the same time, so its ranking
+// and Pareto frontier would order the variants by cost alone. ParseAxis
+// and Grid stay permissive; the front ends that sweep with the paper's
+// model call this.
+func CheckModeled(ax Axis) error {
+	if p, ok := paramByName(ax.Param); ok && p.silent != "" {
+		return fmt.Errorf("explore: the model never reads %s, so every variant would project the same time: %s", ax.Param, p.silent)
+	}
+	return nil
 }
 
 // Grid generates machine variants as the cartesian product of parameter

@@ -50,9 +50,6 @@ func NewSurrogate(dims int) *Surrogate {
 	return &Surrogate{dims: dims}
 }
 
-// Len returns the number of training samples observed so far.
-func (s *Surrogate) Len() int { return len(s.ys) }
-
 // Observe adds one completed variant: x is its axis-value vector (length
 // dims), y the objective (projected total time), w the sample weight —
 // the evaluation's confidence score, so degraded evaluations pull the fit

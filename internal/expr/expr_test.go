@@ -337,3 +337,104 @@ func TestCallStringHasCommaSpace(t *testing.T) {
 		t.Errorf("Call.String = %q", s)
 	}
 }
+
+// MustParse parses src and panics on error; for statically-known expressions.
+func MustParse(src string) Expr {
+	e, err := Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// MustEval evaluates e under env and panics on error. It is intended for
+// expressions already validated by the caller (e.g. in tests and examples).
+func MustEval(e Expr, env Env) float64 {
+	v, err := e.Eval(env)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// Simplify performs constant folding on e, returning a (possibly) smaller
+// equivalent expression. Variables and unevaluable subtrees are preserved.
+func Simplify(e Expr) Expr {
+	switch t := e.(type) {
+	case Const, Var:
+		return e
+	case *Neg:
+		x := Simplify(t.X)
+		if c, ok := x.(Const); ok {
+			return Const(-float64(c))
+		}
+		return &Neg{X: x}
+	case *Binary:
+		l, r := Simplify(t.L), Simplify(t.R)
+		lc, lok := l.(Const)
+		rc, rok := r.(Const)
+		if lok && rok {
+			if v, err := applyOp(t.Op, float64(lc), float64(rc)); err == nil {
+				return Const(v)
+			}
+		}
+		// Identity simplifications.
+		switch t.Op {
+		case Add:
+			if lok && float64(lc) == 0 {
+				return r
+			}
+			if rok && float64(rc) == 0 {
+				return l
+			}
+		case Sub:
+			if rok && float64(rc) == 0 {
+				return l
+			}
+		case Mul:
+			if lok && float64(lc) == 1 {
+				return r
+			}
+			if rok && float64(rc) == 1 {
+				return l
+			}
+			if lok && float64(lc) == 0 {
+				return Const(0)
+			}
+			if rok && float64(rc) == 0 {
+				return Const(0)
+			}
+		case Div:
+			if rok && float64(rc) == 1 {
+				return l
+			}
+		}
+		return &Binary{Op: t.Op, L: l, R: r}
+	case *Call:
+		args := make([]Expr, len(t.Args))
+		allConst := true
+		for i, a := range t.Args {
+			args[i] = Simplify(a)
+			if _, ok := args[i].(Const); !ok {
+				allConst = false
+			}
+		}
+		out := &Call{Name: t.Name, Args: args}
+		if allConst {
+			if v, err := out.Eval(nil); err == nil {
+				return Const(v)
+			}
+		}
+		return out
+	case *Cond:
+		cond := Simplify(t.If)
+		if c, ok := cond.(Const); ok {
+			if float64(c) != 0 {
+				return Simplify(t.Then)
+			}
+			return Simplify(t.Else)
+		}
+		return &Cond{If: cond, Then: Simplify(t.Then), Else: Simplify(t.Else)}
+	}
+	return e
+}

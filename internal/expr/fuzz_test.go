@@ -37,29 +37,6 @@ func FuzzExprParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		e, err := Parse(src)
-
-		// Lenient mode must never panic, always return a usable
-		// expression, and agree with the strict parser bit for bit on
-		// accepted input.
-		le, diags := ParseLenient(src, nil)
-		if le == nil {
-			t.Fatalf("ParseLenient(%q) returned a nil expression", src)
-		}
-		_ = le.String()
-		_, _ = le.Eval(Env{"n": 4, "m": 8, "x": 1})
-		if err != nil {
-			if len(diags) == 0 {
-				t.Fatalf("ParseLenient(%q): strict parse failed (%v) but no diagnostics", src, err)
-			}
-		} else {
-			if len(diags) != 0 {
-				t.Fatalf("ParseLenient(%q): diagnostics %v on input the strict parser accepts", src, diags)
-			}
-			if le.String() != e.String() {
-				t.Fatalf("ParseLenient(%q) = %s, strict = %s", src, le.String(), e.String())
-			}
-		}
-
 		if err != nil {
 			return
 		}

@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"fmt"
-
-	"skope/internal/guard"
-)
+import "fmt"
 
 // Hole is a placeholder for an expression that could not be parsed. It
 // keeps the surrounding statement structurally intact while refusing to
@@ -28,23 +24,3 @@ func (h Hole) Vars(map[string]bool) {}
 // String renders the hole as an impossible call so it cannot be confused
 // with a parseable expression.
 func (h Hole) String() string { return "hole()" }
-
-// ParseLenient parses src like ParseWithLimits, but never fails: on any
-// error — syntax, trailing garbage, or a guard limit — it returns a Hole
-// carrying the source text plus one guard.Diagnostic describing what was
-// lost. On valid input it returns the exact ParseWithLimits result and no
-// diagnostics, so lenient parsing of intact sources is bit-identical to
-// strict parsing.
-func ParseLenient(src string, lim *guard.Limits) (Expr, []guard.Diagnostic) {
-	e, err := ParseWithLimits(src, lim)
-	if err == nil {
-		return e, nil
-	}
-	d := guard.Diagnostic{
-		Severity: guard.SevError,
-		Stage:    "expr",
-		Code:     "syntax",
-		Message:  fmt.Sprintf("unparseable expression %q: %v", src, err),
-	}
-	return Hole{Text: src}, []guard.Diagnostic{d}
-}

@@ -46,15 +46,6 @@ func ParseWithLimits(src string, lim *guard.Limits) (Expr, error) {
 	return e, nil
 }
 
-// MustParse parses src and panics on error; for statically-known expressions.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type tokKind int
 
 const (

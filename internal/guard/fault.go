@@ -3,7 +3,6 @@ package guard
 import (
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -13,13 +12,10 @@ import (
 // to an error from an ordinary failure.
 var ErrPanic = errors.New("recovered panic")
 
-// PanicError carries a recovered panic value plus the stack at the point
-// of recovery.
+// PanicError carries a recovered panic value.
 type PanicError struct {
 	// Value is the value passed to panic.
 	Value any
-	// Stack is the goroutine stack captured during recovery.
-	Stack []byte
 }
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
@@ -40,7 +36,7 @@ func Recover(err *error, format string, args ...any) {
 	if r == nil {
 		return
 	}
-	pe := &PanicError{Value: r, Stack: debug.Stack()}
+	pe := &PanicError{Value: r}
 	*err = fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), pe)
 }
 

@@ -37,8 +37,6 @@ type Node struct {
 type Path struct {
 	// Root corresponds to the entry function.
 	Root *Node
-	// Spots lists the hot spots the path connects, in rank order.
-	Spots []*hotspot.Block
 	// NumNodes is the size of the merged path.
 	NumNodes int
 }
@@ -68,7 +66,7 @@ func Extract(root *core.Node, spots []*hotspot.Block) *Path {
 			}
 		}
 	}
-	p := &Path{Spots: spots}
+	p := &Path{}
 	if !keep[root] {
 		return p
 	}

@@ -171,7 +171,7 @@ func TestMiniAppSkeletonParses(t *testing.T) {
 		t.Fatalf("mini-app skeleton invalid: %v\n%s", err, mini)
 	}
 	// The mini-app must itself be modelable and preserve the hot spots.
-	tree := bst.MustBuild(prog)
+	tree := mustBST(prog)
 	mbet, err := core.Build(context.Background(), tree, nil, nil)
 	if err != nil {
 		t.Fatalf("mini-app BET: %v", err)
@@ -197,4 +197,13 @@ func TestShortEnvTruncates(t *testing.T) {
 	if !strings.Contains(s, "alpha=1") {
 		t.Errorf("shortEnv dropped long names: %s", s)
 	}
+}
+
+// mustBST builds the BST of prog, panicking on error.
+func mustBST(prog *skeleton.Program) *bst.Tree {
+	tree, err := bst.Build(prog)
+	if err != nil {
+		panic(err)
+	}
+	return tree
 }

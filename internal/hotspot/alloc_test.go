@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"skope/internal/bst"
-	"skope/internal/core"
 	"skope/internal/expr"
 	"skope/internal/hw"
 	"skope/internal/skeleton"
@@ -25,7 +23,7 @@ func blocksLayout(t *testing.T, n int) *Layout {
 		fmt.Fprintf(&src, "  for i = 0 : n\n    comp flops=%d loads=10 name=\"b%d\"\n  end\n", 10*(i+1), i)
 	}
 	src.WriteString("  comm bytes=n*8 msgs=2 name=\"halo\"\nend\n")
-	bet := core.MustBuild(bst.MustBuild(skeleton.MustParse("blocks", src.String())), expr.Env{"n": 100}, nil)
+	bet := mustBET(mustBST(skeleton.MustParse("blocks", src.String())), expr.Env{"n": 100})
 	l, err := NewLayout(bet, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -190,6 +190,5 @@ func (l *Layout) Graft(a *Analysis) error {
 		}
 		b.Nodes = lb.info.Nodes
 	}
-	a.BET = l.bet
 	return nil
 }

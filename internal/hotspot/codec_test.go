@@ -18,6 +18,21 @@ import (
 // block, so every wire field is exercised) plus the layout it came from.
 func codecAnalysis(t *testing.T) (*Analysis, *Layout) {
 	t.Helper()
+	libs := stubLibs{"sort": {FLOPs: 3, IOPs: 10, Loads: 2, Stores: 1, DSizeB: 8}}
+	l, err := NewLayout(codecBET(t), libs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := l.Analyze(hw.NewModel(hw.BGQ()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, l
+}
+
+// codecBET builds the BET the codec tests analyze.
+func codecBET(t *testing.T) *core.BET {
+	t.Helper()
 	src := `
 def main(n)
   for i = 0 : n
@@ -40,16 +55,7 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	libs := stubLibs{"sort": {FLOPs: 3, IOPs: 10, Loads: 2, Stores: 1, DSizeB: 8}}
-	l, err := NewLayout(bet, libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := l.Analyze(hw.NewModel(hw.BGQ()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, l
+	return bet
 }
 
 func TestCodecRoundTripExact(t *testing.T) {
@@ -103,10 +109,6 @@ func TestCodecRoundTripExact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Diagnostics, a.Diagnostics) {
 		t.Errorf("diagnostics differ: %v vs %v", got.Diagnostics, a.Diagnostics)
-	}
-	// Decoded analyses drop the in-memory tree by design.
-	if got.BET != nil {
-		t.Errorf("decoded analysis should not carry a BET")
 	}
 }
 
@@ -171,9 +173,6 @@ func TestGraftRelinksNodes(t *testing.T) {
 	if err := l.Graft(dec); err != nil {
 		t.Fatal(err)
 	}
-	if dec.BET == nil {
-		t.Errorf("graft did not restore the BET")
-	}
 	for _, b := range dec.Blocks {
 		want := a.Block(b.BlockID)
 		if len(b.Nodes) != len(want.Nodes) {
@@ -206,7 +205,7 @@ func TestFingerprintCached(t *testing.T) {
 	if got, want := l.Fingerprint(), l.fingerprint(); got != want || len(got) != 16 {
 		t.Errorf("cached fingerprint %q, fresh computation %q", got, want)
 	}
-	other, err := NewLayout(a.BET, stubLibs{"sort": {FLOPs: 4, IOPs: 10, Loads: 2, Stores: 1, DSizeB: 8}})
+	other, err := NewLayout(codecBET(t), stubLibs{"sort": {FLOPs: 4, IOPs: 10, Loads: 2, Stores: 1, DSizeB: 8}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,8 +77,6 @@ type Analysis struct {
 	TotalTime float64
 	// TotalStaticInsts is the program's static instruction footprint.
 	TotalStaticInsts int
-	// BET is the tree the analysis was computed from.
-	BET *core.BET
 	// Diagnostics records numeric-hygiene findings (non-finite projected
 	// times and the like) plus every prior substitution a lenient model
 	// build papered over. Empty on a clean projection; sorted by stage,
@@ -89,12 +87,6 @@ type Analysis struct {
 	// blocks with non-finite projected times. Exactly 1.0 for a strict
 	// build on sane machine parameters.
 	Confidence float64
-}
-
-// Degraded reports whether any part of the projection rests on fallback
-// priors, recovered parses, or non-finite arithmetic.
-func (a *Analysis) Degraded() bool {
-	return a.Confidence < 1 || len(a.Diagnostics) > 0
 }
 
 // Analyze characterizes every comp and lib block of the BET with the given

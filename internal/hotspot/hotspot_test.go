@@ -141,8 +141,8 @@ func TestAnalyzeLibBlocks(t *testing.T) {
 func TestAnalyzeLibErrors(t *testing.T) {
 	src := "def main()\nlib exp count=1\nend\n"
 	prog := skeleton.MustParse("t", src)
-	tree := bst.MustBuild(prog)
-	bet := core.MustBuild(tree, nil, nil)
+	tree := mustBST(prog)
+	bet := mustBET(tree, nil)
 	if _, err := Analyze(context.Background(), bet, hw.NewModel(hw.BGQ()), nil); err == nil {
 		t.Error("Analyze without lib model should fail")
 	}
@@ -300,4 +300,55 @@ func ids(blocks []*Block) []string {
 		out[i] = b.BlockID
 	}
 	return out
+}
+
+// mustBST builds the BST of prog, panicking on error.
+func mustBST(prog *skeleton.Program) *bst.Tree {
+	tree, err := bst.Build(prog)
+	if err != nil {
+		panic(err)
+	}
+	return tree
+}
+
+// mustBET builds the BET of tree under input, panicking on error.
+func mustBET(tree *bst.Tree, input expr.Env) *core.BET {
+	bet, err := core.Build(context.Background(), tree, input, nil)
+	if err != nil {
+		panic(err)
+	}
+	return bet
+}
+
+// CoverageCurve returns the cumulative coverage after each of the first n
+// selected spots: point i is the summed coverage of spots[0..i]. This is
+// the y-axis of the paper's Figures 4-5 and 10-13.
+func (a *Analysis) CoverageCurve(spots []*Block) []float64 {
+	out := make([]float64, len(spots))
+	cum := 0.0
+	for i, b := range spots {
+		cum += a.Coverage(b)
+		out[i] = cum
+	}
+	return out
+}
+
+// Block returns the analysis block with the given ID, or nil if the block
+// is unknown.
+func (a *Analysis) Block(blockID string) *Block {
+	if r := a.RankOf(blockID); r > 0 {
+		return a.Blocks[r-1]
+	}
+	return nil
+}
+
+// RankOf returns the 1-based rank of the block in the analysis ordering, or
+// 0 if the block is unknown.
+func (a *Analysis) RankOf(blockID string) int {
+	for i, b := range a.Blocks {
+		if b.BlockID == blockID {
+			return i + 1
+		}
+	}
+	return 0
 }

@@ -51,7 +51,6 @@ type layoutBlock struct {
 // engine; Analyze itself is NewLayout + Layout.Analyze, so cached and
 // uncached projections follow the identical floating-point path.
 type Layout struct {
-	bet              *core.BET
 	totalStaticInsts int
 	// blocks is every source block in first-encounter (leaf) order; comp
 	// and comm are the non-comm and comm subsets in the same order.
@@ -77,8 +76,8 @@ type Layout struct {
 // not know.
 func NewLayout(bet *core.BET, libs LibModeler) (*Layout, error) {
 	l := &Layout{
-		bet: bet, totalStaticInsts: bet.Tree.TotalStaticInsts(),
-		confidence: bet.Confidence, betDiags: bet.Diagnostics,
+		totalStaticInsts: bet.Tree.TotalStaticInsts(),
+		confidence:       bet.Confidence, betDiags: bet.Diagnostics,
 		byID: make(map[string]*layoutBlock),
 	}
 	for _, n := range bet.Leaves() {
@@ -252,7 +251,6 @@ func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, er
 	a := &Analysis{
 		Machine:          m,
 		TotalStaticInsts: l.totalStaticInsts,
-		BET:              l.bet,
 		Blocks:           make([]*Block, len(l.blocks)),
 	}
 	backing := make([]Block, len(l.blocks))

@@ -45,8 +45,6 @@ type Selection struct {
 	Coverage float64
 	// Leanness is the fraction of static instructions the spots contain.
 	Leanness float64
-	// Criteria echoes the selection parameters.
-	Criteria Criteria
 }
 
 // Select runs the paper's greedy approximation to the (NP-complete,
@@ -55,7 +53,7 @@ type Selection struct {
 // remaining leanness budget; selection stops once the coverage target is
 // met (or candidates are exhausted, maximizing coverage under the budget).
 func Select(a *Analysis, crit Criteria) *Selection {
-	sel := &Selection{Criteria: crit}
+	sel := &Selection{}
 	if a.TotalTime <= 0 || a.TotalStaticInsts <= 0 {
 		return sel
 	}
@@ -82,39 +80,6 @@ func Select(a *Analysis, crit Criteria) *Selection {
 	sel.Coverage = coveredTime / a.TotalTime
 	sel.Leanness = float64(usedInsts) / float64(a.TotalStaticInsts)
 	return sel
-}
-
-// CoverageCurve returns the cumulative coverage after each of the first n
-// selected spots: point i is the summed coverage of spots[0..i]. This is
-// the y-axis of the paper's Figures 4-5 and 10-13.
-func (a *Analysis) CoverageCurve(spots []*Block) []float64 {
-	out := make([]float64, len(spots))
-	cum := 0.0
-	for i, b := range spots {
-		cum += a.Coverage(b)
-		out[i] = cum
-	}
-	return out
-}
-
-// RankOf returns the 1-based rank of the block in the analysis ordering, or
-// 0 if the block is unknown.
-func (a *Analysis) RankOf(blockID string) int {
-	for i, b := range a.Blocks {
-		if b.BlockID == blockID {
-			return i + 1
-		}
-	}
-	return 0
-}
-
-// Block returns the analysis block with the given ID, or nil if the block
-// is unknown.
-func (a *Analysis) Block(blockID string) *Block {
-	if r := a.RankOf(blockID); r > 0 {
-		return a.Blocks[r-1]
-	}
-	return nil
 }
 
 // SortByTime sorts blocks by descending time (stable on BlockID): the

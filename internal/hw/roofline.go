@@ -50,16 +50,6 @@ func (w BlockWork) Scale(k float64) BlockWork {
 // Bytes returns the data volume moved by one invocation.
 func (w BlockWork) Bytes() float64 { return (w.Loads + w.Stores) * w.DSizeB }
 
-// OperationalIntensity returns FLOPs per byte moved — the classic roofline
-// x-axis. Returns +Inf when no data moves.
-func (w BlockWork) OperationalIntensity() float64 {
-	b := w.Bytes()
-	if b == 0 {
-		return math.Inf(1)
-	}
-	return w.FLOPs / b
-}
-
 // Estimate is the roofline projection for one invocation of a code block.
 type Estimate struct {
 	// Tc is the computation time in seconds.
@@ -70,8 +60,6 @@ type Estimate struct {
 	To float64
 	// T is the projected wall time: Tc + Tm - To.
 	T float64
-	// Delta is the overlap degree used.
-	Delta float64
 	// MemoryBound reports whether Tm > Tc (the roofline verdict on the
 	// block's bottleneck).
 	MemoryBound bool
@@ -145,7 +133,6 @@ func (mo *Model) Estimate(w BlockWork) Estimate {
 	to := math.Min(tc, tm) * delta
 	return Estimate{
 		Tc: tc, Tm: tm, To: to, T: tc + tm - to,
-		Delta:       delta,
 		MemoryBound: tm > tc,
 	}
 }
@@ -160,23 +147,4 @@ func overlapDegree(nfp float64) float64 {
 		nfp = 0
 	}
 	return 1 - 1/math.Sqrt(1+nfp)
-}
-
-// RooflineBound returns the classic roofline performance bound in FLOP/s
-// for operational intensity oi on machine m: min(peak, oi * bandwidth).
-// Peak here is the scalar analytical peak (FPOpsPerCycle * freq).
-func (mo *Model) RooflineBound(oi float64) float64 {
-	m := mo.m
-	peak := m.FPOpsPerCycle * m.FreqGHz * 1e9
-	if math.IsInf(oi, 1) {
-		return peak
-	}
-	return math.Min(peak, oi*m.MemBandwidthGBs*1e9)
-}
-
-// RidgePoint returns the operational intensity (FLOPs/byte) at which the
-// machine transitions from memory-bound to compute-bound.
-func (mo *Model) RidgePoint() float64 {
-	m := mo.m
-	return (m.FPOpsPerCycle * m.FreqGHz) / m.MemBandwidthGBs
 }

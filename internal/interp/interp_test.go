@@ -284,7 +284,7 @@ func TestLoopAllocsFlat(t *testing.T) {
 		t.Skip("allocation counts vary under the race detector")
 	}
 	allocs := func(n int) float64 {
-		prog := minilang.MustCheck(minilang.MustParse("t", fmt.Sprintf(`
+		prog := mustProgram("t", fmt.Sprintf(`
 global n: int = %d;
 global a: [16]float;
 global s: float;
@@ -296,7 +296,7 @@ func main() {
       a[i %% 16] = sqrt(i) + s;
     }
   }
-}`, n)))
+}`, n))
 		return testing.AllocsPerRun(3, func() {
 			e, err := New(prog, &Options{Observer: NewProfiler()})
 			if err == nil {
@@ -321,11 +321,11 @@ func TestStepBudget(t *testing.T) {
 }
 
 func TestBadArrayExtent(t *testing.T) {
-	prog := minilang.MustCheck(minilang.MustParse("t", "global n: int = 0; global a: [n]float; func main() {}"))
+	prog := mustProgram("t", "global n: int = 0; global a: [n]float; func main() {}")
 	if _, err := New(prog, nil); err == nil {
 		t.Error("zero extent accepted")
 	}
-	prog2 := minilang.MustCheck(minilang.MustParse("t", "global a: [99999999999]float; func main() {}"))
+	prog2 := mustProgram("t", "global a: [99999999999]float; func main() {}")
 	if _, err := New(prog2, nil); err == nil {
 		t.Error("huge extent accepted")
 	}
@@ -627,4 +627,16 @@ func main() {
 	if e.Globals["ok"] != 2 {
 		t.Errorf("ok = %g", e.Globals["ok"])
 	}
+}
+
+// mustProgram parses and checks a minilang program, panicking on error.
+func mustProgram(name, src string) *minilang.Program {
+	prog, err := minilang.Parse(name, src)
+	if err == nil {
+		err = minilang.Check(prog)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }

@@ -53,8 +53,6 @@ type Plan struct {
 type Stats struct {
 	Opens, Writes, Syncs int
 	BytesWritten         int64
-	// Injected counts faults actually delivered.
-	Injected int
 }
 
 // Faulty wraps a base FS (nil = Disk) and delivers the Plan's faults at
@@ -76,13 +74,6 @@ func New(base FS, plan Plan) *Faulty {
 	return &Faulty{base: base, plan: plan}
 }
 
-// Stats returns a snapshot of the counters.
-func (ff *Faulty) Stats() Stats {
-	ff.mu.Lock()
-	defer ff.mu.Unlock()
-	return ff.st
-}
-
 // injected manufactures one fault error: ErrInjected wrapping the
 // OS-level cause so both errors.Is checks hold.
 func injected(op string, cause, dflt error) error {
@@ -96,7 +87,6 @@ func (ff *Faulty) open(name string, real func() (File, error)) (File, error) {
 	ff.mu.Lock()
 	ff.st.Opens++
 	if ff.plan.FailOpenAt > 0 && ff.st.Opens == ff.plan.FailOpenAt {
-		ff.st.Injected++
 		ff.mu.Unlock()
 		return nil, injected("open "+name, ff.plan.OpenErr, syscall.EIO)
 	}
@@ -150,7 +140,6 @@ func (f *faultyFile) Write(p []byte) (int, error) {
 		}
 	}
 	if ferr != nil {
-		f.fs.st.Injected++
 		n := 0
 		if keep > 0 {
 			n, _ = f.f.Write(p[:keep])
@@ -167,7 +156,6 @@ func (f *faultyFile) Sync() error {
 	f.fs.mu.Lock()
 	f.fs.st.Syncs++
 	if f.fs.plan.FailSyncAt > 0 && f.fs.st.Syncs == f.fs.plan.FailSyncAt {
-		f.fs.st.Injected++
 		f.fs.mu.Unlock()
 		return injected("fsync", f.fs.plan.SyncErr, syscall.EIO)
 	}
@@ -178,7 +166,6 @@ func (f *faultyFile) Sync() error {
 func (f *faultyFile) Truncate(size int64) error {
 	f.fs.mu.Lock()
 	if f.fs.plan.FailTruncate {
-		f.fs.st.Injected++
 		f.fs.mu.Unlock()
 		return injected("truncate", nil, syscall.EIO)
 	}

@@ -32,7 +32,7 @@ type File interface {
 }
 
 // FS opens files. Two entry points mirror the journal's two access
-// patterns: OpenFile for the owning read-write handle (journal.Open),
+// patterns: OpenFile for the owning read-write handle (journal.OpenFS),
 // Open for read-only walks (journal.Scan).
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)

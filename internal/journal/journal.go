@@ -1,24 +1,31 @@
-// Package journal implements an append-only, crash-safe record log for
-// long-running sweeps. Each record is one completed unit of work keyed by
-// an opaque string (the explore engine keys on the variant machine's
-// fingerprint); a sweep that dies mid-run reopens its journal and replays
-// the completed records instead of recomputing them.
+// Package journal is the append-only, crash-safe record log under the
+// content-addressed result store (internal/store), its only importer. A
+// record is an opaque key and a payload; a later record under the same key
+// replaces the earlier one. What the store relies on:
 //
-// Durability model: every Append writes one framed line and fsyncs before
-// returning, so a record is either fully on disk or not in the journal at
-// all. Each line carries a CRC32 of its payload; Open tolerates a torn
-// tail (the one partial line an interrupted write can leave) by truncating
-// the file back to the last intact record — replay never yields a corrupt
-// or partial record.
+//   - Framing. Version 1 writes one line per entry,
 //
-// File format (version 1), one line per entry:
+//     <crc32c-hex> <json>\n
 //
-//	<crc32c-hex> <json>\n
+//     with a CRC32-C of the JSON. The first line is a header
+//     {"magic","version","meta"} that SetMeta writes; the store binds it
+//     to its own magic and format version, and SetMeta on a recovered log
+//     refuses any other binding with ErrMetaMismatch, so a store never
+//     overwrites a file that is not one. Every later line is a record
+//     {"key","payload"}.
 //
-// The first line is a header {"magic","version","meta"} binding the
-// journal to the work that produced it (the explore engine stores a layout
-// fingerprint in meta, refusing to resume a journal written for a
-// different workload). Every following line is a record {"key","payload"}.
+//   - Torn-tail recovery. Append writes one line and fsyncs it before it
+//     returns, so a record is either wholly on disk or absent, and a crash
+//     can leave at most one partial final line. OpenFS truncates that torn
+//     tail back to the last intact record; damage anywhere before the tail
+//     cannot come from a crash and is refused with ErrCorrupt. Scan reports
+//     the same findings without touching the file, and Repair cuts the
+//     tail of a closed log.
+//
+//   - Fail-stop appends. The first write or fsync failure rolls the
+//     partial frame back (best effort) and turns the log read-only: every
+//     later Append and SetMeta fails with ErrWriteFailed, while Get,
+//     Entries and Len keep serving every record that was durable.
 package journal
 
 import (
@@ -40,8 +47,8 @@ const (
 )
 
 // ErrMetaMismatch marks an attempt to reuse a journal under a different
-// meta binding than it was created with — resuming a sweep of workload A
-// from workload B's journal, or after the layout changed.
+// meta binding than it was created with, such as opening a file some other
+// program wrote as a result store.
 var ErrMetaMismatch = errors.New("journal meta mismatch")
 
 // ErrNoMeta marks an Append on a journal whose header has not been
@@ -51,7 +58,7 @@ var ErrNoMeta = errors.New("journal meta not set")
 // ErrWriteFailed marks a journal whose append path failed once — a write
 // or fsync error. The journal goes read-only: the failed frame is rolled
 // back (best effort), everything recovered or appended before the failure
-// stays replayable, and every later Append or SetMeta refuses with this
+// stays readable, and every later Append or SetMeta refuses with this
 // error. Appending past a failed write would bury a torn frame mid-file,
 // turning recoverable damage into fatal corruption; and after a failed
 // fsync the kernel may have dropped the very pages it acknowledged, so
@@ -85,19 +92,13 @@ type Journal struct {
 	failed    error // sticky after a write/fsync failure: appends disabled
 }
 
-// Open opens (creating if absent) the journal at path and recovers its
-// contents: the meta header and every intact record. A torn final line —
-// the footprint of a crash mid-Append — is discarded by truncating the
-// file back to the last intact record; corruption anywhere before the
+// OpenFS opens (creating if absent) the journal at path through fsys (nil
+// is the disk; the disk-fault chaos suites inject through this seam) and
+// recovers its contents: the meta header and every intact record. A torn
+// final line, the footprint of a crash mid-Append, is discarded by
+// truncating the file back to the last intact record; damage before the
 // tail is an error wrapping ErrCorrupt, since an fsync-per-record log
 // cannot produce it.
-func Open(path string) (*Journal, error) {
-	return OpenFS(iofault.Disk, path)
-}
-
-// OpenFS is Open through an explicit file abstraction — the seam the
-// disk-fault chaos suite injects through. Production callers use Open
-// (equivalently, OpenFS with iofault.Disk); nil falls back to the disk.
 func OpenFS(fsys iofault.FS, path string) (*Journal, error) {
 	if fsys == nil {
 		fsys = iofault.Disk
@@ -167,8 +168,8 @@ func parseLine(line []byte) ([]byte, error) {
 // writeLine frames, writes and fsyncs one payload. A write or fsync
 // failure permanently disables the append path (ErrWriteFailed): the
 // frame is rolled back to the last known-good offset so the damage is
-// not buried under later appends, and replay of everything already
-// durable stays available. Called with j.mu held.
+// not buried under later appends, and everything already durable stays
+// readable. Called with j.mu held.
 func (j *Journal) writeLine(payload []byte) error {
 	if j.failed != nil {
 		return fmt.Errorf("journal %s: %w", j.path, j.failed)
@@ -187,7 +188,7 @@ func (j *Journal) writeLine(payload []byte) error {
 		// Best-effort rollback: cut the file back to the last line known
 		// intact. If the truncate itself fails, the torn frame stays on
 		// disk — still recoverable, because a torn *tail* is exactly what
-		// Open and Scan are built to discard.
+		// OpenFS and Scan are built to discard.
 		if terr := j.f.Truncate(j.size); terr == nil {
 			_, _ = j.f.Seek(j.size, io.SeekStart)
 			_ = j.f.Sync()
@@ -197,29 +198,6 @@ func (j *Journal) writeLine(payload []byte) error {
 	}
 	j.size += int64(buf.Len())
 	return nil
-}
-
-// Err returns the sticky failure that put the journal into read-only
-// mode, or nil while the append path is healthy.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failed
-}
-
-// Meta returns the journal's meta binding (nil until SetMeta has run or a
-// header was recovered).
-func (j *Journal) Meta() map[string]string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.meta == nil {
-		return nil
-	}
-	out := make(map[string]string, len(j.meta))
-	for k, v := range j.meta {
-		out[k] = v
-	}
-	return out
 }
 
 // SetMeta binds the journal to its producer. On a fresh journal it writes
@@ -253,9 +231,9 @@ func (j *Journal) SetMeta(meta map[string]string) error {
 	return nil
 }
 
-// Append durably records one completed unit of work: the line is on disk
-// (fsynced) when Append returns nil. Appending a key again overwrites its
-// replayed value (last record wins), which keeps Append idempotent for
+// Append durably records one payload under key: the line is on disk
+// (fsynced) when Append returns nil. Appending a key again replaces its
+// value (last record wins), which keeps Append idempotent for
 // deterministic work.
 func (j *Journal) Append(key string, payload []byte) error {
 	j.mu.Lock()
@@ -286,12 +264,10 @@ type Entry struct {
 	Payload []byte
 }
 
-// Entries returns a copy of every intact record in original completion
-// order: distinct keys appear in the order they were first appended
-// (recovered records first, in file order), each carrying its most recent
-// payload. Resuming consumers (the explore engine binding a journal, the
-// skoped daemon streaming a dead session's results) use it to replay work
-// in the order it originally finished.
+// Entries returns a copy of every intact record in completion order:
+// distinct keys in the order they were first appended (recovered records
+// first, in file order), each with its latest payload. The store's
+// scrubber walks it to re-verify every record.
 func (j *Journal) Entries() []Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -305,9 +281,8 @@ func (j *Journal) Entries() []Entry {
 	return out
 }
 
-// Get returns a copy of the latest payload appended under key, if any.
-// It is the point-lookup counterpart of Entries, for consumers (the result
-// store) that address individual records rather than replaying the log.
+// Get returns a copy of the latest payload appended under key, if any:
+// the store's lookup of one record.
 func (j *Journal) Get(key string) ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -327,8 +302,8 @@ func (j *Journal) Len() int {
 	return len(j.records)
 }
 
-// Recovered returns how many records Open replayed from disk, and whether
-// a torn tail was discarded during recovery.
+// Recovered returns how many records OpenFS recovered from disk, and
+// whether it discarded a torn tail.
 func (j *Journal) Recovered() (records int, tornTail bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -13,7 +13,7 @@ import (
 
 func openT(t *testing.T, path string) *journal.Journal {
 	t.Helper()
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,9 +24,6 @@ func openT(t *testing.T, path string) *journal.Journal {
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	j := openT(t, path)
-	if j.Meta() != nil {
-		t.Error("fresh journal has meta")
-	}
 	if err := j.SetMeta(map[string]string{"layout": "abc123"}); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +36,8 @@ func TestRoundTrip(t *testing.T) {
 	j.Close()
 
 	j2 := openT(t, path)
-	if got := j2.Meta()["layout"]; got != "abc123" {
-		t.Errorf("recovered meta layout = %q", got)
+	if err := j2.SetMeta(map[string]string{"layout": "other"}); !errors.Is(err, journal.ErrMetaMismatch) {
+		t.Errorf("SetMeta over the recovered meta = %v, want ErrMetaMismatch", err)
 	}
 	if recs := j2.Entries(); len(recs) != 2 ||
 		recs[0].Key != "fp1" || string(recs[0].Payload) != "payload-1" ||
@@ -129,7 +126,7 @@ func TestCorruptionBeforeTailIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := journal.Open(path); err == nil || !strings.Contains(err.Error(), "corrupt") {
+	if _, err := journal.OpenFS(nil, path); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Errorf("mid-file corruption not rejected: %v", err)
 	}
 }
@@ -139,7 +136,7 @@ func TestNotAJournal(t *testing.T) {
 	if err := os.WriteFile(path, []byte("# totally a journal\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := journal.Open(path); err == nil {
+	if _, err := journal.OpenFS(nil, path); err == nil {
 		t.Error("garbage file accepted as journal")
 	}
 }

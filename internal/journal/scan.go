@@ -11,16 +11,16 @@ import (
 	"skope/internal/iofault"
 )
 
-// Scan is the read-only counterpart of Open: it walks the journal at path
-// without repairing anything, reporting what a recovery would find. Open
-// silently truncates a torn tail — correct for resuming work, wrong for a
-// scrub (a verifier must not modify what it verifies) and wrong for merge
-// inputs it does not own. Scan leaves the file untouched.
+// Scan is the read-only counterpart of OpenFS: it walks the journal at
+// path without repairing anything, reporting what a recovery would find.
+// OpenFS truncates a torn tail, which is right for a store taking the file
+// over and wrong for a verifier (skopec's store check must not modify what
+// it verifies), so Scan leaves the file untouched.
 
-// ErrCorrupt marks damage Scan or Open found: a bad header, or a bad
+// ErrCorrupt marks damage Scan or OpenFS found: a bad header, or a bad
 // frame or checksum followed by more data. A torn tail (the one partial
 // line a crash mid-Append can leave) is NOT corruption; Scan reports it on
-// ScanReport.TornTail and Open truncates it.
+// ScanReport.TornTail and OpenFS truncates it.
 var ErrCorrupt = errors.New("journal corrupt")
 
 // ScanReport is the outcome of one read-only journal walk.
@@ -30,7 +30,7 @@ type ScanReport struct {
 	// Records counts intact record lines (appends, not distinct keys).
 	Records int
 	// TornTail reports a partial final line — recoverable damage that
-	// Open (or Repair) would truncate away.
+	// OpenFS (or Repair) would truncate away.
 	TornTail bool
 	// TornOffset is the file offset of the torn tail (the size the file
 	// would have after repair); equal to the file size when intact.
@@ -62,7 +62,7 @@ func scanFS(fsys iofault.FS, path string, fn func(key string, payload []byte) er
 // final line is a torn tail, reported on the ScanReport; a bad header or
 // damage before the end of the file fails with an error wrapping
 // ErrCorrupt. An error from fn aborts the walk and is returned as-is.
-// Shared by Open's recovery and Scan.
+// Shared by OpenFS's recovery and Scan.
 func walk(r io.Reader, path string, fn func(key string, payload []byte) error) (rep ScanReport, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	lineNo := 0

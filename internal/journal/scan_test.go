@@ -13,7 +13,7 @@ import (
 func writeJournal(t *testing.T, name string, meta map[string]string, recs map[string]string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestScanRejectsMidFileCorruption(t *testing.T) {
 	// Flip a payload byte in the first record line (after the header line),
 	// leaving the trailing record intact so the damage is mid-file once we
 	// append another record.
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRepairTruncatesTornTail(t *testing.T) {
 		t.Errorf("second Repair = (%d, %v, %v), want (2, false, nil)", records, repaired, err)
 	}
 	// The repaired journal opens cleanly with both records.
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,3 +122,20 @@ func TestCoversSimulatedBuiltins(t *testing.T) {
 		}
 	}
 }
+
+// Functions returns the modeled function names.
+func (m *Model) Functions() []string {
+	out := make([]string, 0, len(m.mixes))
+	for k := range m.mixes {
+		out = append(out, k)
+	}
+	return out
+}
+
+// Set overrides or adds a function mix (for tests and ablations).
+func (m *Model) Set(name string, w hw.BlockWork) {
+	if m.mixes == nil {
+		m.mixes = map[string]hw.BlockWork{}
+	}
+	m.mixes[name] = w
+}

@@ -52,15 +52,6 @@ type Program struct {
 	FuncByName   map[string]*FuncDecl
 }
 
-// Func returns the named function or an error.
-func (p *Program) Func(name string) (*FuncDecl, error) {
-	f, ok := p.FuncByName[name]
-	if !ok {
-		return nil, fmt.Errorf("minilang: no function %q in %s", name, p.Source)
-	}
-	return f, nil
-}
-
 // GlobalDecl declares a module-level scalar or array.
 type GlobalDecl struct {
 	Name string
@@ -87,7 +78,6 @@ type FuncDecl struct {
 // Block is a brace-delimited statement list.
 type Block struct {
 	Stmts []Stmt
-	Pos   Pos
 }
 
 // Stmt is a statement node.
@@ -210,8 +200,6 @@ type Index struct {
 	exprBase
 	Name    string
 	Indices []Expr
-	// Decl is resolved by Check.
-	Decl *GlobalDecl
 }
 
 // BinOp enumerates binary operators.

@@ -314,13 +314,6 @@ func f() {}
 	if segs[0].BlockID() != "main/L3" {
 		t.Errorf("segment 1 id = %s", segs[0].BlockID())
 	}
-	// SegmentFor finds the member.
-	if got := SegmentFor("main", main.Body, main.Body.Stmts[1]); got == nil || got.Pos != segs[0].Pos {
-		t.Error("SegmentFor failed")
-	}
-	if got := SegmentFor("main", main.Body, main.Body.Stmts[2]); got != nil {
-		t.Error("SegmentFor matched a control statement")
-	}
 }
 
 func TestCountExpr(t *testing.T) {
@@ -376,15 +369,5 @@ func TestPosReporting(t *testing.T) {
 	_, err := Parse("t", "func main() {\n  var x: int = ;\n}")
 	if err == nil || !strings.Contains(err.Error(), "t:2:") {
 		t.Errorf("error lacks position: %v", err)
-	}
-}
-
-func TestFuncLookup(t *testing.T) {
-	p := parseSample(t)
-	if _, err := p.Func("sweep"); err != nil {
-		t.Error(err)
-	}
-	if _, err := p.Func("nosuch"); err == nil {
-		t.Error("Func(nosuch) should fail")
 	}
 }

@@ -30,15 +30,6 @@ func ParseWithLimits(name, src string, lim *guard.Limits) (*Program, error) {
 	return prog, nil
 }
 
-// MustParse parses src and panics on error; for embedded workloads.
-func MustParse(name, src string) *Program {
-	prog, err := Parse(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type mparser struct {
 	name string
 	toks []Token
@@ -289,7 +280,7 @@ func (p *mparser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: open.Pos}
+	b := &Block{}
 	for !p.atPunct("}") {
 		if p.cur().Kind == TokEOF {
 			p.fail(guard.SevWarn, "unclosed-block", p.errf(open, "unterminated block"), " (implicitly closed)")
@@ -495,7 +486,7 @@ func (p *mparser) parseIf() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.Else = &Block{Stmts: []Stmt{nested}, Pos: nested.StmtPos()}
+			s.Else = &Block{Stmts: []Stmt{nested}}
 		} else {
 			s.Else, err = p.parseBlock()
 			if err != nil {

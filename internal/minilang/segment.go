@@ -72,20 +72,6 @@ func containsNonSimple(e Expr) bool {
 	return found
 }
 
-// SegmentFor returns the segment of b containing s, or nil when s is not a
-// simple statement of b.
-func SegmentFor(funcName string, b *Block, s Stmt) *Segment {
-	segs := SegmentsOf(funcName, b)
-	for i := range segs {
-		for _, m := range segs[i].Stmts {
-			if m == s {
-				return &segs[i]
-			}
-		}
-	}
-	return nil
-}
-
 // OpCounts is a static operation census of an expression or statement: the
 // translator's estimate of the instruction mix of one execution.
 type OpCounts struct {
@@ -124,15 +110,6 @@ func (c OpCounts) Insts() int {
 		n += v
 	}
 	return n
-}
-
-// CountExpr statically counts the operations of one evaluation of e,
-// assuming no short-circuiting (both operands of && / || are charged —
-// matching the translator's first-order approximation).
-func CountExpr(e Expr) OpCounts {
-	var c OpCounts
-	countExpr(e, false, &c)
-	return c
 }
 
 func countExpr(e Expr, store bool, c *OpCounts) {

@@ -40,14 +40,6 @@ func Check(p *Program) error {
 	return c.checkRecursion()
 }
 
-// MustCheck panics if Check fails; for embedded workloads.
-func MustCheck(p *Program) *Program {
-	if err := Check(p); err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type checker struct {
 	p  *Program
 	fn *FuncDecl
@@ -340,7 +332,6 @@ func (c *checker) checkExpr(e Expr, ectx int) error {
 				return err
 			}
 		}
-		t.Decl = g
 		t.T = g.Type.Base
 		return nil
 

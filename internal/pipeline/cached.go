@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"skope/internal/explore"
 	"skope/internal/guard"
@@ -104,14 +103,12 @@ func SweepAdaptive(ctx context.Context, w *workloads.Workload, variants []*hw.Ma
 	if err != nil {
 		return nil, nil, err
 	}
-	start := time.Now()
 	var before, last explore.Progress // the collected batches' counts; the latest snapshot
 	if report := buildOptions(opts).progress; report != nil {
 		opts = append(opts, WithProgress(func(p explore.Progress) {
-			p.Done, p.Total = p.Done+before.Done, len(variants)
+			p.Done += before.Done
 			p.Stored += before.Stored
 			p.Retried += before.Retried
-			p.Elapsed = time.Since(start)
 			last = p
 			report(p)
 		}))

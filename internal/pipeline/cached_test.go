@@ -253,8 +253,8 @@ func TestSweepAdaptiveProgress(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, p := range snaps {
-					if p.Done != i+1 || p.Total != len(variants) {
-						t.Fatalf("%s: snapshot %d is %d of %d, want %d of %d", run, i, p.Done, p.Total, i+1, len(variants))
+					if p.Done != i+1 {
+						t.Fatalf("%s: snapshot %d has done %d, want %d", run, i, p.Done, i+1)
 					}
 				}
 				last := snaps[len(snaps)-1]

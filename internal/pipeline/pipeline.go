@@ -112,12 +112,6 @@ func (r *Run) Layout() (*hotspot.Layout, error) {
 	return r.layout, nil
 }
 
-// Degraded reports whether any part of the preparation rests on recovered
-// parses, fallback priors, or incomplete profiles.
-func (r *Run) Degraded() bool {
-	return r.Confidence < 1 || len(r.Diagnostics) > 0
-}
-
 // Option configures Evaluate, EvaluateMany, Sweep, and Explorer.
 type Option func(*options)
 
@@ -534,9 +528,4 @@ func spotIDs(spots []*hotspot.Block) []string {
 		ids[i] = s.BlockID
 	}
 	return ids
-}
-
-// SpotIDs returns the selection's block IDs in rank order.
-func (e *Eval) SpotIDs() []string {
-	return spotIDs(e.Selection.Spots)
 }

@@ -164,8 +164,8 @@ func TestAblationModels(t *testing.T) {
 	if velID == "" {
 		t.Fatalf("velocity block not found; blocks: %v", base.Modl.TopIDs(10))
 	}
-	baseT := base.Analysis.Block(velID).T
-	divT := divAware.Analysis.Block(velID).T
+	baseT := blockTime(t, base.Analysis, velID)
+	divT := blockTime(t, divAware.Analysis, velID)
 	if divT <= baseT {
 		t.Errorf("div-aware projection (%g) not > base (%g) for %s", divT, baseT, velID)
 	}
@@ -462,4 +462,22 @@ func TestAnalysisRankOrderAndCoverage(t *testing.T) {
 	if cum < 0.999 || cum > 1.001 {
 		t.Errorf("coverages sum to %g", cum)
 	}
+}
+
+// SpotIDs returns the selection's block IDs in rank order.
+func (e *Eval) SpotIDs() []string {
+	return spotIDs(e.Selection.Spots)
+}
+
+// blockTime returns the projected time of the analysis block with the given
+// ID.
+func blockTime(t *testing.T, a *hotspot.Analysis, id string) float64 {
+	t.Helper()
+	for _, b := range a.Blocks {
+		if b.BlockID == id {
+			return b.T
+		}
+	}
+	t.Fatalf("no block %s in the analysis", id)
+	return 0
 }

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,4 +104,51 @@ func TestEmptyTable(t *testing.T) {
 	if !strings.HasPrefix(tab.CSV(), "only\n") {
 		t.Error("empty table CSV broken")
 	}
+}
+
+// CSV renders the table as comma-separated values (cells containing commas
+// or quotes are quoted).
+func (t *Table) CSV() string {
+	var b strings.Builder
+	writeRow := func(cells []string) {
+		for i, cell := range cells {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			if strings.ContainsAny(cell, ",\"\n") {
+				cell = "\"" + strings.ReplaceAll(cell, "\"", "\"\"") + "\""
+			}
+			b.WriteString(cell)
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(t.Header)
+	for _, row := range t.Rows {
+		writeRow(row)
+	}
+	return b.String()
+}
+
+// Bars renders a simple horizontal bar view of one y column (scaled to
+// width 40), useful for quick visual inspection in terminals.
+func (s *Series) Bars(col int) string {
+	if col < 0 || col >= len(s.Names) {
+		return ""
+	}
+	maxV := 0.0
+	for _, v := range s.Y[col] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "-- %s (%s) --\n", s.Title, s.Names[col])
+	for i, x := range s.X {
+		n := 0
+		if maxV > 0 {
+			n = int(s.Y[col][i] / maxV * 40)
+		}
+		fmt.Fprintf(&b, "%6g |%s %.4f\n", x, strings.Repeat("#", n), s.Y[col][i])
+	}
+	return b.String()
 }

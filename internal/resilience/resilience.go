@@ -113,15 +113,6 @@ func DefaultPolicy(retries int) Policy {
 	return Policy{MaxAttempts: retries + 1}
 }
 
-// Retries returns the number of retries the policy allows beyond the
-// first attempt (never negative).
-func (p Policy) Retries() int {
-	if p.MaxAttempts <= 1 {
-		return 0
-	}
-	return p.MaxAttempts - 1
-}
-
 // jitterRand is the package's locked randomness for backoff jitter; retry
 // scheduling does not need reproducibility, it needs decorrelation.
 var (

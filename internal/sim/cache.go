@@ -114,13 +114,3 @@ func (c *Cache) HitRate() float64 {
 	}
 	return float64(c.Hits) / float64(n)
 }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = cacheLine{}
-		}
-	}
-	c.Hits, c.Misses, c.clock = 0, 0, 0
-}

@@ -24,7 +24,7 @@ func main() {
 `
 
 func TestRunPreCanceledContext(t *testing.T) {
-	prog := minilang.MustCheck(minilang.MustParse("cancel", longProg))
+	prog := mustProgram("cancel", longProg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := Run(ctx, prog, hw.BGQ(), nil)
@@ -41,7 +41,7 @@ func TestRunPreCanceledContext(t *testing.T) {
 // simulation stops promptly, discards partial results, and reports the
 // cancellation through the %w chain.
 func TestRunCancelMidRun(t *testing.T) {
-	prog := minilang.MustCheck(minilang.MustParse("cancel", longProg))
+	prog := mustProgram("cancel", longProg)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	hits := 0
@@ -69,7 +69,7 @@ func TestRunCancelMidRun(t *testing.T) {
 }
 
 func TestRunDeadlineExceeded(t *testing.T) {
-	prog := minilang.MustCheck(minilang.MustParse("cancel", longProg))
+	prog := mustProgram("cancel", longProg)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if _, err := Run(ctx, prog, hw.BGQ(), nil); !errors.Is(err, context.DeadlineExceeded) {
@@ -80,7 +80,7 @@ func TestRunDeadlineExceeded(t *testing.T) {
 // TestRunPanicIsolated proves the sim.run boundary converts a panic into an
 // attributed error instead of crashing the caller.
 func TestRunPanicIsolated(t *testing.T) {
-	prog := minilang.MustCheck(minilang.MustParse("poison", "func main() {}"))
+	prog := mustProgram("poison", "func main() {}")
 	disarm := guard.Arm("sim.run", func(string) { panic("injected fault") })
 	t.Cleanup(disarm)
 	res, err := Run(context.Background(), prog, hw.BGQ(), nil)
@@ -90,4 +90,16 @@ func TestRunPanicIsolated(t *testing.T) {
 	if res != nil {
 		t.Error("result returned alongside recovered panic")
 	}
+}
+
+// mustProgram parses and checks a minilang program, panicking on error.
+func mustProgram(name, src string) *minilang.Program {
+	prog, err := minilang.Parse(name, src)
+	if err == nil {
+		err = minilang.Check(prog)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }

@@ -21,14 +21,8 @@ type BlockCost struct {
 	Cycles float64
 	// Insts counts dynamic instructions (ops + accesses + lib-expanded).
 	Insts uint64
-	// FP, Div, Int count dynamic arithmetic by class (Div ⊂ FP).
-	FP, Div, Int uint64
-	// Loads, Stores count memory accesses.
-	Loads, Stores uint64
 	// L1Miss and LLCMiss count cache misses attributed to the block.
 	L1Miss, LLCMiss uint64
-	// LibCalls counts library invocations.
-	LibCalls uint64
 }
 
 // Seconds converts the block's cycles to seconds on machine m.
@@ -57,7 +51,6 @@ type Result struct {
 	Machine *hw.Machine
 	// Blocks is sorted by cycles, descending.
 	Blocks []*BlockCost
-	ByID   map[string]*BlockCost
 	// TotalCycles and TotalSeconds cover the whole run.
 	TotalCycles  float64
 	TotalSeconds float64
@@ -81,27 +74,6 @@ func (r *Result) TopN(n int) []*BlockCost {
 		n = len(r.Blocks)
 	}
 	return r.Blocks[:n]
-}
-
-// RankOf returns the 1-based measured rank of a block ID (0 if absent).
-func (r *Result) RankOf(id string) int {
-	for i, b := range r.Blocks {
-		if b.ID == id {
-			return i + 1
-		}
-	}
-	return 0
-}
-
-// CoverageCurve returns cumulative coverage over the given blocks.
-func (r *Result) CoverageCurve(blocks []*BlockCost) []float64 {
-	out := make([]float64, len(blocks))
-	cum := 0.0
-	for i, b := range blocks {
-		cum += r.Coverage(b)
-		out[i] = cum
-	}
-	return out
 }
 
 // String summarizes the result for debugging.
@@ -142,8 +114,6 @@ type machineSim struct {
 
 	// lastOutcome tracks per-site branch history for the 1-bit predictor.
 	lastOutcome map[string]bool
-
-	totalCycles float64
 }
 
 const mispredictPenalty = 12.0
@@ -170,7 +140,6 @@ func (s *machineSim) block(id string) *BlockCost {
 func (s *machineSim) charge(cycles float64, insts uint64) {
 	s.cur.Cycles += cycles
 	s.cur.Insts += insts
-	s.totalCycles += cycles
 }
 
 // EnterBlock implements interp.Observer.
@@ -202,30 +171,21 @@ func (s *machineSim) Op(class interp.OpClass, vec interp.VecLevel) {
 			c /= float64(s.m.VectorWidth)
 		}
 		s.charge(c, 1)
-		s.cur.FP++
 	case interp.OpFloatDiv:
 		// Divisions are unpipelined and do not vectorize profitably.
 		s.charge(float64(s.m.DivLatencyCyc), 1)
-		s.cur.FP++
-		s.cur.Div++
 	case interp.OpInt:
 		c := 1 / s.m.IntOpsPerCycle
 		if v {
 			c /= float64(s.m.VectorWidth)
 		}
 		s.charge(c, 1)
-		s.cur.Int++
 	}
 }
 
 // Access implements interp.Observer: probe the hierarchy and charge the
 // concurrency-amortized latency of the level that served the access.
 func (s *machineSim) Access(addr uint64, size int, store bool) {
-	if store {
-		s.cur.Stores++
-	} else {
-		s.cur.Loads++
-	}
 	var cycles float64
 	if s.l1.Access(addr) {
 		// L1 hits are pipelined: throughput-limited, not latency-limited.
@@ -268,8 +228,6 @@ func (s *machineSim) LibCall(name string, vec interp.VecLevel) {
 	b := s.block(s.cur.ID + ":" + name)
 	b.Cycles += cycles
 	b.Insts += lc.insts
-	b.LibCalls++
-	s.totalCycles += cycles
 }
 
 // Comm implements interp.Observer: charge the machine's interconnect model
@@ -278,7 +236,6 @@ func (s *machineSim) Comm(bytes, msgs float64) {
 	seconds := s.m.CommTime(bytes, msgs)
 	cycles := seconds * s.m.FreqGHz * 1e9
 	s.charge(cycles, 2)
-	s.cur.LibCalls++
 }
 
 // Branch implements interp.Observer: 1-bit dynamic prediction with a fixed
@@ -333,7 +290,6 @@ func Run(ctx context.Context, prog *minilang.Program, m *hw.Machine, opts *Optio
 	}
 	res = &Result{
 		Machine: m,
-		ByID:    ms.blocks,
 		L1:      ms.l1,
 		LLC:     ms.llc,
 		Steps:   eng.Steps(),

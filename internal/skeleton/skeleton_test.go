@@ -80,7 +80,7 @@ func TestParsePedagogicalStructure(t *testing.T) {
 	if loop.Var != "i" || loop.Label != "outer" {
 		t.Errorf("loop = %+v", loop)
 	}
-	if got := expr.MustEval(loop.To, expr.Env{"n": 7}); got != 7 {
+	if got := mustEval(loop.To, expr.Env{"n": 7}); got != 7 {
 		t.Errorf("loop.To eval = %g", got)
 	}
 	// loop body: comp, if, call
@@ -91,7 +91,7 @@ func TestParsePedagogicalStructure(t *testing.T) {
 	if comp.Name != "init" {
 		t.Errorf("comp name = %q", comp.Name)
 	}
-	if v := expr.MustEval(comp.M.FLOPs, nil); v != 4 {
+	if v := mustEval(comp.M.FLOPs, nil); v != 4 {
 		t.Errorf("comp flops = %g", v)
 	}
 	ifs := loop.Body[1].(*If)
@@ -259,7 +259,7 @@ func TestBareConditionExpr(t *testing.T) {
 	if ifs.Cases[0].Cond.Kind != CondExpr {
 		t.Error("bare comparison should be CondExpr")
 	}
-	v := expr.MustEval(ifs.Cases[0].Cond.X, expr.Env{"k": 5})
+	v := mustEval(ifs.Cases[0].Cond.X, expr.Env{"k": 5})
 	if v != 1 {
 		t.Errorf("cond eval = %g", v)
 	}
@@ -312,10 +312,10 @@ func TestAttributesWithSpaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := p.Funcs[0].Body[0].(*Comp)
-	if v := expr.MustEval(c.M.FLOPs, expr.Env{"n": 10}); v != 41 {
+	if v := mustEval(c.M.FLOPs, expr.Env{"n": 10}); v != 41 {
 		t.Errorf("flops eval = %g, want 41", v)
 	}
-	if v := expr.MustEval(c.M.Loads, expr.Env{"n": 10}); v != 20 {
+	if v := mustEval(c.M.Loads, expr.Env{"n": 10}); v != 20 {
 		t.Errorf("loads eval = %g, want 20", v)
 	}
 }
@@ -326,14 +326,14 @@ func TestExponentNumbers(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := p.Funcs[0].Body[0].(*If)
-	if v := expr.MustEval(br.Cases[0].Cond.X, nil); v != 2.5e-05 {
+	if v := mustEval(br.Cases[0].Cond.X, nil); v != 2.5e-05 {
 		t.Errorf("prob = %g, want 2.5e-05", v)
 	}
 	c := br.Cases[0].Body[0].(*Comp)
-	if v := expr.MustEval(c.M.FLOPs, nil); v != 1e20 {
+	if v := mustEval(c.M.FLOPs, nil); v != 1e20 {
 		t.Errorf("flops = %g, want 1e20", v)
 	}
-	if v := expr.MustEval(c.M.Loads, expr.Env{"n": 10}); v != 9 {
+	if v := mustEval(c.M.Loads, expr.Env{"n": 10}); v != 9 {
 		t.Errorf("loads = %g, want 9", v)
 	}
 }
@@ -347,7 +347,7 @@ func TestForWithStep(t *testing.T) {
 	if loop.Step == nil {
 		t.Fatal("step not parsed")
 	}
-	if v := expr.MustEval(loop.Step, nil); v != 2 {
+	if v := mustEval(loop.Step, nil); v != 2 {
 		t.Errorf("step = %g", v)
 	}
 }
@@ -361,10 +361,10 @@ func TestVarDeclExtents(t *testing.T) {
 	if len(v.Extents) != 2 {
 		t.Fatalf("extents = %d, want 2", len(v.Extents))
 	}
-	if got := expr.MustEval(v.Extents[1], expr.Env{"m": 4}); got != 5 {
+	if got := mustEval(v.Extents[1], expr.Env{"m": 4}); got != 5 {
 		t.Errorf("extent[1] = %g", got)
 	}
-	if got := expr.MustEval(v.DSize, nil); got != 4 {
+	if got := mustEval(v.DSize, nil); got != 4 {
 		t.Errorf("dsize = %g", got)
 	}
 }
@@ -396,4 +396,13 @@ func TestFuncMissingError(t *testing.T) {
 	if _, err := p.Func("nosuch"); err == nil {
 		t.Error("Func(nosuch) should fail")
 	}
+}
+
+// mustEval evaluates e under env, panicking on error.
+func mustEval(e expr.Expr, env expr.Env) float64 {
+	v, err := e.Eval(env)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

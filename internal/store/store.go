@@ -67,10 +67,6 @@ const (
 type Stats struct {
 	// Hits and Misses count GetEval lookups.
 	Hits, Misses int
-	// PrepHits and PrepMisses count GetPrep lookups.
-	PrepHits, PrepMisses int
-	// Puts counts successful appends (eval and prep records).
-	Puts int
 }
 
 // HitRate returns the fraction of eval lookups served from the store.
@@ -185,7 +181,6 @@ func (s *Store) PutEval(layoutFP, machineFP, mode string, a *hotspot.Analysis) e
 		return fmt.Errorf("store: %w: %w", ErrDegraded, err)
 	}
 	s.mu.Lock()
-	s.stats.Puts++
 	delete(s.quarantine, key)
 	s.mu.Unlock()
 	return nil
@@ -215,19 +210,11 @@ func (s *Store) GetPrep(digest string) (Prep, bool, error) {
 	key := prepPrefix + digest
 	s.mu.Lock()
 	if s.quarantine[key] {
-		s.stats.PrepMisses++
 		s.mu.Unlock()
 		return Prep{}, false, nil
 	}
 	s.mu.Unlock()
 	payload, ok := s.jnl.Get(key)
-	s.mu.Lock()
-	if ok {
-		s.stats.PrepHits++
-	} else {
-		s.stats.PrepMisses++
-	}
-	s.mu.Unlock()
 	if !ok {
 		return Prep{}, false, nil
 	}
@@ -261,7 +248,6 @@ func (s *Store) PutPrep(digest string, p Prep) error {
 		return fmt.Errorf("store: %w: %w", ErrDegraded, err)
 	}
 	s.mu.Lock()
-	s.stats.Puts++
 	delete(s.quarantine, key)
 	s.mu.Unlock()
 	return nil

@@ -104,8 +104,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 put", st)
+	if st.Hits != 1 || st.Misses != 1 || s.Len() != 1 {
+		t.Errorf("stats = %+v and %d records, want 1 hit / 1 miss / 1 record", st, s.Len())
 	}
 }
 
@@ -319,7 +319,7 @@ func TestStoreRejectsForeignFile(t *testing.T) {
 
 // openAs opens path as if a different producer owned it.
 func openAs(path, producer string) (*Store, error) {
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		return nil, err
 	}

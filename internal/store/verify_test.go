@@ -37,7 +37,7 @@ func populatedStore(t *testing.T) string {
 // record, bypassing the store's typed Put paths.
 func rawAppend(t *testing.T, path, key string, payload []byte) {
 	t.Helper()
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestVerifyFlagsUndecodableRecords(t *testing.T) {
 
 func TestVerifyRejectsNonStoreFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "other.journal")
-	j, err := journal.Open(path)
+	j, err := journal.OpenFS(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}

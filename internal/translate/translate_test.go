@@ -15,6 +15,7 @@ import (
 	"skope/internal/libmodel"
 	"skope/internal/minilang"
 	"skope/internal/sim"
+	"skope/internal/skeleton"
 	"skope/internal/workloads"
 )
 
@@ -112,7 +113,7 @@ func TestTranslatePipeline(t *testing.T) {
 	}
 	// The generated skeleton must parse (Translate validates) and build a
 	// BET with no context blowup.
-	tree := bst.MustBuild(res.Prog)
+	tree := mustBST(res.Prog)
 	bet, err := core.Build(context.Background(), tree, res.Input, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func main() {
 		t.Errorf("static bound not symbolic:\n%s", res.Text)
 	}
 	// And the BET must evaluate it to 64 iterations.
-	tree := bst.MustBuild(res.Prog)
+	tree := mustBST(res.Prog)
 	bet, err := core.Build(context.Background(), tree, res.Input, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +271,7 @@ func work(m: int) {
 	if !strings.Contains(res.Text, "call work((n * 2))") {
 		t.Errorf("call args not symbolic:\n%s", res.Text)
 	}
-	tree := bst.MustBuild(res.Prog)
+	tree := mustBST(res.Prog)
 	bet, err := core.Build(context.Background(), tree, res.Input, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +298,7 @@ func TestSegmentBlockIDsMatchSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := bst.MustBuild(res.Prog)
+	tree := mustBST(res.Prog)
 	bet, err := core.Build(context.Background(), tree, res.Input, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -312,11 +313,15 @@ func TestSegmentBlockIDsMatchSimulator(t *testing.T) {
 	}
 	// Every modeled comp block with meaningful time must exist in the
 	// measured profile under the same ID.
+	simulated := map[string]bool{}
+	for _, b := range simRes.Blocks {
+		simulated[b.ID] = true
+	}
 	for _, blk := range a.Blocks {
 		if a.Coverage(blk) < 0.01 {
 			continue
 		}
-		if simRes.ByID[blk.BlockID] == nil {
+		if !simulated[blk.BlockID] {
 			t.Errorf("modeled block %s absent from simulation (sim has %v)",
 				blk.BlockID, topIDs(simRes, 10))
 		}
@@ -324,8 +329,8 @@ func TestSegmentBlockIDsMatchSimulator(t *testing.T) {
 	// And the dominant blocks must agree: smooth's stencil is the top
 	// measured block; the model must rank it in its top 2.
 	top := simRes.Blocks[0].ID
-	if r := a.RankOf(top); r == 0 || r > 2 {
-		t.Errorf("top measured block %s ranks %d in model", top, r)
+	if len(a.Blocks) < 2 || (a.Blocks[0].BlockID != top && a.Blocks[1].BlockID != top) {
+		t.Errorf("top measured block %s is not in the model's top 2", top)
 	}
 }
 
@@ -382,8 +387,11 @@ func main() {
 
 func TestIntDivisionFloored(t *testing.T) {
 	env := expr.Env{"n": 7}
-	e := expr.MustParse("floor((n) / (2))")
-	if v := expr.MustEval(e, env); v != 3 {
+	e, err := expr.Parse("floor((n) / (2))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := mustEval(e, env); v != 3 {
 		t.Errorf("floored int division = %g", v)
 	}
 }
@@ -584,4 +592,22 @@ func main() {
 	if !found {
 		t.Errorf("expected no-profile warning, got %v", res.Warnings)
 	}
+}
+
+// mustEval evaluates e under env, panicking on error.
+func mustEval(e expr.Expr, env expr.Env) float64 {
+	v, err := e.Eval(env)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// mustBST builds the BST of prog, panicking on error.
+func mustBST(prog *skeleton.Program) *bst.Tree {
+	tree, err := bst.Build(prog)
+	if err != nil {
+		panic(err)
+	}
+	return tree
 }

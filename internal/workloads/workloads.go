@@ -48,12 +48,8 @@ type Workload struct {
 // the square root of Scale so run time grows about linearly.
 type Scale float64
 
-// Standard scales.
-const (
-	ScaleTest  Scale = 1
-	ScaleSmall Scale = 2
-	ScaleFull  Scale = 4
-)
+// ScaleTest is the default testing size.
+const ScaleTest Scale = 1
 
 func (s Scale) dim(base int) int {
 	if s <= 0 {

@@ -51,7 +51,7 @@ func TestNamesAndGet(t *testing.T) {
 func TestScaleGrowsWork(t *testing.T) {
 	for _, name := range Names() {
 		small, _ := Get(name, ScaleTest)
-		big, _ := Get(name, ScaleSmall)
+		big, _ := Get(name, 2)
 		stepsSmall := runSteps(t, small)
 		stepsBig := runSteps(t, big)
 		if stepsBig <= stepsSmall {
@@ -62,7 +62,7 @@ func TestScaleGrowsWork(t *testing.T) {
 
 func runSteps(t *testing.T, w *Workload) int64 {
 	t.Helper()
-	prog := minilang.MustCheck(minilang.MustParse(w.Name, w.Source))
+	prog := mustProgram(w.Name, w.Source)
 	e, err := interp.New(prog, &interp.Options{Seed: w.Seed})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestPedagogical(t *testing.T) {
 
 func TestSTASSUIJHasVecLoop(t *testing.T) {
 	w := STASSUIJ(ScaleTest)
-	prog := minilang.MustCheck(minilang.MustParse(w.Name, w.Source))
+	prog := mustProgram(w.Name, w.Source)
 	found := false
 	var scan func(b *minilang.Block)
 	scan = func(b *minilang.Block) {
@@ -125,10 +125,10 @@ func TestSTASSUIJHasVecLoop(t *testing.T) {
 
 func TestCFDHasDivisions(t *testing.T) {
 	w := CFD(ScaleTest)
-	prog := minilang.MustCheck(minilang.MustParse(w.Name, w.Source))
-	vel, err := prog.Func("compute_velocity")
-	if err != nil {
-		t.Fatal(err)
+	prog := mustProgram(w.Name, w.Source)
+	vel := prog.FuncByName["compute_velocity"]
+	if vel == nil {
+		t.Fatal("no compute_velocity in cfd")
 	}
 	segs := minilang.SegmentsOf("compute_velocity", vel.Body.Stmts[0].(*minilang.For).Body)
 	if len(segs) == 0 {
@@ -142,7 +142,7 @@ func TestCFDHasDivisions(t *testing.T) {
 
 func TestSRADUsesLibFunctions(t *testing.T) {
 	w := SRAD(ScaleTest)
-	prog := minilang.MustCheck(minilang.MustParse(w.Name, w.Source))
+	prog := mustProgram(w.Name, w.Source)
 	libs := map[string]bool{}
 	var scanBlock func(b *minilang.Block)
 	scanBlock = func(b *minilang.Block) {
@@ -182,7 +182,7 @@ func TestWorkloadsFormatRoundTrip(t *testing.T) {
 	for _, w := range All(ScaleTest) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			p1 := minilang.MustCheck(minilang.MustParse(w.Name, w.Source))
+			p1 := mustProgram(w.Name, w.Source)
 			text := minilang.Format(p1)
 			p2, err := minilang.Parse(w.Name+"-rt", text)
 			if err != nil {
@@ -215,4 +215,16 @@ func TestWorkloadsFormatRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mustProgram parses and checks a minilang program, panicking on error.
+func mustProgram(name, src string) *minilang.Program {
+	prog, err := minilang.Parse(name, src)
+	if err == nil {
+		err = minilang.Check(prog)
+	}
+	if err != nil {
+		panic(err)
+	}
+	return prog
 }
