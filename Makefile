@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-profile bench-store bench-adaptive bench-smoke chaos-disk fuzz-short loc deadnames check
+.PHONY: all build vet fmt-check test race allocs bench bench-profile bench-store bench-adaptive bench-smoke chaos-disk fuzz-short loc deadnames check
 
 all: check
 
@@ -18,13 +18,22 @@ fmt-check:
 	fi
 
 # One gate: vet + the full suite under the race detector (worker pools,
-# memo caches, and fault-injection points are all concurrency-sensitive).
+# the result store, and fault-injection points are all
+# concurrency-sensitive).
 test: vet
 	$(GO) test -race ./...
 
-# Race-detect the concurrency-heavy packages (worker pools, memo caches).
+# Race-detect the concurrency-heavy packages (worker pools, store writes).
 race:
 	$(GO) test -race ./internal/pipeline/... ./internal/explore/...
+
+# The allocation gates. They skip themselves under the race detector,
+# where allocation counts vary, so `make test` never runs them: a loop
+# without user calls allocates as much at 10^5 iterations as at 10^3, a
+# projection as much at 41 blocks as at 4, and a 2,048-variant sweep at
+# most 8.2 objects per variant.
+allocs:
+	$(GO) test -count=1 -run '^(TestLoopAllocsFlat|TestAssembleAllocsFlat|TestSweepAllocsPerVariant)$$' ./internal/interp/ ./internal/hotspot/ ./internal/pipeline/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -7,10 +7,10 @@
 // the selection quality against the measured profile. With -sweep it
 // switches to design-space exploration: the flag (repeatable) spans a grid
 // of machine variants around the base machine, evaluated analytically
-// through the bounded, memoizing exploration engine. Every sweep, adaptive
-// or exhaustive, evaluates the base machine as one more variant — cached
-// and held to the -min-confidence floor like the grid — and every speedup
-// is relative to it.
+// through the bounded exploration engine. Every sweep, adaptive or
+// exhaustive, evaluates the base machine as one more variant — cached and
+// held to the -min-confidence floor like the grid — and every speedup is
+// relative to it.
 //
 // Usage:
 //
@@ -434,9 +434,6 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 		}
 		if sum.SkippedPrepare {
 			fmt.Fprint(out, ", preparation skipped (fully warm)")
-		} else {
-			stats := last.Cache
-			fmt.Fprintf(out, ", cache hit rate %.1f%% (%d hits / %d misses)", 100*stats.HitRate(), stats.Hits, stats.Misses)
 		}
 		if last.Retried > 0 {
 			fmt.Fprintf(out, ", %d retries", last.Retried)

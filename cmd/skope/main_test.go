@@ -101,7 +101,6 @@ func TestRunSweep(t *testing.T) {
 		"design-space sweep: 9 variants",
 		"Pareto frontier",
 		"best variant:",
-		"cache hit rate",
 		"mem-bandwidth=",
 	} {
 		if !strings.Contains(out, want) {

@@ -175,6 +175,17 @@ func TestHealthzAndParams(t *testing.T) {
 			t.Errorf("params missing %s", key)
 		}
 	}
+	// Exactly the axes a session body is refused for say so.
+	var refused []string
+	lines, _ := p["sweep_parameters"].([]any)
+	for _, l := range lines {
+		if line, _ := l.(string); strings.Contains(line, " [refused: ") {
+			refused = append(refused, strings.Fields(line)[0])
+		}
+	}
+	if got, want := strings.Join(refused, " "), "issue-width vector-width div-latency l1-size-kb llc-size-mb"; got != want {
+		t.Errorf("sweep parameters marked refused: %q, want %q", got, want)
+	}
 }
 
 func TestSessionLifecycle(t *testing.T) {

@@ -2,10 +2,10 @@
 // spots and bottlenecks move — the software-hardware co-design use case the
 // paper motivates. No simulation runs: every point is an analytical
 // projection over the same Bayesian Execution Tree, driven through the
-// design-space exploration engine — a bounded worker pool with memoized
-// per-block characterization, so a grid of hundreds of variants costs
-// little more than the handful of distinct roofline characterizations
-// inside it.
+// design-space exploration engine — a bounded worker pool that projects
+// each variant onto the workload's one machine-independent layout in a few
+// microseconds, so a grid of hundreds of variants costs about a
+// millisecond.
 //
 // The workload is CHARGEI (particle-in-cell deposition), whose balance
 // between the compute-heavy weight loop and the memory-bound scatter makes
@@ -34,8 +34,7 @@ func main() {
 	}
 	fmt.Printf("workload: %s\n\n", run.Workload.Description)
 
-	// One engine for the whole study: the memo cache carries across
-	// sweeps, so re-visited parameter subsets are free.
+	// One engine for the whole study, over the run's one layout.
 	eng, err := pipeline.Explorer(run)
 	if err != nil {
 		log.Fatal(err)
@@ -71,8 +70,7 @@ func main() {
 
 	// The full co-design loop: a 3-D grid (bandwidth x concurrency x FP
 	// throughput), ranked by projected time and reduced to its time/cost
-	// Pareto frontier. The engine's cache statistics show how much of the
-	// grid was repeated characterization work.
+	// Pareto frontier.
 	grid := explore.Grid{Base: hw.BGQ(), Axes: []explore.Axis{
 		{Param: "mem-bandwidth", Values: []float64{14, 28, 56, 112}},
 		{Param: "mem-concurrency", Values: []float64{2, 4, 8, 16}},
@@ -96,9 +94,7 @@ func main() {
 		fmt.Printf("fastest design: %s (%.2fx over BG/Q)\n",
 			variants[best].Name, base.TotalTime/analyses[best].TotalTime)
 	}
-	stats := eng.CacheStats()
-	fmt.Printf("engine cache: %.0f%% hit rate over the whole study (%d hits, %d misses)\n\n",
-		100*stats.HitRate(), stats.Hits, stats.Misses)
+	fmt.Println()
 
 	fmt.Println("reading the sweeps: with few outstanding misses or slow memory the")
 	fmt.Println("indirect gather/scatter dominates (memory-bound); as the memory")

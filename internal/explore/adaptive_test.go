@@ -93,10 +93,7 @@ func TestAdaptiveParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := prepared(t, name)
 
-			exact, err := explore.New(run.BET, run.Libs)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact := explore.New(layoutOf(t, run))
 			analyses, err := sweep(context.Background(), exact, variants)
 			if err != nil {
 				t.Fatal(err)
@@ -463,12 +460,8 @@ func TestAdaptiveConcurrentSearches(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	touched := false
-	for _, p := range progress {
-		touched = touched || p.Cache.Hits+p.Cache.Misses > 0
-	}
-	if !touched {
-		t.Error("memo cache untouched by three concurrent searches")
+	if len(progress) == 0 {
+		t.Error("no progress reached the shared sink")
 	}
 	if s.Len() == 0 {
 		t.Error("no results written through to the CAS store")

@@ -11,10 +11,8 @@ import (
 	"skope/internal/pipeline"
 )
 
-// benchVariants builds the acceptance-criteria sweep: 1000 sord variants
-// where most changes touch only the interconnect (so compute/memory
-// characterizations are reusable) and a handful of bandwidth steps force
-// occasional re-characterization.
+// benchVariants builds a 1000-variant sord sweep: 4 DRAM bandwidths times
+// 250 network latencies.
 func benchVariants(b *testing.B) []*hw.Machine {
 	g := explore.Grid{Base: hw.BGQ(), Axes: []explore.Axis{
 		{Param: "mem-bandwidth", Values: []float64{14, 28, 56, 112}},
@@ -30,22 +28,17 @@ func benchVariants(b *testing.B) []*hw.Machine {
 	return variants
 }
 
-// BenchmarkExploreSweep compares the memoizing exploration engine against
-// naive repeated hotspot.Analyze over the same 1000-variant design space.
-// The engine must win by >= 2x here: 996 of the 1000 variants reuse a
-// cached compute characterization and only re-time the interconnect.
+// BenchmarkExploreSweep compares the exploration engine, which projects
+// every variant onto one layout, against hotspot.Analyze per variant,
+// which rebuilds the layout each time, over the same 1000-variant design
+// space.
 func BenchmarkExploreSweep(b *testing.B) {
 	run := prepared(b, "sord")
 	variants := benchVariants(b)
 
-	b.Run("memoized", func(b *testing.B) {
+	b.Run("engine", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			// Fresh engine per iteration: the benchmark measures a cold
-			// sweep, not a pre-warmed cache.
-			eng, err := explore.New(run.BET, run.Libs)
-			if err != nil {
-				b.Fatal(err)
-			}
+			eng := explore.New(layoutOf(b, run))
 			analyses, err := sweep(context.Background(), eng, variants)
 			if err != nil {
 				b.Fatal(err)
@@ -81,10 +74,7 @@ func parityBest(b *testing.B, variants []*hw.Machine) int {
 	b.Helper()
 	parityBestOnce.Do(func() {
 		run := prepared(b, "sord")
-		eng, err := explore.New(run.BET, run.Libs)
-		if err != nil {
-			b.Fatal(err)
-		}
+		eng := explore.New(layoutOf(b, run))
 		analyses, err := sweep(context.Background(), eng, variants)
 		if err != nil {
 			b.Fatal(err)

@@ -23,11 +23,7 @@ var storeMode = store.ModeDigest(hotspot.DefaultCriteria(), false, 0)
 func casEngine(t *testing.T, s *store.Store, opts ...explore.Option) *explore.Engine {
 	t.Helper()
 	run := prepared(t, "srad")
-	eng, err := explore.New(run.BET, run.Libs, append(opts, explore.CAS(s, storeMode))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng
+	return explore.New(layoutOf(t, run), append(opts, explore.CAS(s, storeMode))...)
 }
 
 func casGrid(t *testing.T) []*hw.Machine {
@@ -126,22 +122,16 @@ func TestCASModeIsolation(t *testing.T) {
 	run := prepared(t, "srad")
 	variants := casGrid(t)[:2]
 
-	eng1, err := explore.New(run.BET, run.Libs,
+	eng1 := explore.New(layoutOf(t, run),
 		explore.CAS(s, store.ModeDigest(hotspot.DefaultCriteria(), false, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := sweep(context.Background(), eng1, variants); err != nil {
 		t.Fatal(err)
 	}
 
 	crit := hotspot.DefaultCriteria()
 	crit.MaxSpots = 1
-	eng2, err := explore.New(run.BET, run.Libs,
+	eng2 := explore.New(layoutOf(t, run),
 		explore.CAS(s, store.ModeDigest(crit, false, 0)))
-	if err != nil {
-		t.Fatal(err)
-	}
 	results, wait := eng2.Stream(context.Background(), variants)
 	for r := range results {
 		if r.Stored {

@@ -4,22 +4,20 @@
 // §VI–§VII, where purely analytical projection makes sweeping thousands of
 // hypothetical architectures cheap.
 //
-// The engine adds three things over calling hotspot.Analyze in a loop:
+// The engine adds two things over calling hotspot.Layout.Analyze in a loop:
 //
 //   - a bounded worker pool (default runtime.GOMAXPROCS) with
 //     context.Context cancellation and per-variant fault isolation: a
 //     variant that fails validation — or panics — yields a Result carrying
 //     a *VariantError while the rest of the sweep completes, so one
 //     poisoned variant never voids a thousand healthy ones;
-//   - memoized per-block characterization: a block's projected time depends
-//     only on a subset of machine parameters (the roofline inputs for
-//     comp/lib blocks, the network parameters for comm blocks), so variants
-//     that leave that subset unchanged reuse cached times — and because the
-//     cache stores the exact hotspot.BlockTimes the uncached path computes,
-//     cached results are bit-identical to fresh hotspot.Analyze calls;
 //   - incremental result streaming with progress counters (variants done,
-//     cache hit rate, wall time) plus selection helpers (best variant,
+//     served from the store, retried) plus selection helpers (best variant,
 //     Pareto frontier over projected time versus a cost metric).
+//
+// Every variant is projected afresh onto the one layout the engine was
+// built with: a projection costs a few microseconds, and keeping per-block
+// times for reuse cost more than it saved (DESIGN.md §5).
 package explore
 
 import (
@@ -31,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"skope/internal/core"
 	"skope/internal/guard"
 	"skope/internal/hotspot"
 	"skope/internal/hw"
@@ -39,55 +36,11 @@ import (
 	"skope/internal/store"
 )
 
-// compKey is the subset of machine parameters the roofline characterization
-// of comp and lib blocks can depend on (across the base, vector-aware and
-// division-aware models). Variants that agree on every field share the same
-// per-block compute/memory times.
-type compKey struct {
-	freqGHz, fpOps, intOps         float64
-	hitL1, hitLLC                  float64
-	memConc, memBWGBs              float64
-	issueWidth, vectorWidth        int
-	divLatCyc                      int
-	l1LatCyc, llcLatCyc, memLatCyc int
-}
-
-func compKeyOf(m *hw.Machine) compKey {
-	return compKey{
-		freqGHz: m.FreqGHz, fpOps: m.FPOpsPerCycle, intOps: m.IntOpsPerCycle,
-		hitL1: m.HitL1, hitLLC: m.HitLLC,
-		memConc: m.MemConcurrency, memBWGBs: m.MemBandwidthGBs,
-		issueWidth: m.IssueWidth, vectorWidth: m.VectorWidth,
-		divLatCyc: m.DivLatencyCyc,
-		l1LatCyc:  m.L1LatencyCyc, llcLatCyc: m.LLCLatencyCyc, memLatCyc: m.MemLatencyCyc,
-	}
-}
-
-// commKey is the subset of machine parameters comm-block times depend on.
-type commKey struct {
-	netLatUs, netBWGBs float64
-}
-
-func commKeyOf(m *hw.Machine) commKey {
-	return commKey{netLatUs: m.NetLatencyUs, netBWGBs: m.NetBandwidthGBs}
-}
-
-// CacheStats counts memoization outcomes. A lookup that finds per-block
-// times already characterized for the parameter subset is a hit; one that
-// has to run the roofline (or interconnect) characterization is a miss.
-// Each subset is characterized once however many workers look it up
-// together, so the counts do not depend on the worker count.
+// CacheStats counts the engine's evaluation attempts as Misses. The engine
+// keeps no cache of per-block times, so Hits is always 0; variants the
+// result store serves count as neither.
 type CacheStats struct {
 	Hits, Misses int
-}
-
-// HitRate returns the fraction of lookups served from cache (0 when no
-// lookup happened yet).
-func (s CacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // Progress is a sweep-level snapshot delivered to the OnProgress callback
@@ -104,8 +57,6 @@ type Progress struct {
 	// Retried counts evaluation attempts beyond each variant's first —
 	// the sweep's total transient-fault bill.
 	Retried int
-	// Cache aggregates memoization counters over the engine's lifetime.
-	Cache CacheStats
 }
 
 // Result is one evaluated variant, streamed as soon as it completes.
@@ -129,9 +80,8 @@ type Result struct {
 	Err error
 }
 
-// Engine evaluates machine variants over one fixed prepared workload.
-// It is safe for concurrent use; the memo cache is shared across sweeps,
-// so repeated or overlapping grids keep getting cheaper.
+// Engine evaluates machine variants over one fixed prepared workload's
+// layout. It is safe for concurrent use.
 type Engine struct {
 	layout   *hotspot.Layout
 	newModel func(*hw.Machine) *hw.Model
@@ -155,20 +105,10 @@ type Engine struct {
 	casMode string
 
 	mu     sync.Mutex
-	comp   map[compKey]*memoEntry
-	comm   map[commKey]*memoEntry
 	casErr error
 
-	hits, misses atomic.Int64
-}
-
-// memoEntry is the memoized per-block times of one parameter subset. done
-// is closed once the worker characterizing the subset has finished; ok
-// reports whether it succeeded. A failed entry has already left its map.
-type memoEntry struct {
-	done chan struct{}
-	bt   []hotspot.BlockTimes
-	ok   bool
+	// evals counts evaluation attempts, for CacheStats.
+	evals atomic.Int64
 }
 
 // Option configures an Engine.
@@ -182,9 +122,9 @@ func Workers(n int) Option {
 
 // ModelFunc substitutes the roofline model constructor (default
 // hw.NewModel) — e.g. hw.NewVectorAwareModel or hw.NewDivAwareModel for
-// the ablation variants. The constructor must derive the model purely from
-// the machine's parameters, which all hw model constructors do; otherwise
-// the memo cache could serve stale times.
+// the ablation variants. The store addresses results by layout, machine and
+// mode, never by constructor, so an engine with a substitute constructor
+// must not be given CAS; pipeline.Explorer never does both.
 func ModelFunc(f func(*hw.Machine) *hw.Model) Option {
 	return func(e *Engine) {
 		if f != nil {
@@ -225,52 +165,40 @@ func MinConfidence(c float64) Option {
 	return func(e *Engine) { e.minConf = c }
 }
 
-// New builds an exploration engine for one modeled workload: the BET and
-// the library model of a prepared pipeline run. The machine-independent
-// analysis layout is resolved once, here; per-variant work is timing only.
-func New(bet *core.BET, libs hotspot.LibModeler, opts ...Option) (*Engine, error) {
-	l, err := hotspot.NewLayout(bet, libs)
-	if err != nil {
-		return nil, fmt.Errorf("explore: %w", err)
-	}
+// New builds an exploration engine for one modeled workload's
+// machine-independent layout (pipeline.Run.Layout); per-variant work is
+// projection only.
+func New(l *hotspot.Layout, opts ...Option) *Engine {
 	e := &Engine{
 		layout:   l,
 		newModel: hw.NewModel,
-		comp:     make(map[compKey]*memoEntry),
-		comm:     make(map[commKey]*memoEntry),
 		breaker:  resilience.NewBreaker(0),
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	return e, nil
+	return e
 }
 
-// CacheStats returns the cumulative memoization counters.
+// CacheStats returns the engine's cumulative evaluation attempts.
 func (e *Engine) CacheStats() CacheStats {
-	return CacheStats{Hits: int(e.hits.Load()), Misses: int(e.misses.Load())}
+	return CacheStats{Misses: int(e.evals.Load())}
 }
 
-// evaluate projects one variant, reusing cached per-block times when the
-// relevant parameter subset has been characterized before. A panic anywhere
-// below (a poisoned model constructor, a corrupted cache entry) is recovered
-// into an error wrapping guard.ErrPanic — the worker pool stays alive. The
-// guard.Hit call is a fault-injection point (no-op unless a test arms
+// evaluate projects one variant onto the engine's layout. A panic anywhere
+// below (a poisoned model constructor, say) is recovered into an error
+// wrapping guard.ErrPanic — the worker pool stays alive. The guard.Hit
+// call is a fault-injection point (no-op unless a test arms
 // "explore.evaluate"). Validation rejections come back marked
 // resilience.Permanent: re-running an invalid machine cannot help.
 func (e *Engine) evaluate(m *hw.Machine) (a *hotspot.Analysis, err error) {
 	defer guard.Recover(&err, "evaluate %s", m.Name)
+	e.evals.Add(1)
 	guard.Hit("explore.evaluate", m.Name)
 	if verr := m.Validate(); verr != nil {
 		return nil, resilience.Permanent(verr)
 	}
-	comp := memoize(e, e.comp, compKeyOf(m), func() []hotspot.BlockTimes {
-		return e.layout.CompTimes(e.newModel(m))
-	})
-	comm := memoize(e, e.comm, commKeyOf(m), func() []hotspot.BlockTimes {
-		return e.layout.CommTimes(m)
-	})
-	return e.layout.Assemble(m, comp, comm)
+	return e.layout.Analyze(e.newModel(m)), nil
 }
 
 // evaluateOnce is evaluate under the engine's per-attempt deadline. The
@@ -345,49 +273,6 @@ func (e *Engine) evaluateVariant(ctx context.Context, m *hw.Machine) (a *hotspot
 	return a, attempts, nil
 }
 
-// memoize returns the memoized per-block times for key, running compute
-// only when no worker has characterized the subset yet. Lookups that find
-// the subset in flight wait for it and share the result, so each subset is
-// characterized exactly once. A compute that panics leaves nothing
-// memoized: its entry is withdrawn before the panic propagates, and the
-// lookups waiting on it characterize afresh instead of failing too.
-func memoize[K comparable](e *Engine, memo map[K]*memoEntry, key K, compute func() []hotspot.BlockTimes) []hotspot.BlockTimes {
-	for {
-		e.mu.Lock()
-		ent, found := memo[key]
-		if !found {
-			ent = &memoEntry{done: make(chan struct{})}
-			memo[key] = ent
-		}
-		e.mu.Unlock()
-		if !found {
-			e.misses.Add(1)
-			characterize(e, memo, key, ent, compute)
-			return ent.bt
-		}
-		<-ent.done
-		if ent.ok {
-			e.hits.Add(1)
-			return ent.bt
-		}
-	}
-}
-
-// characterize fills ent by running compute and publishes it by closing
-// ent.done; on a panic it first withdraws ent from memo.
-func characterize[K comparable](e *Engine, memo map[K]*memoEntry, key K, ent *memoEntry, compute func() []hotspot.BlockTimes) {
-	defer func() {
-		if !ent.ok {
-			e.mu.Lock()
-			delete(memo, key)
-			e.mu.Unlock()
-		}
-		close(ent.done)
-	}()
-	ent.bt = compute()
-	ent.ok = true
-}
-
 // Pool calls fn(i) for each i in [0, n) on up to workers goroutines
 // (runtime.GOMAXPROCS when workers < 1), each claiming the next unclaimed
 // index. Once ctx is canceled no further index is claimed. The returned
@@ -448,10 +333,7 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 			retried += r.Attempts - 1
 		}
 		if e.progress != nil {
-			e.progress(Progress{
-				Done: done, Stored: stored, Retried: retried,
-				Cache: e.CacheStats(),
-			})
+			e.progress(Progress{Done: done, Stored: stored, Retried: retried})
 		}
 	}
 

@@ -42,6 +42,16 @@ func prepared(t testing.TB, name string) *pipeline.Run {
 	return r
 }
 
+// layoutOf returns a prepared run's layout, the engine's input.
+func layoutOf(t testing.TB, run *pipeline.Run) *hotspot.Layout {
+	t.Helper()
+	l, err := run.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestGridVariants(t *testing.T) {
 	g := explore.Grid{Base: hw.BGQ(), Axes: []explore.Axis{
 		{Param: "mem-bandwidth", Values: []float64{16, 32, 64}},
@@ -137,10 +147,34 @@ func TestParamNamesCoverHelp(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesAnalyze is the memoization-correctness test: cached
-// sweep results must be bit-identical to uncached hotspot.Analyze results,
-// across all five workloads, including variants engineered to hit both
-// cache halves.
+// TestParamHelpMarksRefusedAxes: exactly the axes CheckModeled refuses
+// carry its reason in their help line.
+func TestParamHelpMarksRefusedAxes(t *testing.T) {
+	refused := 0
+	for _, line := range explore.ParamHelp() {
+		name := strings.Fields(line)[0]
+		err := explore.CheckModeled(explore.Axis{Param: name})
+		_, reason, marked := strings.Cut(line, " [refused: ")
+		switch {
+		case err == nil && marked:
+			t.Errorf("%s is modeled but its help is marked refused: %q", name, line)
+		case err != nil && !marked:
+			t.Errorf("%s is refused but its help does not say so: %q", name, line)
+		case err != nil:
+			refused++
+			if !strings.HasSuffix(err.Error(), ": "+strings.TrimSuffix(reason, "]")) {
+				t.Errorf("%s: help %q does not give the refusal's reason: %v", name, line, err)
+			}
+		}
+	}
+	if refused != 5 {
+		t.Errorf("%d refused axes, want 5", refused)
+	}
+}
+
+// TestSweepMatchesAnalyze: swept results must be bit-identical to
+// hotspot.Analyze results, across all five workloads, in two successive
+// sweeps on one engine.
 func TestSweepMatchesAnalyze(t *testing.T) {
 	for _, name := range workloads.Names() {
 		name := name
@@ -154,12 +188,9 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := explore.New(run.BET, run.Libs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Two passes: the second is served entirely from cache and
-			// must agree with the first (and with uncached analysis).
+			eng := explore.New(layoutOf(t, run))
+			// Two passes: the second must agree with the first (and
+			// with hotspot.Analyze).
 			for pass := 0; pass < 2; pass++ {
 				analyses, err := sweep(context.Background(), eng, variants)
 				if err != nil {
@@ -194,40 +225,7 @@ func TestSweepMatchesAnalyze(t *testing.T) {
 					}
 				}
 			}
-			stats := eng.CacheStats()
-			if stats.Hits == 0 {
-				t.Error("memo cache never hit across two identical sweeps")
-			}
 		})
-	}
-}
-
-func TestSweepCacheReuseAcrossCommOnlyChanges(t *testing.T) {
-	run := prepared(t, "sord")
-	g := explore.Grid{Base: hw.BGQ(), Axes: []explore.Axis{
-		{Param: "net-latency-us", Values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
-	}}
-	variants, err := g.Variants()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each signature is characterized once however many workers look it
-	// up together, so the counts are exact on the default pool too.
-	eng, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweep(context.Background(), eng, variants); err != nil {
-		t.Fatal(err)
-	}
-	// 10 variants sharing one compute signature: 1 comp miss + 10 comm
-	// misses, 9 comp hits.
-	stats := eng.CacheStats()
-	if stats.Misses != 11 || stats.Hits != 9 {
-		t.Errorf("stats = %+v, want 9 hits / 11 misses", stats)
-	}
-	if r := stats.HitRate(); r < 0.44 || r > 0.46 {
-		t.Errorf("hit rate = %v", r)
 	}
 }
 
@@ -252,10 +250,7 @@ func TestSweepIsolatesFailures(t *testing.T) {
 	})
 	t.Cleanup(disarm)
 
-	eng, err := explore.New(run.BET, run.Libs, explore.Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := explore.New(layoutOf(t, run), explore.Workers(4))
 	before := runtime.NumGoroutine()
 	analyses, err := sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
@@ -297,29 +292,21 @@ func TestSweepIsolatesFailures(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestMemoPanicFailsOnlyItsVariant: every variant shares one compute
-// subset, and the first characterization of it panics. Only the variant
-// that ran it fails, with guard.ErrPanic; variants that were waiting for
-// that characterization compute afresh, and every other analysis is
-// bit-identical to an uncached hotspot.Analyze. A memo that kept the
-// failed entry, or handed its waiters nothing, would fail them too.
-func TestMemoPanicFailsOnlyItsVariant(t *testing.T) {
+// TestModelPanicFailsOnlyItsVariant: the first model construction of a
+// sweep on eight workers panics. Only the variant that ran it fails, with
+// guard.ErrPanic, and every other analysis is bit-identical to
+// hotspot.Analyze.
+func TestModelPanicFailsOnlyItsVariant(t *testing.T) {
 	run := prepared(t, "sord")
 	variants := streamVariants(64)
 	var calls atomic.Int64
 	model := func(m *hw.Machine) *hw.Model {
 		if calls.Add(1) == 1 {
-			// Give the other workers time to queue up behind this
-			// characterization before it fails.
-			time.Sleep(20 * time.Millisecond)
 			panic("injected model fault")
 		}
 		return hw.NewModel(m)
 	}
-	eng, err := explore.New(run.BET, run.Libs, explore.Workers(8), explore.ModelFunc(model))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := explore.New(layoutOf(t, run), explore.Workers(8), explore.ModelFunc(model))
 	analyses, err := sweep(context.Background(), eng, variants)
 	var sweepErr *explore.SweepError
 	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 1 {
@@ -352,7 +339,7 @@ func TestMemoPanicFailsOnlyItsVariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("variant %d: analysis differs from an uncached hotspot.Analyze", i)
+			t.Errorf("variant %d: analysis differs from hotspot.Analyze", i)
 		}
 	}
 }
@@ -368,10 +355,7 @@ func TestSweepCancellation(t *testing.T) {
 		m.NetLatencyUs = float64(i + 1)
 		variants = append(variants, m)
 	}
-	eng, err := explore.New(run.BET, run.Libs, explore.Workers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := explore.New(layoutOf(t, run), explore.Workers(2))
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	results, wait := eng.Stream(ctx, variants)
@@ -386,7 +370,7 @@ func TestSweepCancellation(t *testing.T) {
 	for range results {
 		// drain whatever was in flight
 	}
-	err = wait()
+	err := wait()
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("canceled sweep took %v to stop", elapsed)
 	}
@@ -400,10 +384,7 @@ func TestSweepPreCanceledContext(t *testing.T) {
 	run := prepared(t, "sord")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	eng, err := explore.New(run.BET, run.Libs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := explore.New(layoutOf(t, run))
 	before := runtime.NumGoroutine()
 	if _, err := sweep(ctx, eng, []*hw.Machine{hw.BGQ(), hw.XeonE5()}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Sweep = %v, want wrapped context.Canceled", err)
@@ -429,16 +410,13 @@ func TestBoundedPool1000Variants(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	peak := 0
-	eng, err := explore.New(run.BET, run.Libs,
+	eng := explore.New(layoutOf(t, run),
 		explore.Workers(4),
 		explore.OnProgress(func(p explore.Progress) {
 			if n := runtime.NumGoroutine(); n > peak {
 				peak = n
 			}
 		}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	analyses, err := sweep(context.Background(), eng, variants)
 	if err != nil {
 		t.Fatal(err)
@@ -452,9 +430,6 @@ func TestBoundedPool1000Variants(t *testing.T) {
 	// means per-variant goroutines came back.
 	if peak > before+16 {
 		t.Errorf("goroutine peak %d (baseline %d): pool not bounded", peak, before)
-	}
-	if stats := eng.CacheStats(); stats.HitRate() < 0.49 {
-		t.Errorf("hit rate %.2f, want ~0.50 (comp cached, comm distinct)", stats.HitRate())
 	}
 	waitForGoroutines(t, before)
 }

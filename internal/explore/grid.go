@@ -69,11 +69,15 @@ func ParamNames() []string {
 }
 
 // ParamHelp renders one "name — description" line per sweepable parameter,
-// in registry (machine-struct) order, for CLI usage text.
+// in registry (machine-struct) order, for CLI usage text. The line of a
+// parameter the model never reads ends with why CheckModeled refuses it.
 func ParamHelp() []string {
 	out := make([]string, len(params))
 	for i, p := range params {
 		out[i] = fmt.Sprintf("%-16s %s", p.name, p.desc)
+		if p.silent != "" {
+			out[i] += " [refused: " + p.silent + "]"
+		}
 	}
 	return out
 }

@@ -31,16 +31,17 @@ func blocksLayout(t *testing.T, n int) *Layout {
 	return l
 }
 
-// TestAssembleAllocsFlat checks that the per-variant cost of Assemble does
-// not grow with the block count: the blocks share the layout's BlockInfos,
-// so assembling 41 blocks allocates what assembling 4 does.
+// TestAssembleAllocsFlat checks that the per-variant cost of Assemble and
+// Analyze does not grow with the block count: the blocks share the
+// layout's BlockInfos, so projecting 41 blocks allocates what projecting 4
+// does. Analyze writes each block's times straight into its analysis, so
+// it allocates no more than Assemble.
 func TestAssembleAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	allocs := func(n int) float64 {
-		l := blocksLayout(t, n)
-		model := hw.NewModel(hw.BGQ())
+	model := hw.NewModel(hw.BGQ())
+	assemble := func(l *Layout) float64 {
 		comp, comm := l.CompTimes(model), l.CommTimes(model.Machine())
 		return testing.AllocsPerRun(100, func() {
 			if _, err := l.Assemble(model.Machine(), comp, comm); err != nil {
@@ -48,8 +49,19 @@ func TestAssembleAllocsFlat(t *testing.T) {
 			}
 		})
 	}
-	if small, large := allocs(3), allocs(40); small != large {
-		t.Errorf("Assemble allocations grow with the block count: %v at 4 blocks, %v at 41", small, large)
+	analyze := func(l *Layout) float64 {
+		return testing.AllocsPerRun(100, func() {
+			l.Analyze(model)
+		})
+	}
+	small, large := blocksLayout(t, 3), blocksLayout(t, 40)
+	for name, allocs := range map[string]func(*Layout) float64{"Assemble": assemble, "Analyze": analyze} {
+		if s, l := allocs(small), allocs(large); s != l {
+			t.Errorf("%s allocations grow with the block count: %v at 4 blocks, %v at 41", name, s, l)
+		}
+	}
+	if an, as := analyze(large), assemble(large); an != as {
+		t.Errorf("Analyze allocates %v objects, Assemble %v", an, as)
 	}
 }
 

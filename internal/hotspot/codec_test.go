@@ -23,11 +23,7 @@ func codecAnalysis(t *testing.T) (*Analysis, *Layout) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := l.Analyze(hw.NewModel(hw.BGQ()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, l
+	return l.Analyze(hw.NewModel(hw.BGQ())), l
 }
 
 // codecBET builds the BET the codec tests analyze.

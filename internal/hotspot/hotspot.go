@@ -93,8 +93,8 @@ type Analysis struct {
 // roofline model, following §V-A: per-invocation estimate times ENR,
 // aggregated per source block. It is NewLayout followed by Layout.Analyze;
 // callers that project the same BET onto many machines should build the
-// Layout once (or use the exploration engine, which additionally caches
-// per-block times across machine variants).
+// Layout once and call Layout.Analyze per machine, as the exploration
+// engine does.
 //
 // The machine behind the model is validated first, so degenerate variants
 // (zero bandwidth, negative latencies) fail with a descriptive error before
@@ -115,7 +115,7 @@ func Analyze(ctx context.Context, bet *core.BET, model *hw.Model, libs LibModele
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("hotspot: analyze on %s: %w", m.Name, err)
 	}
-	return l.Analyze(model)
+	return l.Analyze(model), nil
 }
 
 // Coverage returns the fraction of total projected time spent in block b.

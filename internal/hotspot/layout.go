@@ -14,11 +14,10 @@ import (
 )
 
 // BlockTimes is the machine-dependent half of one block's characterization:
-// the aggregate projected times over all of the block's BET leaves. It is
-// the unit the design-space exploration engine caches — a block's times
-// depend only on a small subset of machine parameters (the roofline inputs
-// for comp/lib blocks, the network parameters for comm blocks), so variants
-// that leave that subset unchanged can reuse them verbatim.
+// the aggregate projected times over all of the block's BET leaves, as
+// CompTimes and CommTimes return them one layer at a time for Assemble.
+// Analyze computes the same times block by block without materializing
+// them.
 type BlockTimes struct {
 	// Tc, Tm, To, T are the aggregate projected times in seconds.
 	Tc, Tm, To, T float64
@@ -48,8 +47,9 @@ type layoutBlock struct {
 // leaves aggregate into which source blocks, with every per-invocation
 // workload already resolved (including library models). Building it once
 // and projecting it onto many machines is the heart of the exploration
-// engine; Analyze itself is NewLayout + Layout.Analyze, so cached and
-// uncached projections follow the identical floating-point path.
+// engine; the package function Analyze is NewLayout + Layout.Analyze, so
+// a sweep and a single projection follow the identical floating-point
+// path.
 type Layout struct {
 	totalStaticInsts int
 	// blocks is every source block in first-encounter (leaf) order; comp
@@ -138,10 +138,10 @@ func NewLayout(bet *core.BET, libs LibModeler) (*Layout, error) {
 // Fingerprint digests the layout's full machine-independent content:
 // block identities and order, every leaf's per-invocation workload
 // (bit-level for floats), ENR scaling, and comm volumes. Two layouts
-// fingerprint equal iff CompTimes/CommTimes/Assemble would produce
-// identical results for any machine — which makes the digest the right
-// first component of a stored result's key: a stored result stops being
-// served the moment the source, profile, or translation changed.
+// fingerprint equal iff Analyze would produce identical results for any
+// machine — which makes the digest the right first component of a stored
+// result's key: a stored result stops being served the moment the source,
+// profile, or translation changed.
 func (l *Layout) Fingerprint() string { return l.fp }
 
 // fingerprint computes the digest Fingerprint returns.
@@ -201,18 +201,7 @@ func (l *Layout) fingerprint() string {
 func (l *Layout) CompTimes(model *hw.Model) []BlockTimes {
 	out := make([]BlockTimes, len(l.comp))
 	for i, lb := range l.comp {
-		bt := &out[i]
-		for _, lf := range lb.leaves {
-			est := model.Estimate(lf.perInv)
-			tcontrib := est.T * lf.enr
-			bt.Tc += est.Tc * lf.enr
-			bt.Tm += est.Tm * lf.enr
-			bt.To += est.To * lf.enr
-			bt.T += tcontrib
-			if est.MemoryBound && tcontrib >= bt.T/2 {
-				bt.MemoryBound = true
-			}
-		}
+		out[i] = lb.compTimes(model)
 	}
 	return out
 }
@@ -223,62 +212,118 @@ func (l *Layout) CompTimes(model *hw.Model) []BlockTimes {
 func (l *Layout) CommTimes(m *hw.Machine) []BlockTimes {
 	out := make([]BlockTimes, len(l.comm))
 	for i, lb := range l.comm {
-		bt := &out[i]
-		for _, lf := range lb.leaves {
-			t := m.CommTime(lf.bytes, lf.msgs) * lf.enr
-			bt.Tm += t
-			bt.T += t
-		}
-		bt.MemoryBound = true
+		out[i] = lb.commTimes(m)
 	}
 	return out
 }
 
-// Assemble combines per-block times (as produced by CompTimes and
-// CommTimes, possibly from a cache) into a full Analysis for machine m.
-// It fails if the slices do not match the layout's block counts — the
-// symptom of a cache keyed on a stale layout. Non-finite block times
-// (NaN/Inf from degenerate machine parameters) do not fail the assembly;
-// they are surfaced on Analysis.Diagnostics so callers can degrade
-// gracefully instead of silently ranking on garbage. The blocks share the
-// layout's BlockInfos, so a clean assembly allocates the Analysis and two
-// slices whatever the block count.
+// compTimes sums the roofline estimates of a comp or lib block's leaves.
+func (lb *layoutBlock) compTimes(model *hw.Model) (bt BlockTimes) {
+	for _, lf := range lb.leaves {
+		est := model.Estimate(lf.perInv)
+		tcontrib := est.T * lf.enr
+		bt.Tc += est.Tc * lf.enr
+		bt.Tm += est.Tm * lf.enr
+		bt.To += est.To * lf.enr
+		bt.T += tcontrib
+		if est.MemoryBound && tcontrib >= bt.T/2 {
+			bt.MemoryBound = true
+		}
+	}
+	return bt
+}
+
+// commTimes sums the interconnect times of a comm block's leaves.
+func (lb *layoutBlock) commTimes(m *hw.Machine) (bt BlockTimes) {
+	for _, lf := range lb.leaves {
+		t := m.CommTime(lf.bytes, lf.msgs) * lf.enr
+		bt.Tm += t
+		bt.T += t
+	}
+	bt.MemoryBound = true
+	return bt
+}
+
+// Assemble combines per-block times, as produced by CompTimes and
+// CommTimes, into the Analysis that Analyze returns for machine m. It
+// fails if the slices do not match the layout's block counts.
 func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, error) {
 	if len(comp) != len(l.comp) || len(comm) != len(l.comm) {
-		return nil, fmt.Errorf("hotspot: Assemble on %s with %d comp and %d comm times, layout has %d and %d (per-block cache built from a different layout?)",
+		return nil, fmt.Errorf("hotspot: Assemble on %s with %d comp and %d comm times, layout has %d and %d",
 			m.Name, len(comp), len(comm), len(l.comp), len(l.comm))
 	}
+	a := l.newAnalysis(m)
+	ci, mi := 0, 0
+	for bi, lb := range l.blocks {
+		if lb.info.IsComm {
+			a.setTimes(bi, comm[mi])
+			mi++
+		} else {
+			a.setTimes(bi, comp[ci])
+			ci++
+		}
+	}
+	l.rank(a)
+	return a, nil
+}
+
+// Analyze projects the layout onto the model's machine: every comp and lib
+// block onto the roofline model, every comm block onto the interconnect.
+// Each block's times go straight into the analysis, so a projection
+// allocates the Analysis and two slices whatever the block count: the
+// blocks share the layout's BlockInfos. Non-finite block times (NaN/Inf
+// from degenerate machine parameters) do not fail the projection; they
+// are surfaced on Analysis.Diagnostics so callers can degrade gracefully
+// instead of silently ranking on garbage. The package function Analyze,
+// pipeline.Evaluate and the exploration engine all project through here.
+func (l *Layout) Analyze(model *hw.Model) *Analysis {
+	m := model.Machine()
+	a := l.newAnalysis(m)
+	for bi, lb := range l.blocks {
+		if lb.info.IsComm {
+			a.setTimes(bi, lb.commTimes(m))
+		} else {
+			a.setTimes(bi, lb.compTimes(model))
+		}
+	}
+	l.rank(a)
+	return a
+}
+
+// newAnalysis allocates the analysis of machine m with one block per
+// layout block, in layout order, each sharing the layout's BlockInfo.
+func (l *Layout) newAnalysis(m *hw.Machine) *Analysis {
 	a := &Analysis{
 		Machine:          m,
 		TotalStaticInsts: l.totalStaticInsts,
 		Blocks:           make([]*Block, len(l.blocks)),
 	}
 	backing := make([]Block, len(l.blocks))
-	ci, mi := 0, 0
 	for bi, lb := range l.blocks {
-		var bt BlockTimes
-		if lb.info.IsComm {
-			bt = comm[mi]
-			mi++
-		} else {
-			bt = comp[ci]
-			ci++
-		}
-		b := &backing[bi]
-		*b = Block{
-			BlockInfo: &lb.info, MemoryBound: bt.MemoryBound,
-			Tc: bt.Tc, Tm: bt.Tm, To: bt.To, T: bt.T,
-		}
-		if !isFinite(bt.T) || !isFinite(bt.Tc) || !isFinite(bt.Tm) || !isFinite(bt.To) {
-			a.Diagnostics = append(a.Diagnostics, guard.Diagnostic{
-				Stage: "roofline", Code: "non-finite-time", BlockID: b.BlockID,
-				Message: fmt.Sprintf("projected times on %s are not finite (Tc=%g Tm=%g To=%g T=%g); check the machine parameters",
-					m.Name, bt.Tc, bt.Tm, bt.To, bt.T),
-			})
-		}
-		a.Blocks[bi] = b
-		a.TotalTime += bt.T
+		backing[bi].BlockInfo = &lb.info
+		a.Blocks[bi] = &backing[bi]
 	}
+	return a
+}
+
+// setTimes records block bi's projected times, in layout order, adding
+// them to the total and flagging them when they are not finite.
+func (a *Analysis) setTimes(bi int, bt BlockTimes) {
+	b := a.Blocks[bi]
+	b.Tc, b.Tm, b.To, b.T, b.MemoryBound = bt.Tc, bt.Tm, bt.To, bt.T, bt.MemoryBound
+	if !isFinite(bt.T) || !isFinite(bt.Tc) || !isFinite(bt.Tm) || !isFinite(bt.To) {
+		a.Diagnostics = append(a.Diagnostics, guard.Diagnostic{
+			Stage: "roofline", Code: "non-finite-time", BlockID: b.BlockID,
+			Message: fmt.Sprintf("projected times on %s are not finite (Tc=%g Tm=%g To=%g T=%g); check the machine parameters",
+				a.Machine.Name, bt.Tc, bt.Tm, bt.To, bt.T),
+		})
+	}
+	a.TotalTime += bt.T
+}
+
+// rank finishes an analysis whose blocks all have their times: it sorts
+// the blocks by time and sets the confidence and diagnostics.
+func (l *Layout) rank(a *Analysis) {
 	SortByTime(a.Blocks)
 	// Confidence: the BET's measured-vs-assumed score, further reduced to
 	// the finite fraction of block projections when the machine produced
@@ -292,14 +337,6 @@ func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, er
 	}
 	a.Diagnostics = append(a.Diagnostics, l.betDiags...)
 	guard.SortDiagnostics(a.Diagnostics)
-	return a, nil
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// Analyze projects the layout onto one machine — the single-variant path
-// Analyze (the package function) uses, and the uncached path the
-// exploration engine's memoization must match bit for bit.
-func (l *Layout) Analyze(model *hw.Model) (*Analysis, error) {
-	return l.Assemble(model.Machine(), l.CompTimes(model), l.CommTimes(model.Machine()))
-}

@@ -48,8 +48,8 @@ func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ..
 }
 
 // Explorer builds a design-space exploration engine over the prepared
-// workload's BET and library model — the entry point for co-design studies
-// that need the engine's streaming or cache-statistics API directly.
+// workload's layout (Run.Layout) — the entry point for co-design studies
+// that need the engine's streaming API directly.
 // WithModelFunc, WithWorkers, WithProgress, WithRetry, WithVariantTimeout
 // and WithStore carry over (the store is keyed under this configuration's
 // criteria, lenient flag, and confidence floor).
@@ -70,18 +70,18 @@ func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 	if o.st != nil && !o.customModel {
 		eopts = append(eopts, explore.CAS(o.st, o.modeDigest()))
 	}
-	eng, err := explore.New(run.BET, run.Libs, eopts...)
+	l, err := run.Layout()
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: %s: %w", run.Workload.Name, err)
+		return nil, err
 	}
-	return eng, nil
+	return explore.New(l, eopts...), nil
 }
 
 // Sweep projects a prepared workload over a set of machine variants purely
 // analytically (no simulation) — the co-design design-space exploration
-// loop. It runs on the exploration engine: a bounded worker pool with
-// memoized per-block characterization, plus the content-addressed store
-// (WithStore) as a zero-recompute source.
+// loop. It runs on the exploration engine: a bounded worker pool that
+// projects every variant onto the run's one layout, plus the
+// content-addressed store (WithStore) as a zero-recompute source.
 //
 // It returns the unified Eval type: per variant, the analysis, the hot-spot
 // selection under this configuration's criteria, the merged diagnostics,

@@ -480,10 +480,14 @@ func Evaluate(ctx context.Context, run *Run, m *hw.Machine, opts ...Option) (ev 
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("pipeline: evaluate %s on %s: %w", run.Workload.Name, m.Name, err)
 	}
-	analysis, err := hotspot.Analyze(ctx, run.BET, o.modelFunc(m), run.Libs)
-	if err != nil {
+	if err := m.Validate(); err != nil {
 		return nil, stage(ErrModel, fmt.Errorf("pipeline: analyze %s on %s: %w", run.Workload.Name, m.Name, err))
 	}
+	l, err := run.Layout()
+	if err != nil {
+		return nil, err
+	}
+	analysis := l.Analyze(o.modelFunc(m))
 	sel := hotspot.Select(analysis, o.crit)
 
 	if err := ctx.Err(); err != nil {
