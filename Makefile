@@ -31,7 +31,7 @@ race:
 # where allocation counts vary, so `make test` never runs them: a loop
 # without user calls allocates as much at 10^5 iterations as at 10^3, a
 # projection as much at 41 blocks as at 4, and a 2,048-variant sweep at
-# most 8.2 objects per variant.
+# most 7.2 objects per variant.
 allocs:
 	$(GO) test -count=1 -run '^(TestLoopAllocsFlat|TestAssembleAllocsFlat|TestSweepAllocsPerVariant)$$' ./internal/interp/ ./internal/hotspot/ ./internal/pipeline/
 

@@ -18,12 +18,13 @@
 //	skope -source app.ml -machine xeon -validate     # your own minilang file
 //	skope -bench sord -machine bgq -sweep mem-bandwidth=16,32,64 -sweep net-latency-us=1,2,4
 //
-// Sweeps can be made fault-tolerant:
+// A variant whose evaluation fails other than by validation (say, by a
+// recovered panic) can be re-evaluated at once, up to -retries more times:
 //
-//	skope -bench sord -sweep mem-bandwidth=16,32,64 -retries 3 -variant-timeout 30s
+//	skope -bench sord -sweep mem-bandwidth=16,32,64 -retries 3
 //
-// -retries re-attempts transiently failing variants with exponential
-// backoff, and -variant-timeout bounds each attempt.
+// An evaluation is a pure function of the workload and the machine, so a
+// retry never waits, and no attempt is bounded in time.
 //
 // -store names a content-addressed result store shared across runs,
 // processes, and the skoped daemon. Results are keyed by what they are —
@@ -305,7 +306,6 @@ func sweepOptions(cfg config, lim *guard.Limits) []pipeline.Option {
 		pipeline.WithCriteria(cfg.crit.Resolve()),
 		pipeline.WithWorkers(cfg.sw.Workers),
 		pipeline.WithRetry(resilience.DefaultPolicy(cfg.sw.Retries)),
-		pipeline.WithVariantTimeout(cfg.sw.VariantTimeout),
 		pipeline.WithMinConfidence(cfg.sw.MinConfidence),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"skope/internal/cliflags"
@@ -106,6 +107,44 @@ func TestRunSweep(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("sweep output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRunSweepRetriesTransientPanics: -retries re-evaluates, at once, a
+// variant whose first evaluation panics; the sweep renders as an
+// unfaulted one does, and its footer counts the retries.
+func TestRunSweepRetriesTransientPanics(t *testing.T) {
+	cfg := config{
+		bench: "sord", scale: 1,
+		mach: cliflags.Machine{Preset: "bgq"},
+		sw:   cliflags.Sweep{Top: 5, Axes: cliflags.AxisList{"mem-bandwidth=14,28,56"}, Retries: 1},
+	}
+	var clean bytes.Buffer
+	if _, err := run(context.Background(), &clean, cfg); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	disarm := guard.Arm("explore.evaluate", func(name string) {
+		mu.Lock()
+		first := !seen[name]
+		seen[name] = true
+		mu.Unlock()
+		if first {
+			panic("injected transient fault")
+		}
+	})
+	defer disarm()
+	var buf bytes.Buffer
+	if _, err := run(context.Background(), &buf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Three grid variants and the base machine, each retried once.
+	if !strings.Contains(buf.String(), ", 4 retries") {
+		t.Errorf("footer does not count 4 retries:\n%s", buf.String())
+	}
+	if tableOf(t, buf.String()) != tableOf(t, clean.String()) {
+		t.Errorf("retried sweep differs from a clean one:\n--- clean\n%s\n--- retried\n%s", clean.String(), buf.String())
 	}
 }
 

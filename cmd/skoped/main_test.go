@@ -388,7 +388,6 @@ func TestSessionValidation(t *testing.T) {
 		{Bench: "srad", Sweep: []string{"nosuch-param=1,2"}},
 		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, Machine: "vax"},
 		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, Limits: "nosuch=1"},
-		{Bench: "srad", Sweep: []string{"mem-bandwidth=1,2"}, VariantTimeout: "soon"},
 	}
 	for i, req := range bad {
 		resp, out := postJSON(t, ts.URL+"/v1/sessions", req)
@@ -416,13 +415,15 @@ func TestSessionValidation(t *testing.T) {
 			t.Errorf("sweep %s: status %d, error %q; want 400 naming %s and %q", spec, resp.StatusCode, msg, name, hint)
 		}
 	}
-	// A request for the removed journaled sessions is refused, not run
-	// without the durability it asked for.
-	resp, out := postJSON(t, ts.URL+"/v1/sessions", map[string]any{
-		"bench": "srad", "sweep": []string{"mem-bandwidth=16,32"}, "journal_id": "run1",
-	})
-	if want := `body: json: unknown field "journal_id"`; resp.StatusCode != http.StatusBadRequest || out["error"] != want {
-		t.Errorf("journal_id request: status %d, error %v; want 400, %q", resp.StatusCode, out["error"], want)
+	// A request for a removed feature — a journaled session, an attempt
+	// deadline — is refused, not run without what it asked for.
+	for field, value := range map[string]string{"journal_id": "run1", "variant_timeout": "30s"} {
+		resp, out := postJSON(t, ts.URL+"/v1/sessions", map[string]any{
+			"bench": "srad", "sweep": []string{"mem-bandwidth=16,32"}, field: value,
+		})
+		if want := `body: json: unknown field "` + field + `"`; resp.StatusCode != http.StatusBadRequest || out["error"] != want {
+			t.Errorf("%s request: status %d, error %v; want 400, %q", field, resp.StatusCode, out["error"], want)
+		}
 	}
 	if r, err := http.Get(ts.URL + "/v1/sessions/s-999999"); err != nil || r.StatusCode != http.StatusNotFound {
 		t.Errorf("missing session lookup: %v %v", r.StatusCode, err)
@@ -551,6 +552,31 @@ func TestSharedStoreAcrossSessions(t *testing.T) {
 		if !bytes.Equal(ca, wa) {
 			t.Errorf("result %d analysis not identical", i)
 		}
+	}
+}
+
+// TestSessionRetriesTransientPanics: a session's retries re-evaluate, at
+// once, a variant whose first evaluation panics, and the session
+// snapshot counts the retries.
+func TestSessionRetriesTransientPanics(t *testing.T) {
+	_, ts := testServer(t, "", 1)
+	var mu sync.Mutex
+	seen := map[string]bool{}
+	disarm := guard.Arm("explore.evaluate", func(name string) {
+		mu.Lock()
+		first := !seen[name]
+		seen[name] = true
+		mu.Unlock()
+		if first {
+			panic("injected transient fault")
+		}
+	})
+	defer disarm()
+	id := submit(t, ts.URL, sessionRequest{Bench: "srad", Sweep: []string{"mem-bandwidth=16,32"}, Retries: 1})
+	info := waitState(t, ts.URL, id)
+	// Two grid variants and the base machine, each retried once.
+	if info["state"] != stateDone || info["degraded"] == true || info["retried"] != 3.0 {
+		t.Errorf("session = %v; want done, not degraded, 3 retries", info)
 	}
 }
 

@@ -56,11 +56,10 @@ type sessionRequest struct {
 	Leanness float64 `json:"leanness,omitempty"`
 	Spots    *int    `json:"spots,omitempty"`
 
-	// MinConfidence, Retries and VariantTimeout ("30s") are the sweep's
-	// quality floor and resilience knobs.
-	MinConfidence  float64 `json:"min_confidence,omitempty"`
-	Retries        int     `json:"retries,omitempty"`
-	VariantTimeout string  `json:"variant_timeout,omitempty"`
+	// MinConfidence and Retries are the sweep's quality floor and its
+	// per-variant retry budget (immediate re-evaluations).
+	MinConfidence float64 `json:"min_confidence,omitempty"`
+	Retries       int     `json:"retries,omitempty"`
 }
 
 // Session states.
@@ -193,12 +192,6 @@ func (srv *server) newSession(id string, req sessionRequest) (*session, error) {
 	if req.Spots != nil {
 		crit.MaxSpots = *req.Spots
 	}
-	var timeout time.Duration
-	if req.VariantTimeout != "" {
-		if timeout, err = time.ParseDuration(req.VariantTimeout); err != nil {
-			return nil, badRequest("variant_timeout: " + err.Error())
-		}
-	}
 	workers := req.Workers
 	if workers < 1 {
 		workers = 1
@@ -225,7 +218,6 @@ func (srv *server) newSession(id string, req sessionRequest) (*session, error) {
 		pipeline.WithCriteria(crit),
 		pipeline.WithWorkers(workers),
 		pipeline.WithRetry(resilience.DefaultPolicy(req.Retries)),
-		pipeline.WithVariantTimeout(timeout),
 		pipeline.WithMinConfidence(req.MinConfidence),
 		pipeline.WithProgress(func(p explore.Progress) {
 			sess.mu.Lock()

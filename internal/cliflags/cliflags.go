@@ -119,16 +119,15 @@ func (a AxisList) Axes() ([]explore.Axis, error) {
 }
 
 // Sweep is the design-space exploration flag set: the grid axes plus the
-// result store, resilience (retries, timeout), and quality (confidence
-// floor) knobs shared by cmd/skope's sweep mode and the skoped daemon's
-// per-session defaults.
+// result store, retry budget and quality (confidence floor) knobs of
+// cmd/skope's sweep mode. The skoped daemon parses a session's axes with
+// it.
 type Sweep struct {
 	Axes           AxisList
 	Workers        int
 	Top            int
 	Store          string
 	Retries        int
-	VariantTimeout time.Duration
 	MinConfidence  float64
 	Adaptive       bool
 	AdaptiveBudget int
@@ -141,8 +140,7 @@ func (s *Sweep) Register(fs *flag.FlagSet) {
 	fs.IntVar(&s.Workers, "workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&s.Top, "top", 10, "sweep mode: variants to print (0 = all)")
 	fs.StringVar(&s.Store, "store", "", "content-addressed result store file: serve identical (workload, variant, criteria) results from earlier runs with zero recomputation, and record fresh ones")
-	fs.IntVar(&s.Retries, "retries", 0, "sweep mode: retries per variant for transient failures (exponential backoff with jitter)")
-	fs.DurationVar(&s.VariantTimeout, "variant-timeout", 0, "sweep mode: deadline per evaluation attempt, e.g. 30s (0 = none)")
+	fs.IntVar(&s.Retries, "retries", 0, "sweep mode: re-evaluate a failed variant at once, up to this many more times; validation failures are never retried")
 	fs.Float64Var(&s.MinConfidence, "min-confidence", 0, "sweep mode: flag variants whose analysis confidence falls below this floor instead of ranking them (0 = off)")
 	fs.BoolVar(&s.Adaptive, "adaptive", false, "sweep mode: surrogate-guided search — evaluate a seed sample, fit an online least-squares surrogate, and spend evaluations only on the top-ranked candidates per round instead of the full grid (exhaustive mode stays the golden reference)")
 	fs.IntVar(&s.AdaptiveBudget, "adaptive-budget", 0, "adaptive mode: hard cap on evaluations spent, seed sample included (0 = converge on patience alone)")

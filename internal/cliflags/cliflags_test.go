@@ -13,9 +13,10 @@ import (
 
 // TestRegisteredNames freezes the shared flag surface: these are the names
 // the three tools expose, and renaming any of them is a breaking change to
-// every script driving skope. The removed -journal and -resume stay
-// unregistered, so a script that asks for a journaled sweep fails on an
-// unknown flag instead of running without one.
+// every script driving skope. The removed -journal, -resume and
+// -variant-timeout stay unregistered, so a script that asks for a
+// journaled sweep or an attempt deadline fails on an unknown flag instead
+// of running without one.
 func TestRegisteredNames(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	var m Machine
@@ -32,14 +33,14 @@ func TestRegisteredNames(t *testing.T) {
 		"machine", "machine-file", "limits", "lenient",
 		"coverage", "leanness", "spots",
 		"sweep", "workers", "top", "store",
-		"retries", "variant-timeout", "min-confidence",
+		"retries", "min-confidence",
 		"max-sessions", "session-ttl", "scrub-interval", "stream-write-timeout",
 	} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	for _, name := range []string{"journal", "resume"} {
+	for _, name := range []string{"journal", "resume", "variant-timeout"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("removed flag -%s is registered", name)
 		}
@@ -163,12 +164,12 @@ func TestSweepParsesFromFlagSet(t *testing.T) {
 	err := fs.Parse([]string{
 		"-sweep", "mem-bandwidth=16,32", "-sweep", "freq-ghz=1.6,2.4",
 		"-store", "results.cas",
-		"-retries", "2", "-variant-timeout", "30s", "-min-confidence", "0.5",
+		"-retries", "2", "-min-confidence", "0.5",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Axes) != 2 || s.Store != "results.cas" || s.Retries != 2 || s.VariantTimeout != 30*time.Second || s.MinConfidence != 0.5 {
+	if len(s.Axes) != 2 || s.Store != "results.cas" || s.Retries != 2 || s.MinConfidence != 0.5 {
 		t.Errorf("parsed sweep = %+v", s)
 	}
 }

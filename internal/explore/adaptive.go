@@ -23,8 +23,8 @@ import (
 // evaluate next, what has been observed, when to stop — with no engine
 // or store dependency. Its driver is pipeline.SweepAdaptive, which
 // evaluates each round's batch through Engine.Stream, so CAS store hits
-// and write-through, retries, breakers, and MinConfidence all compose
-// with adaptive search unchanged. Exact (exhaustive) mode remains
+// and write-through, retries, and MinConfidence all compose with
+// adaptive search unchanged. Exact (exhaustive) mode remains
 // the golden reference; adaptive mode trades completeness for
 // evaluations and is asserted against it in the parity tests.
 

@@ -1,14 +1,16 @@
 package explore_test
 
-// The chaos suite drives the resilience layer the way production faults
-// would: transient panics, attempts that hang past their deadline, and a
-// sweep killed mid-run, all injected through the guard.Arm/guard.Hit
-// fault points the engine ships with. The invariants under test are the
+// The chaos suite drives the engine the way production faults would:
+// transient panics, a persistent one, an invalid machine, and a sweep
+// killed mid-run, all injected through the guard.Arm/guard.Hit fault
+// points the engine ships with. The invariants under test are the
 // durability contract of the result store (a sweep killed mid-run and run
 // again over the same store is served every variant it completed with
 // zero recomputation and yields bit-identical results) and the retry
-// contract (injected transient faults succeed within the configured
-// budget; deterministic ones trip the breaker instead of burning it).
+// contract (a failed evaluation is re-run at once: injected transient
+// faults succeed within the configured budget, a persistent one fails its
+// variant after the whole budget, and a validation rejection after one
+// attempt).
 
 import (
 	"bytes"
@@ -20,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"skope/internal/explore"
 	"skope/internal/guard"
@@ -31,12 +32,9 @@ import (
 	"skope/internal/store"
 )
 
-// fastRetry is a retry policy that never really sleeps.
+// fastRetry is a retry policy of maxAttempts attempts per variant.
 func fastRetry(maxAttempts int) resilience.Policy {
-	return resilience.Policy{
-		MaxAttempts: maxAttempts,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-	}
+	return resilience.Policy{MaxAttempts: maxAttempts}
 }
 
 // chaosVariants builds n valid, distinct BG/Q variants.
@@ -207,50 +205,6 @@ func TestChaosTransientFaultExceedsBudget(t *testing.T) {
 			t.Errorf("variant %d: unexpected analysis state (nil=%v)", i, a == nil)
 		}
 	}
-}
-
-// TestChaosTimeoutRetried injects one attempt that overshoots the variant
-// deadline; the retry must succeed and the result must stay bit-identical.
-func TestChaosTimeoutRetried(t *testing.T) {
-	run := prepared(t, "sord")
-	variants := chaosVariants(4)
-	want := cleanSweep(t, "sord", variants)
-
-	var mu sync.Mutex
-	blocked := false
-	disarm := guard.Arm("explore.evaluate", func(detail string) {
-		if detail != "v1" {
-			return
-		}
-		mu.Lock()
-		first := !blocked
-		blocked = true
-		mu.Unlock()
-		if first {
-			time.Sleep(300 * time.Millisecond) // well past the deadline
-		}
-	})
-	t.Cleanup(disarm)
-
-	eng := explore.New(layoutOf(t, run),
-		explore.Retry(fastRetry(2)),
-		explore.VariantTimeout(60*time.Millisecond),
-		explore.Workers(1))
-	results, wait := eng.Stream(context.Background(), variants)
-	got := make([]*hotspot.Analysis, len(variants))
-	for r := range results {
-		if r.Err != nil {
-			t.Fatalf("variant %d failed: %v", r.Index, r.Err)
-		}
-		if r.Index == 1 && r.Attempts != 2 {
-			t.Errorf("timed-out variant took %d attempts, want 2", r.Attempts)
-		}
-		got[r.Index] = r.Analysis
-	}
-	if err := wait(); err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, got, want)
 }
 
 // TestChaosKillAndResume is the flagship durability test: a sweep with
@@ -490,45 +444,6 @@ func TestChaosAdaptiveKillAndResume(t *testing.T) {
 		t.Errorf("rerun round trace differs from reference:\n%s\n%s", gotTrace, wantTrace)
 	}
 	assertBitIdentical(t, gridAnalyses(got), gridAnalyses(want))
-}
-
-// TestChaosBreakerStopsHammering: a deterministic fault class burns its
-// full retry budget only until the breaker threshold, then fails fast.
-func TestChaosBreakerStopsHammering(t *testing.T) {
-	run := prepared(t, "sord")
-	variants := chaosVariants(10)
-	var mu sync.Mutex
-	attempts := map[string]int{}
-	disarm := guard.Arm("explore.evaluate", func(detail string) {
-		mu.Lock()
-		attempts[detail]++
-		mu.Unlock()
-		switch detail {
-		case "v2", "v4", "v6", "v8":
-			panic("chaos: deterministic fault")
-		}
-	})
-	t.Cleanup(disarm)
-
-	eng := explore.New(layoutOf(t, run),
-		explore.Retry(fastRetry(4)),
-		explore.Workers(1))
-	_, err := sweep(context.Background(), eng, variants)
-	var sweepErr *explore.SweepError
-	if !errors.As(err, &sweepErr) || len(sweepErr.Variants) != 4 {
-		t.Fatalf("err = %v, want 4-variant SweepError", err)
-	}
-	// Workers(1) walks variants in order: v2, v4 and v6 exhaust the
-	// budget (4 attempts each), opening the "panic" class at the default
-	// threshold of 3; v8 gets one attempt, no retries.
-	for _, c := range []struct {
-		name string
-		want int
-	}{{"v2", 4}, {"v4", 4}, {"v6", 4}, {"v8", 1}, {"v0", 1}, {"v9", 1}} {
-		if got := attempts[c.name]; got != c.want {
-			t.Errorf("%s evaluated %d times, want %d", c.name, got, c.want)
-		}
-	}
 }
 
 // TestChaosValidationNotRetried: an invalid machine is a deterministic

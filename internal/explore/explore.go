@@ -17,7 +17,10 @@
 //
 // Every variant is projected afresh onto the one layout the engine was
 // built with: a projection costs a few microseconds, and keeping per-block
-// times for reuse cost more than it saved (DESIGN.md §5).
+// times for reuse cost more than it saved (DESIGN.md §5). A projection is
+// a pure function of the layout and the machine, so it takes no context
+// and no deadline; a failed one is re-run at once, up to the Retry
+// budget, and never waited on.
 package explore
 
 import (
@@ -27,7 +30,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"skope/internal/guard"
 	"skope/internal/hotspot"
@@ -54,8 +56,8 @@ type Progress struct {
 	// store (a subset of Done): computed by some earlier sweep —
 	// possibly another session or process — and not recomputed.
 	Stored int
-	// Retried counts evaluation attempts beyond each variant's first —
-	// the sweep's total transient-fault bill.
+	// Retried counts evaluation attempts beyond each variant's first
+	// (see Retry).
 	Retried int
 }
 
@@ -75,8 +77,8 @@ type Result struct {
 	// (0 when served from the store, 1 on a first-try success or without
 	// retries).
 	Attempts int
-	// Err is the variant's failure (validation, modeling, timeout, or a
-	// recovered panic), nil on success.
+	// Err is the variant's failure (validation, the confidence floor, or
+	// a recovered panic), nil on success.
 	Err error
 }
 
@@ -88,13 +90,8 @@ type Engine struct {
 	workers  int
 	progress func(Progress)
 
-	// Resilience configuration (see Retry, VariantTimeout, and the
-	// breaker it feeds): retry is the per-variant policy, timeout the
-	// per-attempt deadline, breaker the per-failure-class circuit that
-	// stops retrying a class once it has proven deterministic.
-	retry   resilience.Policy
-	timeout time.Duration
-	breaker *resilience.Breaker
+	// retry is the per-variant attempt budget (see Retry).
+	retry resilience.Policy
 
 	// minConf is the confidence floor (see MinConfidence); 0 disables it.
 	minConf float64
@@ -139,19 +136,12 @@ func OnProgress(f func(Progress)) Option {
 	return func(e *Engine) { e.progress = f }
 }
 
-// Retry installs a retry policy for transient per-variant failures
-// (recovered panics, attempt timeouts — never cancellation or validation
-// rejections). The default is no retry: one attempt per variant.
+// Retry installs a per-variant attempt budget: a variant whose evaluation
+// fails is evaluated again at once, up to p.MaxAttempts times in all,
+// unless the failure is a validation rejection or another error
+// resilience.Retryable refuses. The default is one attempt per variant.
 func Retry(p resilience.Policy) Option {
 	return func(e *Engine) { e.retry = p }
-}
-
-// VariantTimeout bounds each evaluation attempt at d. A timed-out attempt
-// fails with resilience.ErrAttemptTimeout — transient, so a Retry policy
-// re-attempts it. The abandoned computation finishes (and is discarded)
-// in the background; with d <= 0 no deadline is enforced (the default).
-func VariantTimeout(d time.Duration) Option {
-	return func(e *Engine) { e.timeout = d }
 }
 
 // MinConfidence sets the confidence floor for the engine's sweeps:
@@ -172,7 +162,6 @@ func New(l *hotspot.Layout, opts ...Option) *Engine {
 	e := &Engine{
 		layout:   l,
 		newModel: hw.NewModel,
-		breaker:  resilience.NewBreaker(0),
 	}
 	for _, o := range opts {
 		o(e)
@@ -187,90 +176,19 @@ func (e *Engine) CacheStats() CacheStats {
 
 // evaluate projects one variant onto the engine's layout. A panic anywhere
 // below (a poisoned model constructor, say) is recovered into an error
-// wrapping guard.ErrPanic — the worker pool stays alive. The guard.Hit
-// call is a fault-injection point (no-op unless a test arms
+// wrapping guard.ErrPanic — the worker pool stays alive. The message is a
+// constant: the *VariantError that carries the error names the machine.
+// The guard.Hit call is a fault-injection point (no-op unless a test arms
 // "explore.evaluate"). Validation rejections come back marked
 // resilience.Permanent: re-running an invalid machine cannot help.
 func (e *Engine) evaluate(m *hw.Machine) (a *hotspot.Analysis, err error) {
-	defer guard.Recover(&err, "evaluate %s", m.Name)
+	defer guard.Recover(&err, "evaluate")
 	e.evals.Add(1)
 	guard.Hit("explore.evaluate", m.Name)
 	if verr := m.Validate(); verr != nil {
 		return nil, resilience.Permanent(verr)
 	}
 	return e.layout.Analyze(e.newModel(m)), nil
-}
-
-// evaluateOnce is evaluate under the engine's per-attempt deadline. The
-// evaluation runs on its own goroutine; on timeout (or sweep
-// cancellation) the attempt is abandoned — the goroutine drains into a
-// buffered channel and its result is discarded.
-func (e *Engine) evaluateOnce(ctx context.Context, m *hw.Machine) (*hotspot.Analysis, error) {
-	if e.timeout <= 0 {
-		return e.evaluate(m)
-	}
-	type outcome struct {
-		a   *hotspot.Analysis
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		a, err := e.evaluate(m)
-		ch <- outcome{a, err}
-	}()
-	timer := time.NewTimer(e.timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o.a, o.err
-	case <-timer.C:
-		return nil, fmt.Errorf("explore: variant %s: %w (limit %v)", m.Name, resilience.ErrAttemptTimeout, e.timeout)
-	case <-ctx.Done():
-		return nil, fmt.Errorf("explore: variant %s: %w", m.Name, ctx.Err())
-	}
-}
-
-// failureClass buckets a variant failure for the circuit breaker: faults
-// of one class across many variants usually share one deterministic
-// cause, so proving the class deterministic on a few variants stops the
-// retry spend on the rest.
-func failureClass(err error) string {
-	switch {
-	case errors.Is(err, resilience.ErrAttemptTimeout):
-		return "timeout"
-	case errors.Is(err, guard.ErrPanic):
-		return "panic"
-	case errors.Is(err, guard.ErrLimit):
-		return "limit"
-	case resilience.IsPermanent(err):
-		return "invalid-machine"
-	default:
-		return "model"
-	}
-}
-
-// evaluateVariant runs the full resilient evaluation of one variant:
-// attempts under the per-attempt deadline, retried per the engine's
-// policy for transient failures, gated by the circuit breaker (an open
-// failure class gets its first attempt but no retries).
-func (e *Engine) evaluateVariant(ctx context.Context, m *hw.Machine) (a *hotspot.Analysis, attempts int, err error) {
-	p := e.retry
-	classify := p.Classify
-	if classify == nil {
-		classify = resilience.Retryable
-	}
-	p.Classify = func(err error) bool {
-		return classify(err) && e.breaker.Allow(failureClass(err))
-	}
-	attempts, err = p.Do(ctx, func(int) error {
-		a, err = e.evaluateOnce(ctx, m)
-		return err
-	})
-	if err != nil {
-		e.breaker.Failure(failureClass(err))
-		return nil, attempts, err
-	}
-	return a, attempts, nil
 }
 
 // Pool calls fn(i) for each i in [0, n) on up to workers goroutines
@@ -314,7 +232,6 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 	// so a canceled sweep stops without draining and an abandoned channel
 	// strands no sender.
 	out := make(chan Result, len(variants))
-	sctx, cancel := context.WithCancel(ctx)
 
 	var (
 		doneMu  sync.Mutex
@@ -337,7 +254,7 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 		}
 	}
 
-	poolWait := Pool(sctx, len(variants), e.workers, func(i int) {
+	poolWait := Pool(ctx, len(variants), e.workers, func(i int) {
 		m := variants[i]
 		r := Result{Index: i, Machine: m}
 		if a, ok := e.casGet(m); ok {
@@ -353,14 +270,13 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 				r.Stored = true
 			}
 		} else {
-			a, attempts, err := e.evaluateVariant(sctx, m)
+			var a *hotspot.Analysis
+			attempts, err := e.retry.Do(func() (err error) {
+				a, err = e.evaluate(m)
+				return err
+			})
 			r.Attempts = attempts
 			if err != nil {
-				// Cancellation of the sweep is not a variant failure:
-				// drop the result; the pool stops claiming.
-				if sctx.Err() != nil && errors.Is(err, context.Canceled) {
-					return
-				}
 				r.Err = e.variantError(i, m, attempts, err)
 			} else {
 				// Store before the confidence gate: the result is valid
@@ -386,7 +302,6 @@ func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Res
 	}()
 	wait := func() error {
 		<-finished
-		defer cancel()
 		var errs []error
 		if err := ctx.Err(); err != nil {
 			errs = append(errs, fmt.Errorf("explore: sweep canceled: %w", err))

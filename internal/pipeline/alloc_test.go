@@ -11,9 +11,8 @@ import (
 
 // maxSweepAllocsPerVariant bounds what a sweep allocates per variant: the
 // model, the analysis and its two block slices, the Eval, the selection
-// and its spots, and the variant name the engine's panic guard keeps for
-// its message.
-const maxSweepAllocsPerVariant = 8.2
+// and its spots.
+const maxSweepAllocsPerVariant = 7.2
 
 // TestSweepAllocsPerVariant sweeps each workload on one worker over a
 // 2048-variant grid around BG/Q (DRAM latency 16 x FP rate 8 x clock 8 x

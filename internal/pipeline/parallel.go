@@ -22,10 +22,9 @@ import (
 // Machine failures are isolated: a machine that fails validation, modeling,
 // simulation — or panics — leaves a nil at its index, and the failures come
 // back joined into one error naming each machine, alongside the healthy
-// evaluations. Each machine is evaluated once: retries and per-attempt
-// deadlines (WithRetry, WithVariantTimeout) belong to the exploration
-// engine behind Sweep. Only canceling ctx discards results, returning
-// ctx's error wrapped.
+// evaluations. Each machine is evaluated once: retries (WithRetry) belong
+// to the exploration engine behind Sweep. Only canceling ctx discards
+// results, returning ctx's error wrapped.
 func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ...Option) ([]*Eval, error) {
 	o := buildOptions(opts)
 	evals := make([]*Eval, len(machines))
@@ -50,7 +49,7 @@ func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ..
 // Explorer builds a design-space exploration engine over the prepared
 // workload's layout (Run.Layout) — the entry point for co-design studies
 // that need the engine's streaming API directly.
-// WithModelFunc, WithWorkers, WithProgress, WithRetry, WithVariantTimeout
+// WithModelFunc, WithWorkers, WithProgress, WithRetry, WithMinConfidence
 // and WithStore carry over (the store is keyed under this configuration's
 // criteria, lenient flag, and confidence floor).
 func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
@@ -59,7 +58,6 @@ func Explorer(run *Run, opts ...Option) (*explore.Engine, error) {
 		explore.ModelFunc(o.modelFunc),
 		explore.Workers(o.workers),
 		explore.Retry(o.retry),
-		explore.VariantTimeout(o.timeout),
 	}
 	if o.progress != nil {
 		eopts = append(eopts, explore.OnProgress(o.progress))

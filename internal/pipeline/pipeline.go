@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"skope/internal/bst"
 	"skope/internal/core"
@@ -126,7 +125,6 @@ type options struct {
 	progress    func(explore.Progress)
 	lim         *guard.Limits
 	retry       resilience.Policy
-	timeout     time.Duration
 	st          *store.Store
 	lenient     bool
 	minConf     float64
@@ -187,21 +185,13 @@ func WithLimits(l *guard.Limits) Option {
 	return func(o *options) { o.lim = l }
 }
 
-// WithRetry installs a retry policy for transient per-variant failures in
-// Sweep, SweepCached, SweepAdaptive and Explorer-built engines (recovered
-// panics, per-variant timeouts — never cancellation or validation
-// rejections). The default is no retry. Evaluate and EvaluateMany ignore
-// it: each machine is evaluated once.
+// WithRetry installs a per-variant attempt budget in Sweep, SweepCached,
+// SweepAdaptive and Explorer-built engines (explore.Retry): a variant whose
+// evaluation fails, say by a recovered panic, is evaluated again at once,
+// but never after a validation rejection. The default is one attempt.
+// Evaluate and EvaluateMany ignore it: each machine is evaluated once.
 func WithRetry(p resilience.Policy) Option {
 	return func(o *options) { o.retry = p }
-}
-
-// WithVariantTimeout bounds each per-variant evaluation attempt in Sweep,
-// SweepCached, SweepAdaptive and Explorer-built engines. Timed-out
-// attempts classify as transient and are retried under WithRetry. d <= 0
-// (the default) enforces no deadline. Evaluate and EvaluateMany ignore it.
-func WithVariantTimeout(d time.Duration) Option {
-	return func(o *options) { o.timeout = d }
 }
 
 // WithLenient switches Prepare into error-recovering mode: syntax errors
