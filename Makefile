@@ -30,10 +30,11 @@ race:
 # The allocation gates. They skip themselves under the race detector,
 # where allocation counts vary, so `make test` never runs them: a loop
 # without user calls allocates as much at 10^5 iterations as at 10^3, a
-# projection as much at 41 blocks as at 4, and a 2,048-variant sweep at
-# most 7.2 objects per variant.
+# projection as much at 41 blocks as at 4, a 2,048-variant sweep at
+# most 6.2 objects per variant, and building a workload's BET as much at
+# 10^9 times its inputs as at 1.
 allocs:
-	$(GO) test -count=1 -run '^(TestLoopAllocsFlat|TestAssembleAllocsFlat|TestSweepAllocsPerVariant)$$' ./internal/interp/ ./internal/hotspot/ ./internal/pipeline/
+	$(GO) test -count=1 -run '^(TestLoopAllocsFlat|TestAssembleAllocsFlat|TestSweepAllocsPerVariant|TestBuildSizeInputInvariance)$$' ./internal/interp/ ./internal/hotspot/ ./internal/pipeline/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -464,7 +464,7 @@ func renderSweep(out io.Writer, cfg config, variants []*hw.Machine, evals []*pip
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return analyses[order[a]].TotalTime < analyses[order[b]].TotalTime
+		return explore.RanksAhead(analyses[order[a]].TotalTime, analyses[order[b]].TotalTime)
 	})
 	shown := len(order)
 	if cfg.sw.Top > 0 && cfg.sw.Top < shown {

@@ -110,6 +110,42 @@ func TestRunSweep(t *testing.T) {
 	}
 }
 
+// TestRunSweepNonFiniteRanksLast: a clock of 1e-320 GHz passes Validate
+// but projects a NaN total. That variant ranks last, stays off the Pareto
+// frontier and is never the best variant, whichever end of the axis it is
+// on, so the rendered sweep is the same both ways.
+func TestRunSweepNonFiniteRanksLast(t *testing.T) {
+	var tables []string
+	for _, axis := range []string{"freq-ghz=1e-320,1.6", "freq-ghz=1.6,1e-320"} {
+		var buf bytes.Buffer
+		cfg := config{
+			bench: "sord", scale: 1,
+			mach: cliflags.Machine{Preset: "bgq"},
+			sw:   cliflags.Sweep{Axes: cliflags.AxisList{axis}},
+		}
+		if _, err := run(context.Background(), &buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		out := tableOf(t, buf.String())
+		rows := sweepRows(t, buf.String())
+		if r := rows["BG/Q[freq-ghz=1e-320]"]; !strings.Contains(r, "NaN") {
+			t.Errorf("%s: the 1e-320 GHz row %q does not project NaN", axis, r)
+		}
+		for _, want := range []string{"\n1     BG/Q[freq-ghz=1.6] ", "\n2     BG/Q[freq-ghz=1e-320] ", "best variant: BG/Q[freq-ghz=1.6] "} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: sweep output missing %q:\n%s", axis, want, out)
+			}
+		}
+		if front := out[strings.Index(out, "Pareto frontier"):]; strings.Contains(front, "1e-320]\n") {
+			t.Errorf("%s: the NaN variant is on the frontier:\n%s", axis, front)
+		}
+		tables = append(tables, out)
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("the sweep depends on the axis order:\n%s\n---\n%s", tables[0], tables[1])
+	}
+}
+
 // TestRunSweepRetriesTransientPanics: -retries re-evaluates, at once, a
 // variant whose first evaluation panics; the sweep renders as an
 // unfaulted one does, and its footer counts the retries.

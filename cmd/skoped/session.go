@@ -336,7 +336,7 @@ func tolerable(err error) bool {
 }
 
 // ranked returns the indices of the session's healthy evals in ascending
-// projected-time order.
+// projected-time order, NaN and infinite totals last.
 func (s *session) ranked() []int {
 	var order []int
 	for i, ev := range s.evals {
@@ -345,7 +345,7 @@ func (s *session) ranked() []int {
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
-		return s.evals[order[a]].Analysis.TotalTime < s.evals[order[b]].Analysis.TotalTime
+		return explore.RanksAhead(s.evals[order[a]].Analysis.TotalTime, s.evals[order[b]].Analysis.TotalTime)
 	})
 	return order
 }

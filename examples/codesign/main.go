@@ -16,6 +16,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -104,18 +105,16 @@ func main() {
 	fmt.Println("with no simulation of any configuration.")
 }
 
-// sweep streams the variants through the study's one engine and returns
-// their analyses index-aligned with them.
+// sweep projects the variants on the study's one engine and returns their
+// analyses index-aligned with them. Each hands every result to the worker
+// that produced it, so each writes only its own index.
 func sweep(ctx context.Context, eng *explore.Engine, variants []*hw.Machine) []*hotspot.Analysis {
 	analyses := make([]*hotspot.Analysis, len(variants))
-	results, wait := eng.Stream(ctx, variants)
-	for r := range results {
-		if r.Err != nil {
-			log.Fatal(r.Err)
-		}
-		analyses[r.Index] = r.Analysis
-	}
-	if err := wait(); err != nil {
+	errs := make([]error, len(variants))
+	err := eng.Each(ctx, variants, func(r explore.Result) {
+		analyses[r.Index], errs[r.Index] = r.Analysis, r.Err
+	})
+	if err = errors.Join(append(errs, err)...); err != nil {
 		log.Fatal(err)
 	}
 	return analyses

@@ -18,7 +18,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -179,18 +181,30 @@ func (b *BET) Dump() string {
 }
 
 // envKey returns a canonical string for a context's bindings, used to merge
-// equivalent contexts after branches.
+// equivalent contexts after branches: each name in sorted order, '=', and
+// the value's 8-byte bit pattern. Two bindings key alike exactly when
+// their values print alike under %g: every float prints distinctly except
+// the NaNs, which are all keyed as one. The key's length, and so what
+// building it allocates, does not depend on the values' magnitudes.
 func envKey(env expr.Env) string {
 	names := make([]string, 0, len(env))
+	size := 0
 	for k := range env {
 		names = append(names, k)
+		size += len(k) + 1 + 8
 	}
 	sort.Strings(names)
-	var sb strings.Builder
+	buf := make([]byte, 0, size)
 	for _, k := range names {
-		fmt.Fprintf(&sb, "%s=%g;", k, env[k])
+		v := env[k]
+		if math.IsNaN(v) {
+			v = math.NaN()
+		}
+		buf = append(buf, k...)
+		buf = append(buf, '=')
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // computeENR fills in Node.ENR over the whole tree:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -605,6 +606,31 @@ end
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEnvKeyMergesAsFormatted: two contexts key alike exactly when every
+// binding prints alike under %g, the key contexts were once merged by:
+// NaNs of any payload merge, while -0 and +0, the infinities and values a
+// denormal or an ulp apart stay apart.
+func TestEnvKeyMergesAsFormatted(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), 1e9, 1e-320,
+		math.NaN(), math.Float64frombits(0xfff8000000000000), math.Inf(1), math.Inf(-1),
+	}
+	formatted := func(env expr.Env) string {
+		return fmt.Sprintf("%g;%g", env["a"], env["b"])
+	}
+	for _, a := range values {
+		for _, b := range values {
+			x, y := expr.Env{"a": a, "b": 2}, expr.Env{"a": b, "b": 2}
+			if got, want := envKey(x) == envKey(y), formatted(x) == formatted(y); got != want {
+				t.Errorf("a=%g against a=%g: keys equal %v, formatted equal %v", a, b, got, want)
+			}
+		}
+	}
+	if envKey(expr.Env{"a": 1, "b": 2}) == envKey(expr.Env{"a": 2, "b": 1}) {
+		t.Error("swapping two bindings' values keys alike")
 	}
 }
 

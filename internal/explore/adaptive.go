@@ -22,7 +22,7 @@ import (
 // The AdaptivePlanner is pure bookkeeping — which grid indices to
 // evaluate next, what has been observed, when to stop — with no engine
 // or store dependency. Its driver is pipeline.SweepAdaptive, which
-// evaluates each round's batch through Engine.Stream, so CAS store hits
+// evaluates each round's batch through Engine.Each, so CAS store hits
 // and write-through, retries, and MinConfidence all compose with
 // adaptive search unchanged. Exact (exhaustive) mode remains
 // the golden reference; adaptive mode trades completeness for

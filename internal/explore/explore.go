@@ -11,9 +11,11 @@
 //     variant that fails validation — or panics — yields a Result carrying
 //     a *VariantError while the rest of the sweep completes, so one
 //     poisoned variant never voids a thousand healthy ones;
-//   - incremental result streaming with progress counters (variants done,
-//     served from the store, retried) plus selection helpers (best variant,
-//     Pareto frontier over projected time versus a cost metric).
+//   - each result handed to the caller on the worker that produced it
+//     (Each; Stream puts them on a channel instead), with progress
+//     counters (variants done, served from the store, retried), plus
+//     selection helpers (best variant, Pareto frontier over projected time
+//     versus a cost metric).
 //
 // Every variant is projected afresh onto the one layout the engine was
 // built with: a projection costs a few microseconds, and keeping per-block
@@ -46,9 +48,9 @@ type CacheStats struct {
 }
 
 // Progress is a sweep-level snapshot delivered to the OnProgress callback
-// after each completed variant of a Stream call. A driver that streams a
-// sweep in several batches, as an adaptive search does, offsets the counts
-// so that they run across all of them.
+// after each completed variant of an Each or Stream call. A driver that
+// runs a sweep in several batches, as an adaptive search does, offsets
+// the counts so that they run across all of them.
 type Progress struct {
 	// Done counts completed variants.
 	Done int
@@ -61,7 +63,7 @@ type Progress struct {
 	Retried int
 }
 
-// Result is one evaluated variant, streamed as soon as it completes.
+// Result is one evaluated variant, delivered as soon as it completes.
 // Index is the variant's position in the input slice (results arrive in
 // completion order, not input order). Exactly one of Analysis and Err is
 // set: a failed variant carries its *VariantError instead of an analysis.
@@ -217,101 +219,116 @@ func Pool(ctx context.Context, n, workers int, fn func(i int)) (wait func()) {
 	return wg.Wait
 }
 
-// Stream evaluates the variants on Pool, bounded by Workers, sending each
-// Result on the returned channel as it completes. Variant failures are
-// isolated: a variant that fails validation, modeling, or panics yields a
-// Result whose Err is a *VariantError, and the remaining variants keep
-// going. Only context cancellation stops the sweep early; the channel
-// closes when every variant is done or the context is canceled. The
-// returned wait function blocks until all workers have exited and reports
-// the sweep's outcome: nil, or the context's error — always wrapped, so
-// callers can errors.Is against context.Canceled and friends. Per-variant
-// errors travel on the Results, not through wait.
+// Each evaluates the variants on Pool, bounded by Workers, and calls fn
+// with each variant's Result on the worker that produced it, as soon as it
+// completes. fn runs on up to Workers goroutines at once, so it must
+// synchronize whatever its calls share; results indexed by Result.Index
+// need no lock. Variant failures are isolated: a variant that fails
+// validation, modeling, or panics yields a Result whose Err is a
+// *VariantError, and the remaining variants keep going. Only context
+// cancellation stops the sweep early. Each returns once every worker has
+// exited, reporting the sweep's outcome: nil, or the context's error —
+// always wrapped, so callers can errors.Is against context.Canceled and
+// friends — joined with any store degradation. Per-variant errors travel
+// on the Results, not through the returned error.
+func (e *Engine) Each(ctx context.Context, variants []*hw.Machine, fn func(Result)) error {
+	var (
+		progressMu sync.Mutex
+		progress   Progress
+	)
+	Pool(ctx, len(variants), e.workers, func(i int) {
+		r := e.result(i, variants[i])
+		fn(r)
+		if e.progress == nil {
+			return
+		}
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		progress.Done++
+		if r.Stored {
+			progress.Stored++
+		}
+		if r.Attempts > 1 {
+			progress.Retried += r.Attempts - 1
+		}
+		e.progress(progress)
+	})()
+	return e.outcome(ctx)
+}
+
+// Stream is Each with the Results sent on the returned channel instead of
+// to a callback. The channel closes when every variant is done or the
+// context is canceled. The returned wait function blocks until all workers
+// have exited and reports Each's outcome as of when it is called.
 func (e *Engine) Stream(ctx context.Context, variants []*hw.Machine) (<-chan Result, func() error) {
 	// Sized to its number of sends: no worker ever waits on the consumer,
 	// so a canceled sweep stops without draining and an abandoned channel
 	// strands no sender.
 	out := make(chan Result, len(variants))
-
-	var (
-		doneMu  sync.Mutex
-		done    int
-		stored  int
-		retried int
-	)
-	finish := func(r Result) {
-		doneMu.Lock()
-		defer doneMu.Unlock()
-		done++
-		if r.Stored {
-			stored++
-		}
-		if r.Attempts > 1 {
-			retried += r.Attempts - 1
-		}
-		if e.progress != nil {
-			e.progress(Progress{Done: done, Stored: stored, Retried: retried})
-		}
-	}
-
-	poolWait := Pool(ctx, len(variants), e.workers, func(i int) {
-		m := variants[i]
-		r := Result{Index: i, Machine: m}
-		if a, ok := e.casGet(m); ok {
-			// Stored by an earlier sweep — possibly another session or
-			// process — under the same (layout, machine, mode)
-			// identity: decoded bit-identically, zero recomputation.
-			// The confidence gate still applies (the stored score is
-			// the computed one).
-			if lcErr := e.confidenceErr(a); lcErr != nil {
-				r.Err = e.variantError(i, m, 0, lcErr)
-			} else {
-				r.Analysis = a
-				r.Stored = true
-			}
-		} else {
-			var a *hotspot.Analysis
-			attempts, err := e.retry.Do(func() (err error) {
-				a, err = e.evaluate(m)
-				return err
-			})
-			r.Attempts = attempts
-			if err != nil {
-				r.Err = e.variantError(i, m, attempts, err)
-			} else {
-				// Store before the confidence gate: the result is valid
-				// either way, and a rerun gates the stored score the
-				// same way.
-				e.casPut(m, a)
-				if lcErr := e.confidenceErr(a); lcErr != nil {
-					r.Err = e.variantError(i, m, attempts, lcErr)
-				} else {
-					r.Analysis = a
-				}
-			}
-		}
-		out <- r
-		finish(r)
-	})
-
 	finished := make(chan struct{})
 	go func() {
-		poolWait()
-		close(out)
-		close(finished)
+		defer close(finished)
+		defer close(out)
+		// wait reads the outcome itself, so that a cancellation after the
+		// last result still reports.
+		_ = e.Each(ctx, variants, func(r Result) { out <- r })
 	}()
 	wait := func() error {
 		<-finished
-		var errs []error
-		if err := ctx.Err(); err != nil {
-			errs = append(errs, fmt.Errorf("explore: sweep canceled: %w", err))
-		}
-		if cerr := e.casError(); cerr != nil {
-			errs = append(errs, cerr)
-		}
-		return errors.Join(errs...)
+		return e.outcome(ctx)
 	}
 	return out, wait
+}
+
+// result evaluates variant i, m: served from the store or evaluated
+// within the Retry budget, then held to the confidence floor.
+func (e *Engine) result(i int, m *hw.Machine) Result {
+	r := Result{Index: i, Machine: m}
+	if a, ok := e.casGet(m); ok {
+		// Stored by an earlier sweep — possibly another session or
+		// process — under the same (layout, machine, mode) identity:
+		// decoded bit-identically, zero recomputation. The confidence
+		// gate still applies (the stored score is the computed one).
+		if lcErr := e.confidenceErr(a); lcErr != nil {
+			r.Err = e.variantError(i, m, 0, lcErr)
+		} else {
+			r.Analysis = a
+			r.Stored = true
+		}
+		return r
+	}
+	var a *hotspot.Analysis
+	attempts, err := e.retry.Do(func() (err error) {
+		a, err = e.evaluate(m)
+		return err
+	})
+	r.Attempts = attempts
+	if err != nil {
+		r.Err = e.variantError(i, m, attempts, err)
+		return r
+	}
+	// Store before the confidence gate: the result is valid either way,
+	// and a rerun gates the stored score the same way.
+	e.casPut(m, a)
+	if lcErr := e.confidenceErr(a); lcErr != nil {
+		r.Err = e.variantError(i, m, attempts, lcErr)
+	} else {
+		r.Analysis = a
+	}
+	return r
+}
+
+// outcome is a sweep's error once its workers have exited: the context's
+// error, wrapped, joined with any store degradation; nil for neither.
+func (e *Engine) outcome(ctx context.Context) error {
+	var errs []error
+	if err := ctx.Err(); err != nil {
+		errs = append(errs, fmt.Errorf("explore: sweep canceled: %w", err))
+	}
+	if cerr := e.casError(); cerr != nil {
+		errs = append(errs, cerr)
+	}
+	return errors.Join(errs...)
 }
 
 // confidenceErr applies the MinConfidence floor to a successfully

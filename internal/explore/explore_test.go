@@ -5,7 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -465,6 +468,55 @@ func TestBestAndPareto(t *testing.T) {
 	}
 	if len(explore.Pareto(nil, nil, cost)) != 0 {
 		t.Error("Pareto(nil) not empty")
+	}
+}
+
+// TestNonFiniteTotalNeverWins: a variant whose projected total is NaN or
+// infinite is never the best variant, never on the Pareto frontier, and
+// ranks after every finite one, wherever it sits in the input. Cost rises
+// with the index.
+func TestNonFiniteTotalNeverWins(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name      string
+		times     []float64
+		best      int
+		frontier  []int
+		rankOrder []int
+	}{
+		{"nan-first", []float64{nan, 2, 1}, 2, []int{1, 2}, []int{2, 1, 0}},
+		{"nan-last", []float64{2, 1, nan}, 1, []int{0, 1}, []int{1, 0, 2}},
+		{"inf-first", []float64{inf, 2, 1}, 2, []int{1, 2}, []int{2, 1, 0}},
+		{"minus-inf-last", []float64{2, 1, -inf}, 1, []int{0, 1}, []int{1, 0, 2}},
+		{"none-finite", []float64{nan, inf, -inf}, -1, nil, []int{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			variants := make([]*hw.Machine, len(tc.times))
+			analyses := make([]*hotspot.Analysis, len(tc.times))
+			order := make([]int, len(tc.times))
+			for i, v := range tc.times {
+				variants[i] = hw.BGQ()
+				variants[i].MemBandwidthGBs = float64(i + 1)
+				analyses[i] = &hotspot.Analysis{TotalTime: v}
+				order[i] = i
+			}
+			if got := explore.Best(analyses); got != tc.best {
+				t.Errorf("Best = %d, want %d", got, tc.best)
+			}
+			var front []int
+			for _, p := range explore.Pareto(variants, analyses, func(m *hw.Machine) float64 { return m.MemBandwidthGBs }) {
+				front = append(front, p.Index)
+			}
+			if !slices.Equal(front, tc.frontier) {
+				t.Errorf("frontier = %v, want %v", front, tc.frontier)
+			}
+			sort.SliceStable(order, func(a, b int) bool {
+				return explore.RanksAhead(tc.times[order[a]], tc.times[order[b]])
+			})
+			if !slices.Equal(order, tc.rankOrder) {
+				t.Errorf("ranked = %v, want %v", order, tc.rankOrder)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"math"
 	"sort"
 
 	"skope/internal/hotspot"
@@ -25,11 +26,13 @@ func RelativeCost(m *hw.Machine) float64 {
 }
 
 // Best returns the index of the analysis with the lowest projected total
-// time (-1 if the slice is empty or all nil).
+// time, the first of any tie (-1 if the slice is empty or all nil). A NaN
+// or infinite total never wins: such an analysis is skipped, so the answer
+// does not depend on where in the slice it sits.
 func Best(analyses []*hotspot.Analysis) int {
 	best := -1
 	for i, a := range analyses {
-		if a == nil {
+		if a == nil || !finite(a.TotalTime) {
 			continue
 		}
 		if best < 0 || a.TotalTime < analyses[best].TotalTime {
@@ -38,6 +41,20 @@ func Best(analyses []*hotspot.Analysis) int {
 	}
 	return best
 }
+
+// RanksAhead reports whether a variant projected at total time a ranks
+// ahead of one projected at b: finite times in ascending order, then every
+// NaN or infinite time, all tied. It is a strict weak order, so a stable
+// sort by it keeps tied variants in input order.
+func RanksAhead(a, b float64) bool {
+	fa, fb := finite(a), finite(b)
+	if fa && fb {
+		return a < b
+	}
+	return fa && !fb
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Point is one variant on the time/cost plane.
 type Point struct {
@@ -67,11 +84,19 @@ func Pareto(variants []*hw.Machine, analyses []*hotspot.Analysis, cost CostFunc)
 
 // ParetoPoints returns the non-dominated points: a point is kept iff no
 // other point is at least as good on both axes and strictly better on
-// one. Of points tied exactly on (cost, time) only the one with the lowest
-// Index is kept, so the result never depends on input order. The frontier
-// is sorted by ascending cost (hence descending time). pts is sorted in
-// place.
+// one. Points whose time is NaN or infinite are dropped first: they are
+// not better than anything. Of points tied exactly on (cost, time) only
+// the one with the lowest Index is kept, so the result never depends on
+// input order. The frontier is sorted by ascending cost (hence descending
+// time). pts is reordered in place.
 func ParetoPoints(pts []Point) []Point {
+	kept := pts[:0]
+	for _, p := range pts {
+		if finite(p.Time) {
+			kept = append(kept, p)
+		}
+	}
+	pts = kept
 	sort.Slice(pts, func(i, j int) bool {
 		if pts[i].Cost != pts[j].Cost {
 			return pts[i].Cost < pts[j].Cost

@@ -65,21 +65,29 @@ func TestAssembleAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestSortByTimeNoAllocs: ranking blocks allocates nothing, whether there
-// is nothing to sort or the blocks are already in order.
-func TestSortByTimeNoAllocs(t *testing.T) {
+// TestRankByTimeNoAllocs: ranking blocks allocates nothing, whether there
+// is nothing to rank or the blocks are already in order.
+func TestRankByTimeNoAllocs(t *testing.T) {
 	a := analyze(t, threeBlocks, expr.Env{"n": 100}, nil)
-	for name, blocks := range map[string][]*Block{"empty": nil, "sorted": a.Blocks} {
-		if n := testing.AllocsPerRun(100, func() { SortByTime(blocks) }); n != 0 {
-			t.Errorf("SortByTime on %s blocks: %v allocations, want 0", name, n)
+	sorted := make([]Block, len(a.Blocks))
+	for i, b := range a.Blocks {
+		sorted[i] = *b
+	}
+	for name, blocks := range map[string][]Block{"empty": nil, "sorted": sorted} {
+		ranked := make([]*Block, len(blocks))
+		if n := testing.AllocsPerRun(100, func() { rankByTime(ranked, blocks) }); n != 0 {
+			t.Errorf("rankByTime on %s blocks: %v allocations, want 0", name, n)
 		}
 	}
 }
 
-// TestSortByTimeMatchesSliceStable checks SortByTime against the
-// sort.SliceStable ranking it replaced, on random slices with tied, NaN
-// and infinite times: the order must be identical, NaNs included.
-func TestSortByTimeMatchesSliceStable(t *testing.T) {
+// TestRankByTimeMatchesSliceStable checks rankByTime against a
+// sort.SliceStable ranking of the blocks' pointers, on random slices with
+// tied, NaN and infinite times and duplicate IDs: the order must be
+// identical, NaNs included. Slices of up to 60 blocks cross the stable
+// sort's 20-element insertion blocks; every 50th trial ranks more blocks
+// than fit on rankByTime's stack.
+func TestRankByTimeMatchesSliceStable(t *testing.T) {
 	reference := func(blocks []*Block) {
 		sort.SliceStable(blocks, func(i, j int) bool {
 			if blocks[i].T != blocks[j].T {
@@ -92,15 +100,20 @@ func TestSortByTimeMatchesSliceStable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		n := r.Intn(60)
-		got := make([]*Block, n)
-		for i := range got {
-			got[i] = &Block{
+		if trial%50 == 0 {
+			n = rankStack + 1 + r.Intn(40)
+		}
+		blocks := make([]Block, n)
+		want := make([]*Block, n)
+		for i := range blocks {
+			blocks[i] = Block{
 				BlockInfo: &BlockInfo{BlockID: fmt.Sprintf("f/b%d", r.Intn(8))},
 				T:         times[r.Intn(len(times))],
 			}
+			want[i] = &blocks[i]
 		}
-		want := append([]*Block(nil), got...)
-		SortByTime(got)
+		got := make([]*Block, n)
+		rankByTime(got, blocks)
 		reference(want)
 		for i := range got {
 			if got[i] != want[i] {

@@ -252,18 +252,18 @@ func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, er
 		return nil, fmt.Errorf("hotspot: Assemble on %s with %d comp and %d comm times, layout has %d and %d",
 			m.Name, len(comp), len(comm), len(l.comp), len(l.comm))
 	}
-	a := l.newAnalysis(m)
+	a, blocks := l.newAnalysis(m)
 	ci, mi := 0, 0
 	for bi, lb := range l.blocks {
 		if lb.info.IsComm {
-			a.setTimes(bi, comm[mi])
+			a.setTimes(&blocks[bi], comm[mi])
 			mi++
 		} else {
-			a.setTimes(bi, comp[ci])
+			a.setTimes(&blocks[bi], comp[ci])
 			ci++
 		}
 	}
-	l.rank(a)
+	l.rank(a, blocks)
 	return a, nil
 }
 
@@ -278,38 +278,37 @@ func (l *Layout) Assemble(m *hw.Machine, comp, comm []BlockTimes) (*Analysis, er
 // pipeline.Evaluate and the exploration engine all project through here.
 func (l *Layout) Analyze(model *hw.Model) *Analysis {
 	m := model.Machine()
-	a := l.newAnalysis(m)
+	a, blocks := l.newAnalysis(m)
 	for bi, lb := range l.blocks {
 		if lb.info.IsComm {
-			a.setTimes(bi, lb.commTimes(m))
+			a.setTimes(&blocks[bi], lb.commTimes(m))
 		} else {
-			a.setTimes(bi, lb.compTimes(model))
+			a.setTimes(&blocks[bi], lb.compTimes(model))
 		}
 	}
-	l.rank(a)
+	l.rank(a, blocks)
 	return a
 }
 
-// newAnalysis allocates the analysis of machine m with one block per
-// layout block, in layout order, each sharing the layout's BlockInfo.
-func (l *Layout) newAnalysis(m *hw.Machine) *Analysis {
+// newAnalysis allocates the analysis of machine m and its blocks, one per
+// layout block in layout order, each sharing the layout's BlockInfo.
+// a.Blocks is left for rank to fill.
+func (l *Layout) newAnalysis(m *hw.Machine) (*Analysis, []Block) {
 	a := &Analysis{
 		Machine:          m,
 		TotalStaticInsts: l.totalStaticInsts,
 		Blocks:           make([]*Block, len(l.blocks)),
 	}
-	backing := make([]Block, len(l.blocks))
+	blocks := make([]Block, len(l.blocks))
 	for bi, lb := range l.blocks {
-		backing[bi].BlockInfo = &lb.info
-		a.Blocks[bi] = &backing[bi]
+		blocks[bi].BlockInfo = &lb.info
 	}
-	return a
+	return a, blocks
 }
 
-// setTimes records block bi's projected times, in layout order, adding
-// them to the total and flagging them when they are not finite.
-func (a *Analysis) setTimes(bi int, bt BlockTimes) {
-	b := a.Blocks[bi]
+// setTimes records block b's projected times, adding them to the total
+// and flagging them when they are not finite.
+func (a *Analysis) setTimes(b *Block, bt BlockTimes) {
 	b.Tc, b.Tm, b.To, b.T, b.MemoryBound = bt.Tc, bt.Tm, bt.To, bt.T, bt.MemoryBound
 	if !isFinite(bt.T) || !isFinite(bt.Tc) || !isFinite(bt.Tm) || !isFinite(bt.To) {
 		a.Diagnostics = append(a.Diagnostics, guard.Diagnostic{
@@ -321,10 +320,11 @@ func (a *Analysis) setTimes(bi int, bt BlockTimes) {
 	a.TotalTime += bt.T
 }
 
-// rank finishes an analysis whose blocks all have their times: it sorts
-// the blocks by time and sets the confidence and diagnostics.
-func (l *Layout) rank(a *Analysis) {
-	SortByTime(a.Blocks)
+// rank finishes an analysis whose blocks all have their times, in layout
+// order: it ranks them into a.Blocks by time and sets the confidence and
+// diagnostics.
+func (l *Layout) rank(a *Analysis, blocks []Block) {
+	rankByTime(a.Blocks, blocks)
 	// Confidence: the BET's measured-vs-assumed score, further reduced to
 	// the finite fraction of block projections when the machine produced
 	// NaN/Inf times (weakest-stage composition).

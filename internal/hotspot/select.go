@@ -82,11 +82,30 @@ func Select(a *Analysis, crit Criteria) *Selection {
 	return sel
 }
 
-// SortByTime sorts blocks by descending time (stable on BlockID): the
-// ranking Assemble gives an analysis, exposed for tests and report code
-// that re-rank subsets.
-func SortByTime(blocks []*Block) {
-	slices.SortStableFunc(blocks, byTime)
+// rankStack is how many blocks rankByTime ranks without allocating: more
+// than any built-in workload's layout has (sord's 27 is the most).
+const rankStack = 64
+
+// rankByTime writes into ranked a pointer to each of blocks in descending
+// time order, stable on BlockID: the ranking Analyze and Assemble give an
+// analysis. It sorts an index permutation, on the stack for up to
+// rankStack blocks, with the same stable algorithm and comparator a sort
+// of the pointers would use, so the order is the same, NaNs included; but
+// each pointer is written once, not swapped in the heap behind the GC's
+// write barrier.
+func rankByTime(ranked []*Block, blocks []Block) {
+	var stack [rankStack]int32
+	perm := stack[:0]
+	if len(blocks) > rankStack {
+		perm = make([]int32, 0, len(blocks))
+	}
+	for i := range blocks {
+		perm = append(perm, int32(i))
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int { return byTime(&blocks[i], &blocks[j]) })
+	for k, i := range perm {
+		ranked[k] = &blocks[i]
+	}
 }
 
 // byTime orders blocks by descending time, then by BlockID. It must not

@@ -61,6 +61,24 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(m *Machine) { m.HitLLC = -0.1 },
 		func(m *Machine) { m.DivLatencyCyc = 0 },
 	}
+	// NaN passes every range check and +Inf all but the hit ratios', so
+	// each float parameter gets all three non-finite values.
+	floats := []func(*Machine) *float64{
+		func(m *Machine) *float64 { return &m.FreqGHz },
+		func(m *Machine) *float64 { return &m.FPOpsPerCycle },
+		func(m *Machine) *float64 { return &m.IntOpsPerCycle },
+		func(m *Machine) *float64 { return &m.MemBandwidthGBs },
+		func(m *Machine) *float64 { return &m.MemConcurrency },
+		func(m *Machine) *float64 { return &m.HitL1 },
+		func(m *Machine) *float64 { return &m.HitLLC },
+		func(m *Machine) *float64 { return &m.NetLatencyUs },
+		func(m *Machine) *float64 { return &m.NetBandwidthGBs },
+	}
+	for _, field := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			mutations = append(mutations, func(m *Machine) { *field(m) = v })
+		}
+	}
 	for i, mut := range mutations {
 		m := BGQ()
 		mut(m)

@@ -18,7 +18,10 @@
 // are visible when compared against the detailed machine.
 package hw
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Machine describes a target architecture configuration.
 type Machine struct {
@@ -94,11 +97,16 @@ func (m *Machine) CommTime(bytes, msgs float64) float64 {
 	return msgs*m.NetLatencyUs*1e-6 + bytes/(m.NetBandwidthGBs*1e9)
 }
 
-// Validate checks that the machine description is physically meaningful.
+// Validate checks that the machine description is physically meaningful:
+// every float parameter finite, every size, rate and latency positive, and
+// the hit ratios in [0,1].
 func (m *Machine) Validate() error {
+	param, v := m.nonFinite()
 	switch {
 	case m.Name == "":
 		return fmt.Errorf("hw: machine has no name")
+	case param != "":
+		return fmt.Errorf("hw: %s: %s must be finite, not %g", m.Name, param, v)
 	case m.FreqGHz <= 0:
 		return fmt.Errorf("hw: %s: frequency must be positive", m.Name)
 	case m.IssueWidth <= 0:
@@ -129,6 +137,32 @@ func (m *Machine) Validate() error {
 		return fmt.Errorf("hw: %s: network parameters must be positive", m.Name)
 	}
 	return nil
+}
+
+// nonFinite returns the first float parameter that is NaN or infinite and
+// its value, or "" when every one is finite. A NaN passes every range
+// check in Validate and +Inf passes all but the hit ratios', so each is
+// caught here.
+func (m *Machine) nonFinite() (string, float64) {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"frequency", m.FreqGHz},
+		{"FP throughput", m.FPOpsPerCycle},
+		{"int throughput", m.IntOpsPerCycle},
+		{"bandwidth", m.MemBandwidthGBs},
+		{"memory concurrency", m.MemConcurrency},
+		{"L1 hit ratio", m.HitL1},
+		{"LLC hit ratio", m.HitLLC},
+		{"network latency", m.NetLatencyUs},
+		{"network bandwidth", m.NetBandwidthGBs},
+	} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return p.name, p.v
+		}
+	}
+	return "", 0
 }
 
 // CyclesToSeconds converts a cycle count on this machine to seconds.

@@ -4,15 +4,17 @@ import (
 	"context"
 	"testing"
 
+	"skope/internal/core"
 	"skope/internal/explore"
+	"skope/internal/expr"
 	"skope/internal/hw"
 	"skope/internal/workloads"
 )
 
 // maxSweepAllocsPerVariant bounds what a sweep allocates per variant: the
-// model, the analysis and its two block slices, the Eval, the selection
-// and its spots.
-const maxSweepAllocsPerVariant = 7.2
+// model, the analysis and its two block slices, the selection and its
+// spots. The Evals of a sweep share one slab.
+const maxSweepAllocsPerVariant = 6.2
 
 // TestSweepAllocsPerVariant sweeps each workload on one worker over a
 // 2048-variant grid around BG/Q (DRAM latency 16 x FP rate 8 x clock 8 x
@@ -52,6 +54,43 @@ func TestSweepAllocsPerVariant(t *testing.T) {
 		if per > maxSweepAllocsPerVariant {
 			t.Errorf("%s: a %d-variant sweep allocates %.3f objects per variant, want at most %v",
 				name, len(variants), per, maxSweepAllocsPerVariant)
+		}
+	}
+}
+
+// TestBuildSizeInputInvariance checks the paper's claim that the cost of
+// building the BET does not depend on the input size, on the five
+// workloads' skeletons: with every skeleton input scaled by 10^3 or 10^9,
+// core.Build makes as many nodes, and allocates as many objects, as at
+// scale 1. Allocations are counted only without the race detector.
+func TestBuildSizeInputInvariance(t *testing.T) {
+	for _, name := range workloads.Names() {
+		run := prepared(t, name)
+		var nodes []int
+		var allocs []float64
+		for _, scale := range []float64{1, 1e3, 1e9} {
+			input := make(expr.Env, len(run.Skeleton.Input))
+			for k, v := range run.Skeleton.Input {
+				input[k] = v * scale
+			}
+			build := func() *core.BET {
+				bet, err := core.Build(context.Background(), run.Tree, input, nil)
+				if err != nil {
+					t.Fatalf("%s at x%g: %v", name, scale, err)
+				}
+				return bet
+			}
+			nodes = append(nodes, build().NumNodes())
+			if !raceEnabled {
+				allocs = append(allocs, testing.AllocsPerRun(5, func() { build() }))
+			}
+		}
+		t.Logf("%s: %v nodes, %v allocations at x1, x1e3, x1e9", name, nodes, allocs)
+		if nodes[1] != nodes[0] || nodes[2] != nodes[0] {
+			t.Errorf("%s: BET nodes %v at x1, x1e3, x1e9, want equal", name, nodes)
+		}
+		if len(allocs) > 0 && (allocs[1] != allocs[0] || allocs[2] != allocs[0]) {
+			t.Errorf("%s: core.Build allocations %v at x1, x1e3, x1e9, want equal", name, allocs)
 		}
 	}
 }

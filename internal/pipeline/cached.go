@@ -203,6 +203,7 @@ func sweepFromStore(w *workloads.Workload, variants []*hw.Machine, st *store.Sto
 	}
 	mode := o.modeDigest()
 	evals := make([]*Eval, len(variants))
+	slab := make([]Eval, len(variants))
 	for i, m := range variants {
 		a, ok, err := st.GetEval(prep.LayoutFingerprint, m.Fingerprint(), mode)
 		if err != nil || !ok {
@@ -214,7 +215,8 @@ func sweepFromStore(w *workloads.Workload, variants []*hw.Machine, st *store.Sto
 			// the cold path so the failure surfaces identically.
 			return nil, nil
 		}
-		evals[i] = sweepEval(prep.Diagnostics, prep.Confidence, explore.Result{Machine: m, Analysis: a, Stored: true}, o.crit)
+		slab[i] = sweepEval(prep.Diagnostics, prep.Confidence, explore.Result{Machine: m, Analysis: a, Stored: true}, o.crit)
+		evals[i] = &slab[i]
 	}
 	return evals, &SweepSummary{
 		Workload:          w.Name,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"skope/internal/explore"
 	"skope/internal/guard"
@@ -48,7 +49,7 @@ func EvaluateMany(ctx context.Context, run *Run, machines []*hw.Machine, opts ..
 
 // Explorer builds a design-space exploration engine over the prepared
 // workload's layout (Run.Layout) — the entry point for co-design studies
-// that need the engine's streaming API directly.
+// that need the engine's Each or Stream directly.
 // WithModelFunc, WithWorkers, WithProgress, WithRetry, WithMinConfidence
 // and WithStore carry over (the store is keyed under this configuration's
 // criteria, lenient flag, and confidence floor).
@@ -105,12 +106,12 @@ func Sweep(ctx context.Context, run *Run, variants []*hw.Machine, opts ...Option
 
 // collector builds the engine for run under opts and returns the one
 // collection loop every sweep path runs on it. Each call of collect
-// streams the variants at the indices idx (all of them when idx is nil)
-// into their Evals, index-aligned with variants, and returns every Eval
-// collected so far, with every failure so far as a *VariantError at its
-// variant index, sorted in one *explore.SweepError and joined with any
-// store degradation; on cancellation, nil Evals and the
-// context's error.
+// evaluates the variants at the indices idx (all of them when idx is nil)
+// and builds their Evals on the workers that produced them, into one slab
+// per call, index-aligned with variants. It returns every Eval collected
+// so far, with every failure so far as a *VariantError at its variant
+// index, sorted in one *explore.SweepError and joined with any store
+// degradation; on cancellation, nil Evals and the context's error.
 func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ctx context.Context, idx []int) ([]*Eval, error), err error) {
 	eng, err := Explorer(run, opts...)
 	if err != nil {
@@ -118,7 +119,10 @@ func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ct
 	}
 	crit := buildOptions(opts).crit
 	evals := make([]*Eval, len(variants))
-	var fails []*explore.VariantError
+	var (
+		failsMu sync.Mutex
+		fails   []*explore.VariantError
+	)
 	return func(ctx context.Context, idx []int) ([]*Eval, error) {
 		batch := variants
 		if idx != nil {
@@ -127,8 +131,8 @@ func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ct
 				batch[k] = variants[i]
 			}
 		}
-		results, wait := eng.Stream(ctx, batch)
-		for r := range results {
+		slab := make([]Eval, len(batch))
+		werr := eng.Each(ctx, batch, func(r explore.Result) {
 			i := r.Index
 			if idx != nil {
 				i = idx[i]
@@ -139,12 +143,16 @@ func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ct
 					ve = &explore.VariantError{Machine: r.Machine, MachineName: r.Machine.Name, Err: r.Err}
 				}
 				ve.Index = i
+				failsMu.Lock()
 				fails = append(fails, ve)
-				continue
+				failsMu.Unlock()
+				return
 			}
-			evals[i] = sweepEval(run.Diagnostics, run.Confidence, r, crit)
-		}
-		werr := wait()
+			// Each result has its own index, so its slab entry and its
+			// slot in evals are written by its worker alone.
+			slab[r.Index] = sweepEval(run.Diagnostics, run.Confidence, r, crit)
+			evals[i] = &slab[r.Index]
+		})
 		if werr != nil && (errors.Is(werr, context.Canceled) || errors.Is(werr, context.DeadlineExceeded)) {
 			return nil, werr
 		}
@@ -166,7 +174,7 @@ func collector(run *Run, variants []*hw.Machine, opts []Option) (collect func(ct
 // selection under the configured criteria, preparation + analysis
 // diagnostics merged, end-to-end confidence, provenance from the result's
 // source flags. Shared by every sweep path.
-func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result, crit hotspot.Criteria) *Eval {
+func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result, crit hotspot.Criteria) Eval {
 	a := r.Analysis
 	diags := make([]guard.Diagnostic, 0, len(prepDiags)+len(a.Diagnostics))
 	diags = append(diags, prepDiags...)
@@ -180,7 +188,7 @@ func sweepEval(prepDiags []guard.Diagnostic, prepConf float64, r explore.Result,
 	if r.Stored {
 		prov = FromStore
 	}
-	return &Eval{
+	return Eval{
 		Machine:     r.Machine,
 		Analysis:    a,
 		Selection:   hotspot.Select(a, crit),

@@ -3,7 +3,10 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -244,6 +247,79 @@ func TestSweepParallel(t *testing.T) {
 	bad.IssueWidth = 0
 	if _, err := Sweep(context.Background(), run, []*hw.Machine{bad}); err == nil {
 		t.Error("invalid variant accepted")
+	}
+}
+
+// TestSweepCollectsOnWorkers sweeps 1,001 variants on 4 workers, every
+// 7th with no memory bandwidth, with a progress callback installed. The
+// workers build the Evals themselves, so under the race detector this
+// checks their writes to the shared Evals and failure list: the Evals are
+// index-aligned and project totals bit-identical to a one-worker sweep's,
+// the SweepError lists exactly the invalid indices in order, and Done
+// rises by one per progress call up to the variant count.
+func TestSweepCollectsOnWorkers(t *testing.T) {
+	run := prepared(t, "sord")
+	variants := make([]*hw.Machine, 1001)
+	var invalid []int
+	for i := range variants {
+		m := hw.BGQ()
+		m.Name = fmt.Sprintf("v%d", i)
+		m.MemLatencyCyc = 60 + i
+		m.FreqGHz = 1 + float64(i%13)/10
+		if i%7 == 0 {
+			m.MemBandwidthGBs = 0
+			invalid = append(invalid, i)
+		}
+		variants[i] = m
+	}
+	failedIndices := func(err error) []int {
+		t.Helper()
+		var se *explore.SweepError
+		if !errors.As(err, &se) {
+			t.Fatalf("sweep error %v is not a *explore.SweepError", err)
+		}
+		var out []int
+		for _, v := range se.Variants {
+			out = append(out, v.Index)
+		}
+		return out
+	}
+	ref, err := Sweep(context.Background(), run, variants, WithWorkers(1))
+	if got := failedIndices(err); !slices.Equal(got, invalid) {
+		t.Fatalf("one-worker sweep failed variants %v, want %v", got, invalid)
+	}
+	var dones []int // the engine calls the callback serially
+	evals, err := Sweep(context.Background(), run, variants, WithWorkers(4),
+		WithProgress(func(p explore.Progress) { dones = append(dones, p.Done) }))
+	if got := failedIndices(err); !slices.Equal(got, invalid) {
+		t.Errorf("failed variants %v, want %v", got, invalid)
+	}
+	if len(evals) != len(variants) {
+		t.Fatalf("%d evals for %d variants", len(evals), len(variants))
+	}
+	for i, ev := range evals {
+		switch {
+		case i%7 == 0:
+			if ev != nil {
+				t.Errorf("invalid variant %d has an Eval", i)
+			}
+		case ev == nil:
+			t.Errorf("variant %d has no Eval", i)
+		case ev.Machine != variants[i]:
+			t.Errorf("evals[%d] is the Eval of %s", i, ev.Machine.Name)
+		case math.Float64bits(ev.Analysis.TotalTime) != math.Float64bits(ref[i].Analysis.TotalTime):
+			t.Errorf("variant %d: total %v on 4 workers, %v on one", i, ev.Analysis.TotalTime, ref[i].Analysis.TotalTime)
+		case len(ev.Selection.Spots) != len(ref[i].Selection.Spots):
+			t.Errorf("variant %d: %d spots on 4 workers, %d on one", i, len(ev.Selection.Spots), len(ref[i].Selection.Spots))
+		}
+	}
+	if len(dones) != len(variants) {
+		t.Fatalf("%d progress calls for %d variants", len(dones), len(variants))
+	}
+	for k, d := range dones {
+		if d != k+1 {
+			t.Fatalf("progress call %d reports Done=%d, want %d", k, d, k+1)
+		}
 	}
 }
 
