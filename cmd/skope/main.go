@@ -414,6 +414,19 @@ func sweep(ctx context.Context, out io.Writer, cfg config, w *workloads.Workload
 	if baseEval == nil {
 		return degraded, fmt.Errorf("baseline %s failed to evaluate", base.Name)
 	}
+	// A variant's own diagnostics come from its projection; the
+	// preparation's table above cannot show them.
+	for _, ev := range evals {
+		if ev == nil || !ev.Degraded() {
+			continue
+		}
+		degraded = true
+		for _, d := range ev.Diagnostics {
+			if d.Stage == "roofline" {
+				fmt.Fprintf(os.Stderr, "skope: warning: %s: %s\n", ev.Machine.Name, d)
+			}
+		}
+	}
 	renderSweep(out, cfg, variants, evals[:len(variants)], baseEval.Analysis, w.Name, base.Name)
 
 	if ad := sum.Adaptive; ad != nil {

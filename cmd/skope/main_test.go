@@ -94,8 +94,12 @@ func TestRunSweep(t *testing.T) {
 		mach: cliflags.Machine{Preset: "bgq"},
 		sw:   cliflags.Sweep{Top: 5, Axes: cliflags.AxisList{"mem-bandwidth=14,28,56", "net-latency-us=1,2,4"}},
 	}
-	if _, err := run(context.Background(), &buf, cfg); err != nil {
+	degraded, err := run(context.Background(), &buf, cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if degraded {
+		t.Error("a clean sweep reports degraded")
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -113,7 +117,8 @@ func TestRunSweep(t *testing.T) {
 // TestRunSweepNonFiniteRanksLast: a clock of 1e-320 GHz passes Validate
 // but projects a NaN total. That variant ranks last, stays off the Pareto
 // frontier and is never the best variant, whichever end of the axis it is
-// on, so the rendered sweep is the same both ways.
+// on, so the rendered sweep is the same both ways; and it makes the sweep
+// degraded (exit 3).
 func TestRunSweepNonFiniteRanksLast(t *testing.T) {
 	var tables []string
 	for _, axis := range []string{"freq-ghz=1e-320,1.6", "freq-ghz=1.6,1e-320"} {
@@ -123,8 +128,12 @@ func TestRunSweepNonFiniteRanksLast(t *testing.T) {
 			mach: cliflags.Machine{Preset: "bgq"},
 			sw:   cliflags.Sweep{Axes: cliflags.AxisList{axis}},
 		}
-		if _, err := run(context.Background(), &buf, cfg); err != nil {
+		degraded, err := run(context.Background(), &buf, cfg)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !degraded {
+			t.Errorf("%s: a sweep with a non-finite variant is not degraded", axis)
 		}
 		out := tableOf(t, buf.String())
 		rows := sweepRows(t, buf.String())

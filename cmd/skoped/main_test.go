@@ -234,6 +234,34 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
+// TestSessionNonFiniteVariant: a clock of 1e-320 GHz passes validation but
+// projects a NaN total. Its result line spells the non-finite numbers
+// null, so the stream goes on past it to the summary trailer, which names
+// the finite variant best.
+func TestSessionNonFiniteVariant(t *testing.T) {
+	_, ts := testServer(t, "", 2)
+	id := submit(t, ts.URL, sessionRequest{Bench: "sord", Sweep: []string{"freq-ghz=1e-320,1.6"}})
+	if info := waitState(t, ts.URL, id); info["state"] != stateDone {
+		t.Fatalf("session ended %v (%v)", info["state"], info["error"])
+	}
+	results, summary := streamLines(t, ts.URL, id, "")
+	if len(results) != 2 {
+		t.Fatalf("got %d results, want 2", len(results))
+	}
+	r := results[1]
+	if r["rank"] != 2.0 || r["variant"] != "BG/Q[freq-ghz=1e-320]" || r["degraded"] != true {
+		t.Errorf("rank 2 is %v %v, degraded %v; want the 1e-320 GHz variant, degraded", r["rank"], r["variant"], r["degraded"])
+	}
+	for _, key := range []string{"total_time_s", "speedup"} {
+		if v, ok := r[key]; !ok || v != nil {
+			t.Errorf("rank 2 %s = %v, want null", key, v)
+		}
+	}
+	if summary["best"] != "BG/Q[freq-ghz=1.6]" {
+		t.Errorf("summary best %v, want BG/Q[freq-ghz=1.6]", summary["best"])
+	}
+}
+
 // TestAdaptiveSession drives the "adaptive" session mode end to end:
 // the surrogate-guided search runs instead of the exhaustive sweep, the
 // NDJSON stream carries the round trace, and the summary reports the

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -441,6 +442,18 @@ type wireProgress struct {
 	Stored int    `json:"stored,omitempty"`
 }
 
+// wireFloat is a float64 on the wire. encoding/json refuses NaN and ±Inf,
+// which a variant's projected times can be, so a non-finite value is
+// spelled null; a finite one encodes exactly as a float64 does.
+type wireFloat float64
+
+func (f wireFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); !math.IsNaN(v) && !math.IsInf(v, 0) {
+		return json.Marshal(v)
+	}
+	return []byte("null"), nil
+}
+
 // wireResult is one ranked variant — the session's pipeline.Eval on the
 // wire. Analysis carries the store's canonical encoding (hotspot.
 // EncodeAnalysis), so daemon clients read the exact bytes the store
@@ -451,8 +464,8 @@ type wireResult struct {
 	Rank        int             `json:"rank"`
 	Variant     string          `json:"variant"`
 	Fingerprint string          `json:"machine_fingerprint"`
-	TotalTimeS  float64         `json:"total_time_s"`
-	Speedup     float64         `json:"speedup"`
+	TotalTimeS  wireFloat       `json:"total_time_s"`
+	Speedup     wireFloat       `json:"speedup"`
 	Confidence  float64         `json:"confidence"`
 	Provenance  string          `json:"provenance"`
 	Degraded    bool            `json:"degraded,omitempty"`
@@ -462,9 +475,9 @@ type wireResult struct {
 }
 
 type wireSpot struct {
-	Block       string  `json:"block"`
-	Coverage    float64 `json:"coverage"`
-	MemoryBound bool    `json:"memory_bound,omitempty"`
+	Block       string    `json:"block"`
+	Coverage    wireFloat `json:"coverage"`
+	MemoryBound bool      `json:"memory_bound,omitempty"`
 }
 
 // wireRound is one adaptive acquisition round on the stream: the
@@ -477,9 +490,9 @@ type wireRound struct {
 }
 
 type wirePareto struct {
-	Variant string  `json:"variant"`
-	Cost    float64 `json:"cost"`
-	TimeS   float64 `json:"time_s"`
+	Variant string    `json:"variant"`
+	Cost    float64   `json:"cost"`
+	TimeS   wireFloat `json:"time_s"`
 }
 
 type wireSummary struct {
@@ -495,7 +508,7 @@ type wireSummary struct {
 	Degraded          bool         `json:"degraded,omitempty"`
 	Error             string       `json:"error,omitempty"`
 	Baseline          string       `json:"baseline"`
-	BaselineTimeS     float64      `json:"baseline_time_s"`
+	BaselineTimeS     wireFloat    `json:"baseline_time_s"`
 	Best              string       `json:"best,omitempty"`
 	Pareto            []wirePareto `json:"pareto"`
 
@@ -604,8 +617,8 @@ wait:
 			Type: "result", Rank: rank + 1,
 			Variant:     ev.Machine.Name,
 			Fingerprint: ev.Machine.Fingerprint(),
-			TotalTimeS:  ev.Analysis.TotalTime,
-			Speedup:     baseline / ev.Analysis.TotalTime,
+			TotalTimeS:  wireFloat(ev.Analysis.TotalTime),
+			Speedup:     wireFloat(baseline / ev.Analysis.TotalTime),
 			Confidence:  ev.Confidence,
 			Provenance:  ev.Provenance.String(),
 			Degraded:    ev.Degraded(),
@@ -613,7 +626,7 @@ wait:
 		for _, s := range ev.Selection.Spots {
 			line.Spots = append(line.Spots, wireSpot{
 				Block:       s.BlockID,
-				Coverage:    ev.Analysis.Coverage(s),
+				Coverage:    wireFloat(ev.Analysis.Coverage(s)),
 				MemoryBound: s.MemoryBound,
 			})
 		}
@@ -643,7 +656,7 @@ wait:
 		Degraded:          sess.degraded,
 		Error:             sess.errMsg,
 		Baseline:          sess.base.Name,
-		BaselineTimeS:     baseline,
+		BaselineTimeS:     wireFloat(baseline),
 	}
 	if ad := sess.summary.Adaptive; ad != nil {
 		sum.Mode = modeAdaptive
@@ -658,7 +671,7 @@ wait:
 	}
 	for _, p := range explore.Pareto(sess.variants, analyses, explore.RelativeCost) {
 		sum.Pareto = append(sum.Pareto, wirePareto{
-			Variant: p.Machine.Name, Cost: p.Cost, TimeS: p.Time,
+			Variant: p.Machine.Name, Cost: p.Cost, TimeS: wireFloat(p.Time),
 		})
 	}
 	_ = send(sum)

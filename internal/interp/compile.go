@@ -14,7 +14,8 @@ import (
 //   - every local (parameters, var declarations, loop variables) is a slot
 //     in a per-call []float64 frame, and every scalar global a slot of the
 //     engine's globals;
-//   - every array reference captures its *Array;
+//   - every array reference captures its *Array, or on the profiler path
+//     its site;
 //   - every simple statement captures the block ID of its segment, and
 //     every if, for, while and exchange() its own block ID and Site, with
 //     block IDs interned as indexes into Engine.blockIDs;
@@ -31,9 +32,14 @@ import (
 // The profiler keeps only branch outcomes and loop trip counts, so when
 // the observer is a *Profiler the compiled code reports only Branch and
 // LoopTrips; any other observer, a type that embeds *Profiler included,
-// receives the full stream. On that profiler path alone, +, - and * and
-// element addressing of rank 1 to 3 compile to dedicated closures that
-// read local and constant operands inline.
+// receives the full stream. On that profiler path alone, arithmetic other
+// than integer / and % compiles to one closure per operator and type, and
+// an element read or store of rank 1 to 3 to one closure over its site;
+// both read local and constant operands inline.
+
+// zeroSlot is the frame slot every function reserves and nothing writes, so
+// it reads 0: a constant operand reads it plus the constant.
+const zeroSlot = 0
 
 // noBlock marks a statement that switches no attribution block and, as the
 // current block, forces the next block switch to be reported. Without a
@@ -178,17 +184,17 @@ func (c *compiler) function(f *minilang.FuncDecl) {
 		fn.params = append(fn.params, param{slot: c.local(p.Name), isInt: p.Base == minilang.TypeInt})
 	}
 	fn.body = c.block(f.Body)
-	fn.slots = len(c.locals)
+	fn.slots = len(c.locals) + 1
 }
 
 // local returns the frame slot of a local name. A function has one slot
-// per distinct name, so an inner declaration that reuses an outer local's
-// name shares its slot, and the inner value outlives the inner block (the
-// coverage program of the event golden pins this).
+// per distinct name after zeroSlot, so an inner declaration that reuses an
+// outer local's name shares its slot, and the inner value outlives the
+// inner block (the coverage program of the event golden pins this).
 func (c *compiler) local(name string) int {
 	s, ok := c.locals[name]
 	if !ok {
-		s = len(c.locals)
+		s = len(c.locals) + 1
 		c.locals[name] = s
 	}
 	return s
@@ -261,6 +267,9 @@ func (c *compiler) stmt(s minilang.Stmt, seg int) exec {
 				return ctrlNone
 			}
 		case *minilang.Index:
+			if c.ev == nil && len(lhs.Indices) <= 3 {
+				return c.store(pos, lhs, x)
+			}
 			arr, at := c.element(lhs)
 			isInt, ev := lhs.ResultType() == minilang.TypeInt, c.ev
 			return func(fr []float64) control {
@@ -486,6 +495,9 @@ func (c *compiler) expr(x minilang.Expr) eval {
 		return func(fr []float64) float64 { return fr[slot] }
 
 	case *minilang.Index:
+		if c.ev == nil && len(t.Indices) <= 3 {
+			return c.load(t)
+		}
 		arr, at := c.element(t)
 		if ev := c.ev; ev != nil {
 			return func(fr []float64) float64 {
@@ -573,120 +585,262 @@ func (c *compiler) binary(t *minilang.Binary) eval {
 	}
 }
 
-// arith compiles +, - and * on the profiler path to one closure per
-// operator and type; it returns nil for any other operator.
+// arith compiles an operator on the profiler path to one closure per
+// operator and type: +, -, *, the comparisons and float /. It returns nil
+// for integer / and %, which can fail.
 func (c *compiler) arith(op minilang.BinOp, isInt bool, l, r minilang.Expr) eval {
-	if op != minilang.OpAdd && op != minilang.OpSub && op != minilang.OpMul {
+	if op == minilang.OpRem || (op == minilang.OpDiv && isInt) {
 		return nil
 	}
 	a, b := c.operand(l), c.operand(r)
-	switch {
-	case op == minilang.OpAdd && isInt:
-		return func(fr []float64) float64 { return math.Trunc(a.read(fr) + b.read(fr)) }
-	case op == minilang.OpAdd:
+	switch op {
+	case minilang.OpAdd:
+		if isInt {
+			return func(fr []float64) float64 { return math.Trunc(a.read(fr) + b.read(fr)) }
+		}
 		return func(fr []float64) float64 { return a.read(fr) + b.read(fr) }
-	case op == minilang.OpSub && isInt:
-		return func(fr []float64) float64 { return math.Trunc(a.read(fr) - b.read(fr)) }
-	case op == minilang.OpSub:
+	case minilang.OpSub:
+		if isInt {
+			return func(fr []float64) float64 { return math.Trunc(a.read(fr) - b.read(fr)) }
+		}
 		return func(fr []float64) float64 { return a.read(fr) - b.read(fr) }
-	case isInt:
-		return func(fr []float64) float64 { return math.Trunc(a.read(fr) * b.read(fr)) }
+	case minilang.OpMul:
+		if isInt {
+			return func(fr []float64) float64 { return math.Trunc(a.read(fr) * b.read(fr)) }
+		}
+		return func(fr []float64) float64 { return a.read(fr) * b.read(fr) }
+	case minilang.OpDiv:
+		return func(fr []float64) float64 { return a.read(fr) / b.read(fr) }
+	case minilang.OpLt:
+		return func(fr []float64) float64 { return b2f(a.read(fr) < b.read(fr)) }
+	case minilang.OpLe:
+		return func(fr []float64) float64 { return b2f(a.read(fr) <= b.read(fr)) }
+	case minilang.OpGt:
+		return func(fr []float64) float64 { return b2f(a.read(fr) > b.read(fr)) }
+	case minilang.OpGe:
+		return func(fr []float64) float64 { return b2f(a.read(fr) >= b.read(fr)) }
+	case minilang.OpEq:
+		return func(fr []float64) float64 { return b2f(a.read(fr) == b.read(fr)) }
+	case minilang.OpNe:
+		return func(fr []float64) float64 { return b2f(a.read(fr) != b.read(fr)) }
 	}
-	return func(fr []float64) float64 { return a.read(fr) * b.read(fr) }
+	return nil
 }
 
-// operand is an operand of arithmetic or indexing on the profiler path:
-// its closure, or, for a local or a constant, what the using closure reads
-// inline.
+// operand is an operand on the profiler path: its closure, or a frame slot
+// plus a constant, which the using closure reads inline. A local reads its
+// slot plus -0, which keeps every value, -0 included. A constant reads
+// zeroSlot plus itself, which is exact: the parser makes no -0 literal, as
+// it reads a minus as a unary operator.
 type operand struct {
 	f    eval
-	slot int // the local's frame slot; -1 for a constant
-	val  float64
+	slot int
+	off  float64
 }
 
 func (o operand) read(fr []float64) float64 {
 	if o.f != nil {
 		return o.f(fr)
 	}
-	if o.slot >= 0 {
-		return fr[o.slot]
-	}
-	return o.val
+	return fr[o.slot] + o.off
 }
+
+// negZero is -0; Go's constant -0.0 is +0.
+var negZero = math.Copysign(0, -1)
 
 func (c *compiler) operand(x minilang.Expr) operand {
 	switch t := x.(type) {
 	case *minilang.IntLit:
-		return operand{slot: -1, val: float64(t.Val)}
+		return operand{slot: zeroSlot, off: float64(t.Val)}
 	case *minilang.FloatLit:
-		return operand{slot: -1, val: t.Val}
+		return operand{slot: zeroSlot, off: t.Val}
 	case *minilang.VarRef:
 		if !t.Global {
-			return operand{slot: c.local(t.Name)}
+			return operand{slot: c.local(t.Name), off: negZero}
 		}
 	}
 	return operand{f: c.expr(x)}
 }
 
-// element compiles the address of an array element: the array, and a
+// site is an array reference of rank 1 to 3 on the profiler path: the
+// element storage, the extents as range-check bounds, the row-major
+// strides and the index operands, then the engine a store ticks and what
+// only a failing index or the step budget needs. Its load or store closure
+// captures the site, and a store its value too, so a read loads the latter
+// fields only when an index fails.
+type site struct {
+	data   []float64
+	n      [3]float64
+	stride [3]int64
+	ix     [3]operand
+	isInt  bool // an int array: a store truncates
+
+	e    *Engine
+	pos  minilang.Pos // the reference's position, where an index fails
+	stmt minilang.Pos // a store's statement position, where it ticks
+	name string
+	ext  []int64
+}
+
+// site compiles an array reference of rank 1 to 3.
+func (c *compiler) site(t *minilang.Index) *site {
+	arr := c.array(t)
+	s := &site{
+		data:  arr.Data,
+		isInt: t.ResultType() == minilang.TypeInt,
+		e:     c.e, pos: t.Pos, name: t.Name, ext: arr.Extents,
+	}
+	for d, x := range t.Indices {
+		s.ix[d] = c.operand(x)
+	}
+	stride := int64(1)
+	for d := len(s.ext) - 1; d >= 0; d-- {
+		s.n[d], s.stride[d] = float64(s.ext[d]), stride
+		stride *= s.ext[d]
+	}
+	return s
+}
+
+// indexErr reports the failing index v of dimension d.
+func (s *site) indexErr(d int, v float64) { s.e.indexErr(s.pos, s.name, s.ext, d, v) }
+
+// load compiles a read of an element of rank 1 to 3: one closure over its
+// site, which checks each index in order, then loads. The index is v
+// truncated toward zero. The range check is in floating point, which also
+// rejects NaN and infinities: Go leaves their conversion to int64
+// implementation-defined.
+//
+// load and store build their site, which keeps them too large to inline:
+// where go1.24 inlines a function that returns a closure, the closure's
+// copy no longer inlines operand.read.
+func (c *compiler) load(t *minilang.Index) eval {
+	s := c.site(t)
+	switch len(s.ext) {
+	case 1:
+		return func(fr []float64) float64 {
+			v := s.ix[0].read(fr)
+			if !(v > -1 && v < s.n[0]) {
+				s.indexErr(0, v)
+			}
+			return s.data[int64(v)]
+		}
+	case 2:
+		return func(fr []float64) float64 {
+			v := s.ix[0].read(fr)
+			if !(v > -1 && v < s.n[0]) {
+				s.indexErr(0, v)
+			}
+			w := s.ix[1].read(fr)
+			if !(w > -1 && w < s.n[1]) {
+				s.indexErr(1, w)
+			}
+			return s.data[int64(v)*s.stride[0]+int64(w)]
+		}
+	}
+	return func(fr []float64) float64 {
+		v := s.ix[0].read(fr)
+		if !(v > -1 && v < s.n[0]) {
+			s.indexErr(0, v)
+		}
+		w := s.ix[1].read(fr)
+		if !(w > -1 && w < s.n[1]) {
+			s.indexErr(1, w)
+		}
+		u := s.ix[2].read(fr)
+		if !(u > -1 && u < s.n[2]) {
+			s.indexErr(2, u)
+		}
+		return s.data[int64(v)*s.stride[0]+int64(w)*s.stride[1]+int64(u)]
+	}
+}
+
+// store compiles an assignment at pos of x to an element of rank 1 to 3:
+// one statement over its site, which evaluates x, then checks each index
+// in order and writes. On the profiler path every block is noBlock, so the
+// statement's begin is tick. The statement's position is the reference's
+// unless the left side is in parentheses.
+func (c *compiler) store(pos minilang.Pos, t *minilang.Index, x eval) exec {
+	s := c.site(t)
+	s.stmt = pos
+	switch len(s.ext) {
+	case 1:
+		return func(fr []float64) control {
+			s.e.tick(s.stmt)
+			a := x(fr)
+			v := s.ix[0].read(fr)
+			if !(v > -1 && v < s.n[0]) {
+				s.indexErr(0, v)
+			}
+			if s.isInt {
+				a = math.Trunc(a)
+			}
+			s.data[int64(v)] = a
+			return ctrlNone
+		}
+	case 2:
+		return func(fr []float64) control {
+			s.e.tick(s.stmt)
+			a := x(fr)
+			v := s.ix[0].read(fr)
+			if !(v > -1 && v < s.n[0]) {
+				s.indexErr(0, v)
+			}
+			w := s.ix[1].read(fr)
+			if !(w > -1 && w < s.n[1]) {
+				s.indexErr(1, w)
+			}
+			if s.isInt {
+				a = math.Trunc(a)
+			}
+			s.data[int64(v)*s.stride[0]+int64(w)] = a
+			return ctrlNone
+		}
+	}
+	return func(fr []float64) control {
+		s.e.tick(s.stmt)
+		a := x(fr)
+		v := s.ix[0].read(fr)
+		if !(v > -1 && v < s.n[0]) {
+			s.indexErr(0, v)
+		}
+		w := s.ix[1].read(fr)
+		if !(w > -1 && w < s.n[1]) {
+			s.indexErr(1, w)
+		}
+		u := s.ix[2].read(fr)
+		if !(u > -1 && u < s.n[2]) {
+			s.indexErr(2, u)
+		}
+		if s.isInt {
+			a = math.Trunc(a)
+		}
+		s.data[int64(v)*s.stride[0]+int64(w)*s.stride[1]+int64(u)] = a
+		return ctrlNone
+	}
+}
+
+// array returns the storage an array reference names, or records a compile
+// error and returns a one-element placeholder of the reference's rank.
+func (c *compiler) array(t *minilang.Index) *Array {
+	if arr := c.e.Arrays[t.Name]; arr != nil {
+		return arr
+	}
+	c.fail(t.Pos, "no storage for array %q", t.Name)
+	ext := make([]int64, len(t.Indices))
+	for d := range ext {
+		ext[d] = 1
+	}
+	return &Array{Data: make([]float64, 1), Extents: ext}
+}
+
+// element compiles the address of an array element for the full event
+// stream, and for ranks above 3 on the profiler path: the array, and a
 // closure that evaluates and range-checks the indexes and returns the
 // element's flat offset.
 func (c *compiler) element(t *minilang.Index) (*Array, func(fr []float64) int64) {
 	e, pos, name := c.e, t.Pos, t.Name
-	arr := e.Arrays[t.Name]
-	if arr == nil {
-		c.fail(pos, "no storage for array %q", t.Name)
-		return &Array{Data: make([]float64, 1)}, func([]float64) int64 { return 0 }
-	}
+	arr := c.array(t)
 	ext := arr.Extents
-	if c.ev == nil && len(t.Indices) <= 3 {
-		ix := make([]operand, 3)
-		for d, x := range t.Indices {
-			ix[d] = c.operand(x)
-		}
-		i, j, k := ix[0], ix[1], ix[2]
-		switch len(t.Indices) {
-		case 1:
-			ni := float64(ext[0])
-			return arr, func(fr []float64) int64 {
-				v := i.read(fr)
-				if !(v > -1 && v < ni) {
-					e.indexErr(pos, name, ext, 0, v)
-				}
-				return int64(v)
-			}
-		case 2:
-			ni, nj := float64(ext[0]), float64(ext[1])
-			return arr, func(fr []float64) int64 {
-				v := i.read(fr)
-				if !(v > -1 && v < ni) {
-					e.indexErr(pos, name, ext, 0, v)
-				}
-				w := j.read(fr)
-				if !(w > -1 && w < nj) {
-					e.indexErr(pos, name, ext, 1, w)
-				}
-				return int64(v)*ext[1] + int64(w)
-			}
-		case 3:
-			ni, nj, nk := float64(ext[0]), float64(ext[1]), float64(ext[2])
-			return arr, func(fr []float64) int64 {
-				v := i.read(fr)
-				if !(v > -1 && v < ni) {
-					e.indexErr(pos, name, ext, 0, v)
-				}
-				w := j.read(fr)
-				if !(w > -1 && w < nj) {
-					e.indexErr(pos, name, ext, 1, w)
-				}
-				u := k.read(fr)
-				if !(u > -1 && u < nk) {
-					e.indexErr(pos, name, ext, 2, u)
-				}
-				return (int64(v)*ext[1]+int64(w))*ext[2] + int64(u)
-			}
-		}
-	}
 	idx := make([]eval, len(t.Indices))
 	for d, x := range t.Indices {
 		idx[d] = c.expr(x)
@@ -700,9 +854,7 @@ func (c *compiler) element(t *minilang.Index) (*Array, func(fr []float64) int64)
 			if ev != nil {
 				ev.Op(OpInt, vec)
 			}
-			// The index is v truncated toward zero. Check its range in
-			// floating point, which also rejects NaN and infinities: Go
-			// leaves their conversion to int64 implementation-defined.
+			// The index is v truncated toward zero; see load.
 			n := ext[d]
 			if !(v > -1 && v < float64(n)) {
 				e.indexErr(pos, name, ext, d, v)

@@ -307,13 +307,110 @@ func main() {
 }
 `
 
+// addressingSrc reaches every form the profiler path compiles an element
+// read or store to: ranks 1 to 3 on float and int arrays (an int store
+// truncates), indexed by a local, i-1, j+1, 1+k, a constant, a float
+// local, a global, an element and a general expression; and comparisons
+// and float division with NaN, ±Inf and -0 operands. It ends on a local
+// declared int whose slot an inner float declaration shares: int
+// arithmetic truncates the value that block left behind, so q is 2, not
+// 3.
+const addressingSrc = `
+global n: int = 5;
+global g: int = 2;
+global q: float;
+global r: float;
+global hits: int;
+global fa: [n]float;
+global ia: [n]int;
+global fb: [n][n]float;
+global ib: [n][n]int;
+global fc: [n][n][n]float;
+global ic: [n][n][n]int;
+global out: [24]float;
+
+func main() {
+  for i = 0 .. n {
+    ia[i] = (i * 3 + 1) % n;
+    fa[i] = i * 0.75;
+    for j = 0 .. n {
+      ib[i][j] = i * 1.5 + j / 4.0;
+      fb[i][j] = fa[i] - j;
+      for k = 0 .. n {
+        ic[i][j][k] = fb[i][j] * 0.5 + k;
+        fc[i][j][k] = ib[i][j] + k * 0.25;
+      }
+    }
+  }
+  for i = 1 .. n {
+    for j = 0 .. n - 1 {
+      for k = 0 .. n - 1 {
+        fc[i][j][k] = fc[i-1][j+1][1+k] + fb[i-1][j+1] * fa[i-1] + ic[i][j+1][1+k];
+        ib[i-1][j+1] = fb[i][j] + ia[1+k] - 0.5;
+        ic[i][j+1][1+k] = fc[i][j][k] / 3.0;
+      }
+    }
+  }
+  var fx: float = 2.75;
+  for i = 0 .. n {
+    fa[ia[i]] = fa[ia[i]] + fb[g][i] + fc[0][fx][(i * 2 + 1) % n] + fb[fx - 1][4];
+    ia[fx] = ia[3] + fb[fx + 0.5][g - 1] + ic[2][ia[i]][n - 1 - i];
+  }
+
+  var z: float = 0.0;
+  var nz: float = -z;
+  var nan: float = z / z;
+  var inf: float = 1.0 / z;
+  var ninf: float = -1.0 / z;
+  out[0] = nan < 1.0;
+  out[1] = nan == nan;
+  out[2] = nan != nan;
+  out[3] = inf > ninf;
+  out[4] = nz == z;
+  out[5] = nz < z;
+  out[6] = 1.0 / nz;
+  out[7] = nz / inf;
+  out[8] = inf / inf;
+  out[9] = z / nz;
+  out[10] = nan >= nan;
+  out[11] = ninf <= nz;
+  out[12] = nz * 1.0;
+  out[13] = nz + nz;
+  out[14] = nz - z;
+  out[15] = inf / ninf;
+  out[16] = fa[1] / nz;
+  out[17] = out[6] <= ninf;
+  out[18] = inf >= out[6];
+  out[19] = nan > fa[2];
+  for i = 0 .. n {
+    if (fb[i][1] / nz < ninf || nan <= fa[i] || fa[i] / inf == nz) {
+      hits = hits + 1;
+    }
+  }
+
+  var x: int = 3;
+  if (x > 0) {
+    var x: float = 2.5;
+    r = x;
+  }
+  fa[x - 1] = 7.0;
+  r = r + fa[x - 1] + fb[x + 1][1 + x];
+  q = (x - 1) * 2.0;
+}
+`
+
 // TestProfilerFastPathMatchesFullStream checks the profiler's path, which
 // compiles away every event the profiler ignores, against the full
 // stream: a type embedding *Profiler receives every event. Both must
-// produce the same profile, Steps() and final state on every golden case,
-// and the same error and partial profile on a program that fails mid-run.
+// produce the same profile, Steps() and final state on every golden case
+// and on a program of every addressing form, and the same error and
+// partial profile on a program that fails mid-run.
 func TestProfilerFastPathMatchesFullStream(t *testing.T) {
-	cases := append(eventCases(), eventCase{name: "failing", src: failingSrc, seed: 1})
+	cases := append(eventCases(),
+		eventCase{name: "failing", src: failingSrc, seed: 1},
+		eventCase{name: "addressing", src: addressingSrc, seed: 1})
+	// Results the two paths could get wrong alike.
+	want := map[string]map[string]float64{"addressing": {"q": 2}}
 	for _, c := range cases {
 		prog, err := minilang.Parse(c.name, c.src)
 		if err == nil {
@@ -338,6 +435,11 @@ func TestProfilerFastPathMatchesFullStream(t *testing.T) {
 			var o outcome
 			if err := e.Run(); err != nil {
 				o.err = err.Error()
+			}
+			for g, v := range want[c.name] {
+				if got := e.Globals[g]; got != v {
+					t.Errorf("%s, observer %T: %s = %g, want %g", c.name, obs, g, got, v)
+				}
 			}
 			o.profile, o.steps, o.state = p.P.String(), e.Steps(), stateDigest(e)
 			return o

@@ -216,6 +216,13 @@ func main() { var x: float = 3.0; while (log(x) < 5.0) { n = n + 1; x = x - 1.0;
 func main() { for i = 0 .. 3 { s = s + 1; for j = 0 .. a[i * 2] { } } }`,
 			want: "runtime: index 4 out of range [0,3) in dimension 0", globals: map[string]float64{"s": 3},
 		},
+		"store evaluates its value before its indexes": {
+			src: `global a: [2][2][2]float; global done: int;
+func main() { a[2][0][0] = mark(); }
+func mark(): float { done = 1; return 1.0; }`,
+			want: `2:15: runtime: index 2 out of range [0,2) in dimension 0 of "a"`, globals: map[string]float64{"done": 1},
+		},
+		"store value fails first": {src: "global a: [2]float; func main() { a[5] = log(0.0); }", want: "1:42: runtime: log of non-positive value 0"},
 		"in call argument": {
 			src: `global r: float; global m: int;
 func main() { m = 2; r = twice(mod(1.0, 0.0)); }
@@ -223,13 +230,54 @@ func twice(x: float): float { return x * 2.0; }`,
 			want: "2:32: runtime: mod by zero", globals: map[string]float64{"m": 2, "r": 0},
 		},
 	}
+	// A rank-3 store and a rank-2 read fail in each dimension, on a stencil
+	// index: i-1 at 0, j+1 at the extent, and NaN+1.
+	const stencilSrc = `global a: [2][3][4]float; global b: [2][3]float; global s: float;
+func main() {
+  var z: float = 0.0; var nan: float = z / z;
+  for i = 0 .. 2 { for j = 0 .. 3 { for k = 0 .. 4 {
+    %s
+  } } }
+}`
+	loops, exts := []string{"i", "j", "k"}, []int{2, 3, 4}
+	for _, ref := range []struct{ form, array, stmt string }{
+		{"rank-3 store", "a", "a[%s][%s][%s] = 1.0;"},
+		{"rank-2 read", "b", "s = b[%s][%s];"},
+	} {
+		rank := strings.Count(ref.stmt, "%s")
+		for d := range rank {
+			for _, f := range []struct{ name, ix, want string }{
+				{"i-1 at 0", loops[d] + "-1", fmt.Sprintf("index -1 out of range [0,%d)", exts[d])},
+				{"j+1 at the extent", loops[d] + "+1", fmt.Sprintf("index %d out of range [0,%d)", exts[d], exts[d])},
+				{"NaN stencil", "nan+1", "index NaN is not finite"},
+			} {
+				ix := make([]any, rank)
+				for k := range ix {
+					ix[k] = loops[k]
+				}
+				ix[d] = f.ix
+				stmt := fmt.Sprintf(ref.stmt, ix...)
+				// The statement is on line 5, after four spaces.
+				col := strings.Index(stmt, ref.array+"[") + 5
+				cases[fmt.Sprintf("%s, %s in dimension %d", ref.form, f.name, d)] = struct {
+					src, want string
+					globals   map[string]float64
+				}{
+					src:  fmt.Sprintf(stencilSrc, stmt),
+					want: fmt.Sprintf(`5:%d: runtime: %s in dimension %d of %q`, col, f.want, d, ref.array),
+				}
+			}
+		}
+	}
 	// The profiler compiles a program without the events it ignores; every
-	// other observer gets the full stream. Both must fail alike.
+	// other observer gets the full stream. Both must fail alike, with the
+	// same message and position.
 	observers := map[string]func() Observer{
 		"full stream": func() Observer { return nil },
 		"profiler":    func() Observer { return NewProfiler() },
 	}
 	for name, c := range cases {
+		errs := make(map[string]string, len(observers))
 		for oname, obs := range observers {
 			e := prep(t, c.src, &Options{Observer: obs()})
 			err := e.Run()
@@ -237,6 +285,7 @@ func twice(x: float): float { return x * 2.0; }`,
 				t.Errorf("%s, %s: Run succeeded, want error", name, oname)
 				continue
 			}
+			errs[oname] = err.Error()
 			want := c.want
 			if !strings.Contains(want, "runtime: ") {
 				want = "runtime: " + want
@@ -249,6 +298,9 @@ func twice(x: float): float { return x * 2.0; }`,
 					t.Errorf("%s, %s: global %s = %g after the failure, want %g", name, oname, g, e.Globals[g], v)
 				}
 			}
+		}
+		if errs["full stream"] != errs["profiler"] {
+			t.Errorf("%s: the observers fail differently:\n full stream %q\n profiler    %q", name, errs["full stream"], errs["profiler"])
 		}
 	}
 }
@@ -317,6 +369,27 @@ func TestStepBudget(t *testing.T) {
 	err := e.Run()
 	if err == nil || !strings.Contains(err.Error(), "step budget") {
 		t.Errorf("expected step budget error, got %v", err)
+	}
+
+	// The store that exceeds the budget reports its statement's position on
+	// either observer, at each rank. With its left side in parentheses, the
+	// statement starts a column before its array reference.
+	const src = `global a: [2]float; global b: [2][2]float; global c: [2][2][2]float;
+func main() {
+  for i = 0 .. 2 {
+    (a[i]) = 1.0;
+    (b[i][1]) = 2.0;
+    (c[1][i][0]) = 3.0;
+  }
+}`
+	for steps, line := range map[int64]int{1: 4, 2: 5, 3: 6} {
+		want := fmt.Sprintf("test:%d:5: runtime: step budget exceeded (%d)", line, steps)
+		for oname, obs := range map[string]Observer{"full stream": nil, "profiler": NewProfiler()} {
+			err := prep(t, src, &Options{MaxSteps: steps, Observer: obs}).Run()
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, budget %d: error %v, want it to contain %q", oname, steps, err, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 
 	"skope/internal/core"
@@ -91,6 +93,55 @@ func TestBuildSizeInputInvariance(t *testing.T) {
 		}
 		if len(allocs) > 0 && (allocs[1] != allocs[0] || allocs[2] != allocs[0]) {
 			t.Errorf("%s: core.Build allocations %v at x1, x1e3, x1e9, want equal", name, allocs)
+		}
+	}
+}
+
+// maxPrepareAllocs bounds what preparing each workload at ScaleTest
+// allocates (parsing, the profiling run, translation, the skeleton, the
+// BST and the BET), about 2% above what it measures with go1.24: 8,398,
+// 3,458, 2,953, 3,114 and 2,706. Most of these objects are the maps and
+// strings of the parser, sema and profiler, so the counts depend on the
+// toolchain's runtime: built with GOEXPERIMENT=noswissmap, which gives
+// go1.24 the maps of earlier releases, the same Prepares allocate 8,211,
+// 3,406, 2,926, 3,074 and 2,678. The bounds hold for prepareAllocsRelease
+// alone, and the test skips under any other release.
+var maxPrepareAllocs = map[string]float64{
+	"sord": 8560, "chargei": 3520, "srad": 3010, "cfd": 3180, "stassuij": 2770,
+}
+
+// prepareAllocsRelease is the Go release maxPrepareAllocs was measured
+// with.
+const prepareAllocsRelease = "go1.24"
+
+// TestPrepareAllocs is the deterministic twin of the cold-prepare
+// benchmark: it prepares each workload at ScaleTest and bounds the
+// allocations of one Prepare. A warm-up Prepare runs first, because libmodel
+// calibrates once per process. The profiling run's steps need no bound of
+// their own: the event golden pins them per workload, and the profiler
+// path is held to the full stream.
+func TestPrepareAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	if v := runtime.Version(); !strings.HasPrefix(v, prepareAllocsRelease+".") {
+		t.Skipf("the bounds were measured with %s, not %s", prepareAllocsRelease, v)
+	}
+	for _, name := range workloads.Names() {
+		w, err := workloads.Get(name, workloads.ScaleTest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepare := func() {
+			if _, err := Prepare(context.Background(), w); err != nil {
+				t.Fatalf("prepare %s: %v", name, err)
+			}
+		}
+		prepare()
+		allocs := testing.AllocsPerRun(3, prepare)
+		t.Logf("%s: %.0f allocations per Prepare", name, allocs)
+		if allocs > maxPrepareAllocs[name] {
+			t.Errorf("%s: Prepare allocates %.0f objects, want at most %.0f", name, allocs, maxPrepareAllocs[name])
 		}
 	}
 }
